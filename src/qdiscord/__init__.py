@@ -43,8 +43,6 @@ from .measurement import (
     BlochMeasurement,
     ProductMeasurement,
     apply_full,
-    apply_single_site,
-    measurement_chain,
     outcome_probabilities,
     projectors,
 )
@@ -105,8 +103,6 @@ __all__ = [
     "BlochMeasurement",
     "ProductMeasurement",
     "apply_full",
-    "apply_single_site",
-    "measurement_chain",
     "outcome_probabilities",
     "projectors",
     "CounterexampleAudit",

@@ -16,12 +16,7 @@ from scipy.optimize import minimize
 
 from .entropy import Q_SWITCH_TOL, _check_q, _hq, tsallis_entropy
 from .linalg import DensityMatrix, partial_trace
-from .measurement import (
-    BlochMeasurement,
-    ProductMeasurement,
-    _basis_columns,
-    apply_full,
-)
+from .measurement import ProductMeasurement, apply_full, product_basis
 
 DESK_SCALE_LIMIT = 4
 CLAMP_SLACK = 1e-8
@@ -186,9 +181,10 @@ def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], gro
 
     Phi(rho) is diagonal in the product measurement basis (block diagonal
     when some qubits stay unmeasured), so the measured-state entropies come
-    from outcome probabilities and per-block spectra rather than from an
-    explicit channel application. Group terms whose qubits are unmeasured
-    cancel exactly and are skipped.
+    from outcome probabilities and per-block spectra of W^dagger rho W (W
+    the rotated product basis) rather than from an explicit channel
+    application. Group terms whose qubits are unmeasured cancel exactly and
+    are skipped.
     """
     n = rho.num_qubits
     m = len(measured)
@@ -219,9 +215,7 @@ def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], gro
         # fully unmeasured groups drop out: their marginal is untouched
 
     def objective(angles: np.ndarray) -> float:
-        w = _basis_columns(angles[0], angles[1])
-        for j in range(1, m):
-            w = np.kron(w, _basis_columns(angles[2 * j], angles[2 * j + 1]))
+        w = product_basis(angles)
         if dim_u == 1:
             probs = np.einsum("aj,ab,bj->j", w.conj(), flat, w).real
             np.maximum(probs, 0.0, out=probs)

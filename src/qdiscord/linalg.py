@@ -55,6 +55,14 @@ def kron_all(*factors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_hermitian(m: np.ndarray, name: str) -> None:
+    """Raise ValueError unless m is square and Hermitian to HERMITICITY_TOL."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be square")
+    if np.abs(m - m.conj().T).max(initial=0.0) > HERMITICITY_TOL:
+        raise ValueError(f"{name} is not Hermitian")
+
+
 def eigvalsh(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix in non-increasing order.
 
@@ -62,10 +70,7 @@ def eigvalsh(m: np.ndarray) -> np.ndarray:
     Hermiticity by more than HERMITICITY_TOL in any entry.
     """
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian")
+    _check_hermitian(m, "matrix")
     return np.linalg.eigvalsh(m)[::-1]
 
 
@@ -76,10 +81,7 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = v @ diag(w) @ v^dagger up to floating-point error.
     """
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian")
+    _check_hermitian(m, "matrix")
     w, v = np.linalg.eigh(m)
     return w[::-1], v[:, ::-1]
 
@@ -96,14 +98,11 @@ class DensityMatrix:
 
     def __init__(self, matrix) -> None:
         m = np.array(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("density matrix must be square")
+        _check_hermitian(m, "density matrix")
         dim = m.shape[0]
         n = dim.bit_length() - 1
         if dim < 2 or 2**n != dim:
             raise ValueError("density matrix dimension must be a power of two")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("density matrix is not Hermitian")
         if abs(m.trace() - 1.0) > TRACE_TOL:
             raise ValueError("density matrix trace must be 1")
         if np.linalg.eigvalsh(m)[0] < EIGENVALUE_FLOOR:

@@ -1,13 +1,16 @@
 """Local projective measurements and the channels they induce.
 
 A single-qubit measurement is a unit Bloch axis a; its projectors are
-(I +/- a.sigma)/2. Product measurements apply one such pair per qubit and
-the induced channel is the non-selective sum over outcome projectors.
+(I +/- a.sigma)/2. A product measurement applies one such pair per qubit.
+Its 2^n outcome projectors are the columns of one unitary, the rotated
+product basis W (the Kronecker product of the per-qubit eigenbases), so
+the outcome probabilities are diag(W^dagger rho W) and the non-selective
+channel sum_j P_j rho P_j is W diag(p) W^dagger. Every caller, the discord
+objective included, gets the measured state through product_basis.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterable
 
@@ -19,16 +22,14 @@ from .linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    kron_all,
 )
 
 __all__ = [
     "BlochMeasurement",
     "ProductMeasurement",
     "projectors",
+    "product_basis",
     "apply_full",
-    "apply_single_site",
-    "measurement_chain",
     "outcome_probabilities",
 ]
 
@@ -107,62 +108,41 @@ def _basis_columns(theta: float, phi: float) -> np.ndarray:
     return np.array([[ct, -st], [ph * st, ph * ct]], dtype=complex)
 
 
-def _check_arity(phi: ProductMeasurement, rho: DensityMatrix) -> None:
+def product_basis(angles) -> np.ndarray:
+    """Rotated product basis W for angles (theta_0, phi_0, theta_1, phi_1, ...).
+
+    Column j of W is the common eigenvector of outcome j, with qubit 0 as
+    the high bit of j and bit value 0 for the + outcome, so the outcome
+    projectors are the rank-1 P_j = W[:, j] W[:, j]^dagger.
+    """
+    w = _basis_columns(angles[0], angles[1])
+    for j in range(2, len(angles), 2):
+        w = np.kron(w, _basis_columns(angles[j], angles[j + 1]))
+    return w
+
+
+def _measured_basis(phi: ProductMeasurement, rho: DensityMatrix) -> np.ndarray:
     if len(phi) != rho.num_qubits:
         raise ValueError(
             f"measurement arity {len(phi)} does not match qubit count {rho.num_qubits}"
         )
+    angles = []
+    for m in phi.per_qubit:
+        a1, a2, a3 = m.axis
+        angles += (math.atan2(math.hypot(a1, a2), a3), math.atan2(a2, a1))
+    return product_basis(angles)
+
+
+def _probabilities(w: np.ndarray, rho: DensityMatrix) -> np.ndarray:
+    return np.einsum("aj,ab,bj->j", w.conj(), rho.matrix, w).real
 
 
 def apply_full(phi: ProductMeasurement, rho: DensityMatrix) -> DensityMatrix:
-    """Non-selective product measurement: sum_j P_j rho P_j over all outcomes."""
-    _check_arity(phi, rho)
-    n = rho.num_qubits
-    pairs = [projectors(m) for m in phi.per_qubit]
-    out = np.zeros_like(rho.matrix)
-    for bits in itertools.product((0, 1), repeat=n):
-        p = kron_all(*(pairs[i][b] for i, b in enumerate(bits)))
-        out += p @ rho.matrix @ p
-    return DensityMatrix(out)
-
-
-def apply_single_site(k: int, m: BlochMeasurement, rho: DensityMatrix) -> DensityMatrix:
-    """Measure only qubit k, leaving the other tensor factors untouched."""
-    n = rho.num_qubits
-    k = int(k)
-    if not 0 <= k < n:
-        raise ValueError("site index out of range")
-    before = np.eye(2**k, dtype=complex)
-    after = np.eye(2 ** (n - k - 1), dtype=complex)
-    out = np.zeros_like(rho.matrix)
-    for proj in projectors(m):
-        p = kron_all(before, proj, after)
-        out += p @ rho.matrix @ p
-    return DensityMatrix(out)
-
-
-def measurement_chain(phi: ProductMeasurement, rho: DensityMatrix) -> list[DensityMatrix]:
-    """States sigma_0..sigma_n obtained by measuring qubits 0..k-1 in turn.
-
-    sigma_0 is the input and sigma_n equals apply_full(phi, rho); the
-    single-site channels commute, so the chosen order is immaterial.
-    """
-    _check_arity(phi, rho)
-    chain = [rho]
-    current = rho
-    for k, m in enumerate(phi.per_qubit):
-        current = apply_single_site(k, m, current)
-        chain.append(current)
-    return chain
+    """Non-selective product measurement sum_j P_j rho P_j = W diag(p) W^dagger."""
+    w = _measured_basis(phi, rho)
+    return DensityMatrix((w * _probabilities(w, rho)) @ w.conj().T)
 
 
 def outcome_probabilities(phi: ProductMeasurement, rho: DensityMatrix) -> np.ndarray:
     """Probabilities of the 2^n outcomes, indexed with qubit 0 as the high bit."""
-    _check_arity(phi, rho)
-    n = rho.num_qubits
-    pairs = [projectors(m) for m in phi.per_qubit]
-    probs = np.empty(2**n)
-    for idx, bits in enumerate(itertools.product((0, 1), repeat=n)):
-        p = kron_all(*(pairs[i][b] for i, b in enumerate(bits)))
-        probs[idx] = np.trace(p @ rho.matrix).real
-    return probs
+    return _probabilities(_measured_basis(phi, rho), rho)

@@ -229,36 +229,6 @@ class TestSweep:
         assert main(argv + ["--out", str(path)]) == 0
         assert path.read_text() == stdout_text
 
-    def test_thread_count_does_not_change_output(self, capsys, monkeypatch):
-        argv = [
-            "sweep",
-            "--target",
-            "werner:2:0.6",
-            "--steps",
-            "3",
-            "--q-min",
-            "0.4",
-            "--q-max",
-            "0.8",
-        ] + LIGHT_FLAGS
-        monkeypatch.setenv("QDISCORD_THREADS", "1")
-        main(argv)
-        serial = capsys.readouterr().out
-        monkeypatch.setenv("QDISCORD_THREADS", "4")
-        main(argv)
-        threaded = capsys.readouterr().out
-        assert serial == threaded
-
-    def test_invalid_thread_env_warns_and_runs(self, capsys, monkeypatch):
-        monkeypatch.setenv("QDISCORD_THREADS", "abc")
-        code = main(
-            ["sweep", "--target", "mixed:2", "--steps", "2", "--q-min", "0.5", "--q-max", "0.7"]
-            + LIGHT_FLAGS
-        )
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "QDISCORD_THREADS" in captured.err
-
     def test_default_targets(self):
         assert DEFAULT_TARGETS == ("alpha:0.58", "alpha:0.3")
 

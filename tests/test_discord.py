@@ -15,11 +15,7 @@ from qdiscord.discord import (
 )
 from qdiscord.entropy import tsallis_entropy
 from qdiscord.linalg import DensityMatrix, permute_qubits
-from qdiscord.measurement import (
-    BlochMeasurement,
-    ProductMeasurement,
-    apply_single_site,
-)
+from qdiscord.measurement import BlochMeasurement, ProductMeasurement, projectors
 from qdiscord.states import random_density_matrix, werner_ghz
 
 LIGHT = OptimizerConfig(starts=4, max_evals=400)
@@ -122,7 +118,8 @@ class TestFastObjective:
 
     def test_partial_measurement_route(self):
         # Measuring only qubit 2: the objective must equal the bipartite
-        # information drop with the channel acting on qubit 2 alone.
+        # information drop with the channel sum_+- (I_4 x P) rho (I_4 x P)
+        # acting on qubit 2 alone.
         rng = np.random.default_rng(1)
         rho = random_density_matrix(3, seed=7)
         q = 0.7
@@ -131,7 +128,12 @@ class TestFastObjective:
         for _ in range(5):
             angles = random_angles(rng, 1)
             m = BlochMeasurement.from_angles(angles[0], angles[1])
-            measured_state = apply_single_site(2, m, rho)
+            measured_state = DensityMatrix(
+                sum(
+                    np.kron(np.eye(4), p) @ rho.matrix @ np.kron(np.eye(4), p)
+                    for p in projectors(m)
+                )
+            )
             drop = _mutual_information_cut(rho, cut, q) - _mutual_information_cut(
                 measured_state, cut, q
             )

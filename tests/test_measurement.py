@@ -8,8 +8,6 @@ from qdiscord.measurement import (
     ProductMeasurement,
     _basis_columns,
     apply_full,
-    apply_single_site,
-    measurement_chain,
     outcome_probabilities,
     projectors,
 )
@@ -117,39 +115,35 @@ class TestChannels:
             assert_allclose(twice.matrix, once.matrix, atol=1e-13)
             assert_allclose(once.matrix.trace(), 1.0, atol=1e-13)
 
-    def test_single_site_affects_only_target(self):
-        a = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-        b = np.diag([0.7, 0.3]).astype(complex)
-        rho = DensityMatrix(np.kron(a, b))
-        out = apply_single_site(0, BlochMeasurement((0.0, 0.0, 1.0)), rho)
-        assert_allclose(out.matrix, np.kron(np.diag([0.5, 0.5]), b), atol=1e-14)
-        out = apply_single_site(1, BlochMeasurement((0.0, 0.0, 1.0)), rho)
-        assert_allclose(out.matrix, np.kron(a, b), atol=1e-14)
-
-    def test_single_site_index_error(self):
-        with pytest.raises(ValueError, match="out of range"):
-            apply_single_site(2, BlochMeasurement((0.0, 0.0, 1.0)), BELL)
-
-    def test_chain_ends_at_full_channel(self):
-        rng = np.random.default_rng(5)
-        for i in range(5):
-            rho = random_density_matrix(3, seed=10 + i)
-            v = rng.normal(size=(3, 3))
-            pm = ProductMeasurement(
-                BlochMeasurement(row / np.linalg.norm(row)) for row in v
-            )
-            chain = measurement_chain(pm, rho)
-            assert len(chain) == 4
-            assert chain[0] is rho
-            full = apply_full(pm, rho)
-            assert_allclose(chain[-1].matrix, full.matrix, atol=1e-13)
+    def test_matches_projector_sum(self):
+        # Reference: the literal non-selective channel sum_j P_j rho P_j over
+        # all 2^n Kronecker products of the per-qubit projector pairs. The
+        # first measurement of each size uses poles and equator points.
+        special = np.array(
+            [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]
+        )
+        rng = np.random.default_rng(8)
+        for n in (2, 3, 4):
+            for i in range(3):
+                rho = random_density_matrix(n, seed=40 + 10 * n + i)
+                v = special[:n] if i == 0 else rng.normal(size=(n, 3))
+                pm = ProductMeasurement(
+                    BlochMeasurement(row / np.linalg.norm(row)) for row in v
+                )
+                outcome_projectors = [np.eye(1)]
+                for m in pm:
+                    outcome_projectors = [
+                        np.kron(p, f) for p in outcome_projectors for f in projectors(m)
+                    ]
+                expected = sum(p @ rho.matrix @ p for p in outcome_projectors)
+                probs = [np.trace(p @ rho.matrix).real for p in outcome_projectors]
+                assert_allclose(apply_full(pm, rho).matrix, expected, atol=1e-13)
+                assert_allclose(outcome_probabilities(pm, rho), probs, atol=1e-13)
 
     def test_arity_mismatch(self):
         pm = ProductMeasurement.uniform_axis(3, (0.0, 0.0, 1.0))
         with pytest.raises(ValueError, match="arity 3 does not match qubit count 2"):
             apply_full(pm, BELL)
-        with pytest.raises(ValueError, match="arity"):
-            measurement_chain(pm, BELL)
         with pytest.raises(ValueError, match="arity"):
             outcome_probabilities(pm, BELL)
 
