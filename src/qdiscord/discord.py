@@ -77,6 +77,8 @@ class OptimizerConfig:
             raise ValueError("max_evals must be at least 1")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

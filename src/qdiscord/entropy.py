@@ -61,8 +61,8 @@ def _hq(p: np.ndarray, q: float) -> float:
     """
     p = p[p > ZERO_PROB_CUTOFF]
     if abs(q - 1.0) < Q_SWITCH_TOL:
-        return float(-np.sum(xlogy(p, p)))
-    return float((1.0 - np.sum(p**q)) / (q - 1.0))
+        return float(-xlogy(p, p).sum())
+    return float((1.0 - (p**q).sum()) / (q - 1.0))
 
 
 def tsallis_entropy_probs(p, q: float) -> float:

@@ -89,15 +89,19 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class DensityMatrix:
     """Hermitian, unit-trace, positive semidefinite operator on n qubits.
 
-    Construction validates all three properties (Hermiticity to 1e-10,
-    trace to 1e-10, smallest eigenvalue above -1e-9) and stores the matrix
-    as a read-only complex array.
+    Construction rejects non-finite entries, then validates all three
+    properties (Hermiticity to 1e-10, trace to 1e-10, smallest eigenvalue
+    above -1e-9). It stores the matrix as a read-only complex array and the
+    eigenvalues its PSD check computed as `eigenvalues`, a read-only array
+    in non-increasing order equal to eigvalsh(matrix).
     """
 
-    __slots__ = ("matrix", "num_qubits")
+    __slots__ = ("matrix", "num_qubits", "eigenvalues")
 
     def __init__(self, matrix) -> None:
         m = np.array(matrix, dtype=complex)
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix entries must be finite")
         _check_hermitian(m, "density matrix")
         dim = m.shape[0]
         n = dim.bit_length() - 1
@@ -105,11 +109,14 @@ class DensityMatrix:
             raise ValueError("density matrix dimension must be a power of two")
         if abs(m.trace() - 1.0) > TRACE_TOL:
             raise ValueError("density matrix trace must be 1")
-        if np.linalg.eigvalsh(m)[0] < EIGENVALUE_FLOOR:
+        w = np.linalg.eigvalsh(m)
+        if w[0] < EIGENVALUE_FLOOR:
             raise ValueError("density matrix is not positive semidefinite")
         m.setflags(write=False)
+        w.setflags(write=False)
         self.matrix = m
         self.num_qubits = n
+        self.eigenvalues = w[::-1]
 
     @property
     def dim(self) -> int:
@@ -191,8 +198,9 @@ def permute_qubits(rho: DensityMatrix, order: Iterable[int]) -> DensityMatrix:
 
 
 def state_spectrum(rho: DensityMatrix) -> Spectrum:
-    """Eigenvalue spectrum of a state, with noise in [-1e-9, 0) clamped to 0."""
-    w = eigvalsh(rho.matrix)
-    if w[-1] < EIGENVALUE_FLOOR:
-        raise ValueError("state is not positive semidefinite")
-    return Spectrum(np.maximum(w, 0.0))
+    """Eigenvalue spectrum of a state, with noise in [-1e-9, 0) clamped to 0.
+
+    Uses the eigenvalues the DensityMatrix constructor already computed and
+    checked against EIGENVALUE_FLOOR.
+    """
+    return Spectrum(np.maximum(rho.eigenvalues, 0.0))

@@ -7,6 +7,12 @@ product basis W (the Kronecker product of the per-qubit eigenbases), so
 the outcome probabilities are diag(W^dagger rho W) and the non-selective
 channel sum_j P_j rho P_j is W diag(p) W^dagger. Every caller, the discord
 objective included, gets the measured state through product_basis.
+
+product_basis builds W one qubit at a time: the d x d basis so far and the
+next qubit's 2 x 2 eigenbasis u are combined by a broadcast outer product,
+(w[:, None, :, None] * u[None, :, None, :]).reshape(2d, 2d). That is the
+Kronecker product w (x) u entry for entry, with the same single complex
+multiplication per entry, without the per-call overhead of numpy's kron.
 """
 
 from __future__ import annotations
@@ -117,7 +123,9 @@ def product_basis(angles) -> np.ndarray:
     """
     w = _basis_columns(angles[0], angles[1])
     for j in range(2, len(angles), 2):
-        w = np.kron(w, _basis_columns(angles[j], angles[j + 1]))
+        u = _basis_columns(angles[j], angles[j + 1])
+        d = w.shape[0]
+        w = (w[:, None, :, None] * u[None, :, None, :]).reshape(2 * d, 2 * d)
     return w
 
 

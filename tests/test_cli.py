@@ -104,6 +104,10 @@ class TestExitCodes:
             ["compute", "--state", werner_file, "--quantity", "qgqd", "--q", "0.5", "--starts", "0"]
         )
         assert code == 4
+        for starts in ("16", "4"):
+            code = main(["sweep", "--seed", "-1", "--starts", starts, "--target", "alpha:0.3"])
+            assert code == 4
+            assert "seed must be non-negative" in capsys.readouterr().err
 
     def test_missing_file(self, capsys, tmp_path):
         code = main(
@@ -128,6 +132,18 @@ class TestExitCodes:
         code = main(["compute", "--state", str(path), "--quantity", "entropy", "--q", "1"])
         assert code == 3
         assert "positive semidefinite" in capsys.readouterr().err
+
+    def test_non_finite_state_matrix(self, capsys, tmp_path):
+        # json writes and reads the bare NaN token.
+        payload = {
+            "num_qubits": 1,
+            "matrix": [[[0.5, 0.0], [float("nan"), 0.0]], [[float("nan"), 0.0], [0.5, 0.0]]],
+        }
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(payload))
+        code = main(["compute", "--state", str(path), "--quantity", "entropy", "--q", "0.5"])
+        assert code == 3
+        assert "finite" in capsys.readouterr().err
 
     def test_desk_scale_violation(self, capsys, tmp_path):
         eye = np.eye(32) / 32.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qdiscord import discord
 from qdiscord.discord import (
     Bipartition,
     OptimizerConfig,
@@ -15,7 +16,12 @@ from qdiscord.discord import (
 )
 from qdiscord.entropy import tsallis_entropy
 from qdiscord.linalg import DensityMatrix, permute_qubits
-from qdiscord.measurement import BlochMeasurement, ProductMeasurement, projectors
+from qdiscord.measurement import (
+    BlochMeasurement,
+    ProductMeasurement,
+    _basis_columns,
+    projectors,
+)
 from qdiscord.states import random_density_matrix, werner_ghz
 
 LIGHT = OptimizerConfig(starts=4, max_evals=400)
@@ -71,6 +77,8 @@ class TestOptimizerConfig:
             OptimizerConfig(max_evals=0)
         with pytest.raises(ValueError, match="tol"):
             OptimizerConfig(tol=0.0)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            OptimizerConfig(seed=-1)
 
 
 class TestMutualInformation:
@@ -138,6 +146,24 @@ class TestFastObjective:
                 measured_state, cut, q
             )
             assert_allclose(objective(angles), drop, atol=1e-11)
+
+    def test_search_unchanged_by_product_basis_kernel(self, monkeypatch):
+        # The broadcast product basis equals the np.kron chain bit for bit,
+        # so the simplex search must retrace the same path with either one.
+        def kron_chain(angles):
+            w = _basis_columns(angles[0], angles[1])
+            for j in range(2, len(angles), 2):
+                w = np.kron(w, _basis_columns(angles[j], angles[j + 1]))
+            return w
+
+        rho = random_density_matrix(3, seed=31)
+        fast = q_gqd(rho, 0.7, LIGHT)
+        monkeypatch.setattr(discord, "product_basis", kron_chain)
+        reference = q_gqd(rho, 0.7, LIGHT)
+        assert fast.raw_value == reference.raw_value
+        assert fast.objective_evals == reference.objective_evals
+        for a, b in zip(fast.optimal_measurement, reference.optimal_measurement):
+            assert np.array_equal(a.axis, b.axis)
 
 
 class TestGlobalDiscord:

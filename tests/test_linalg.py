@@ -17,6 +17,7 @@ from qdiscord.linalg import (
     permute_qubits,
     state_spectrum,
 )
+from qdiscord.measurement import ProductMeasurement, apply_full
 
 BELL = np.zeros((4, 4), dtype=complex)
 BELL[0, 0] = BELL[0, 3] = BELL[3, 0] = BELL[3, 3] = 0.5
@@ -104,6 +105,39 @@ class TestDensityMatrix:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
             DensityMatrix(np.diag([1.5, -0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        # NaN fails every comparison, so without this check a NaN matrix
+        # passed the Hermiticity, trace and PSD checks.
+        offdiag = np.array([[0.5, bad], [bad, 0.5]], dtype=complex)
+        diag = np.array([[bad, 0.0], [0.0, 0.5]], dtype=complex)
+        for m in (offdiag, diag):
+            with pytest.raises(ValueError, match="finite"):
+                DensityMatrix(m)
+
+    def test_stored_eigenvalues(self):
+        # The eigenvalues kept from the PSD check must be exactly what
+        # eigvalsh returns on the stored matrix, on every constructor route.
+        rng = np.random.default_rng(21)
+        rho = DensityMatrix(random_state_matrix(rng, 8))
+        pm = ProductMeasurement.from_angles(rng.uniform(0.0, 6.0, size=(3, 2)))
+        states = [
+            rho,
+            DensityMatrix(BELL),
+            partial_trace(rho, (0, 2)),
+            partial_trace(rho, (1,)),
+            permute_qubits(rho, (2, 0, 1)),
+            apply_full(pm, rho),
+        ]
+        for state in states:
+            w = state.eigenvalues
+            assert not w.flags.writeable
+            with pytest.raises(ValueError):
+                w[0] = 1.0
+            assert np.all(np.diff(w) <= 0.0)
+            assert np.all(np.isfinite(w))
+            assert np.array_equal(w, eigvalsh(state.matrix))
 
 
 class TestSpectrum:

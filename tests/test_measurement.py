@@ -9,6 +9,7 @@ from qdiscord.measurement import (
     _basis_columns,
     apply_full,
     outcome_probabilities,
+    product_basis,
     projectors,
 )
 from qdiscord.states import random_density_matrix
@@ -94,6 +95,26 @@ class TestProjectors:
             p_plus, p_minus = projectors(m)
             assert_allclose(np.outer(u[:, 0], u[:, 0].conj()), p_plus, atol=1e-13)
             assert_allclose(np.outer(u[:, 1], u[:, 1].conj()), p_minus, atol=1e-13)
+
+
+class TestProductBasis:
+    def test_equals_kronecker_chain(self):
+        # Reference: the np.kron chain of per-qubit eigenbases. The broadcast
+        # outer product does the same multiplications, so equality is exact.
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3, 4):
+            for trial in range(6):
+                angles = rng.uniform(-10.0, 10.0, size=2 * n)
+                if trial == 0:
+                    angles[0::2] = 0.0
+                elif trial == 1:
+                    angles[0::2] = np.pi
+                elif trial == 2:
+                    angles[0::2] = rng.choice([0.0, np.pi, -3.0 * np.pi, 7.5], size=n)
+                expected = _basis_columns(angles[0], angles[1])
+                for j in range(2, 2 * n, 2):
+                    expected = np.kron(expected, _basis_columns(angles[j], angles[j + 1]))
+                assert np.array_equal(product_basis(angles), expected)
 
 
 class TestChannels:
