@@ -118,6 +118,8 @@ def _report_diagnostics(report) -> dict:
         "objective_evals": int(report.objective_evals),
         "raw_value": float(report.raw_value),
         "nonnegativity_guaranteed": bool(report.nonnegativity_guaranteed),
+        "start_minima": [float(f) for f in report.start_minima],
+        "basin_hits": int(report.basin_hits),
     }
 
 

@@ -4,6 +4,14 @@ The global quantity minimizes the q-mutual-information drop over product
 projective measurements of every qubit; the one-sided quantity measures
 only one party. Minimization is multi-start Nelder-Mead over the Bloch
 angles (theta, phi) of each measured qubit.
+
+The starts run in lockstep: each is scipy's Nelder-Mead loop written as a
+generator that yields the points it needs, and each round evaluates the
+points of every running start in a single call of the batched objective,
+angles (K, 2m) to values (K,). A row of the batch is the same float as
+that row evaluated alone, so every start takes exactly scipy's steps and
+the result does not depend on how many starts share a round. The report
+keeps every start's minimum and how many starts reached the best basin.
 """
 
 from __future__ import annotations
@@ -12,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .entropy import Q_SWITCH_TOL, _check_q, _hq, tsallis_entropy
 from .linalg import DensityMatrix, partial_trace
@@ -20,9 +27,12 @@ from .measurement import ProductMeasurement, apply_full, product_basis
 
 DESK_SCALE_LIMIT = 4
 CLAMP_SLACK = 1e-8
+# Starts whose minimum lies within this of the best one share its basin.
+BASIN_TOL = 1e-7
 
 __all__ = [
     "DESK_SCALE_LIMIT",
+    "BASIN_TOL",
     "Bipartition",
     "OptimizerConfig",
     "DiscordReport",
@@ -88,7 +98,9 @@ class DiscordReport:
     value is clamped to 0 when the raw minimum lands in [-1e-8, 0) and the
     regime guarantees nonnegativity (0 < q <= 1); raw_value keeps the
     unclamped number. optimal_measurement lists one Bloch measurement per
-    entry of measured_qubits.
+    entry of measured_qubits. start_minima holds each start's final
+    minimum in start order, and basin_hits counts the starts within
+    BASIN_TOL of raw_value (at least 1: the best start itself).
     """
 
     value: float
@@ -100,6 +112,8 @@ class DiscordReport:
     objective_evals: int
     raw_value: float
     nonnegativity_guaranteed: bool
+    start_minima: tuple[float, ...]
+    basin_hits: int
 
 
 def mutual_information_q(rho: DensityMatrix, q: float) -> float:
@@ -179,14 +193,15 @@ def _start_points(m: int, opt: OptimizerConfig) -> list[np.ndarray]:
 
 
 def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], groups):
-    """Closure computing I_q(rho) - I_q(Phi(rho)) from measurement angles.
+    """Batched I_q(rho) - I_q(Phi(rho)): angles of shape (K, 2m) to K values.
 
     Phi(rho) is diagonal in the product measurement basis (block diagonal
     when some qubits stay unmeasured), so the measured-state entropies come
     from outcome probabilities and per-block spectra of W^dagger rho W (W
     the rotated product basis) rather than from an explicit channel
     application. Group terms whose qubits are unmeasured cancel exactly and
-    are skipped.
+    are skipped. Every row is computed on its own: a row's value does not
+    depend on the other rows of the batch.
     """
     n = rho.num_qubits
     m = len(measured)
@@ -210,29 +225,30 @@ def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], gro
         if all(i in measured for i in g):
             const += tsallis_entropy(partial_trace(rho, g), q)
             positions = tuple(measured.index(i) for i in g)
-            sum_axes = tuple(ax for ax in range(m) if ax not in positions)
+            # axis 0 of the outcome tensor is the batch
+            sum_axes = tuple(1 + ax for ax in range(m) if ax not in positions)
             measured_groups.append(sum_axes)
         elif any(i in measured for i in g):
             raise ValueError("each party must be fully measured or fully unmeasured")
         # fully unmeasured groups drop out: their marginal is untouched
 
-    def objective(angles: np.ndarray) -> float:
+    def objective(angles: np.ndarray) -> np.ndarray:
         w = product_basis(angles)
+        k = w.shape[0]
         if dim_u == 1:
-            probs = np.einsum("aj,ab,bj->j", w.conj(), flat, w).real
+            probs = np.einsum("kaj,ab,kbj->kj", w.conj(), flat, w).real
             np.maximum(probs, 0.0, out=probs)
             spectrum = probs
         else:
-            blocks = np.einsum("aj,aubv,bj->juv", w.conj(), tensor, w)
-            probs = np.einsum("juu->j", blocks).real
+            blocks = np.einsum("kaj,aubv,kbj->kjuv", w.conj(), tensor, w)
+            probs = np.einsum("kjuu->kj", blocks).real
             np.maximum(probs, 0.0, out=probs)
-            spectrum = np.linalg.eigvalsh(blocks).ravel()
+            spectrum = np.linalg.eigvalsh(blocks).reshape(k, -1)
             np.maximum(spectrum, 0.0, out=spectrum)
         value = const + _hq(spectrum, q)
-        ptensor = probs.reshape((2,) * m)
-        for sum_axes in measured_groups:
-            marginal = ptensor.sum(axis=sum_axes) if sum_axes else probs
-            value -= _hq(marginal.ravel(), q)
+        ptensor = probs.reshape((k,) + (2,) * m)
+        for ax in measured_groups:
+            value -= _hq((ptensor.sum(axis=ax) if ax else probs).reshape(k, -1), q)
         return value
 
     return objective
@@ -257,6 +273,126 @@ def _simplex_around(x0: np.ndarray) -> np.ndarray:
     return simplex
 
 
+_XATOL = 1e-4  # scipy's default
+
+
+def _nelder_mead(x0: np.ndarray, maxfev: int, fatol: float):
+    """scipy's _minimize_neldermead from _simplex_around(x0), as a generator.
+
+    The loop is scipy's line for line (no bounds, maxiter unbounded, the
+    standard coefficients rho = 1, chi = 2, psi = sigma = 1/2 multiplied
+    out in each trial point), except that it yields the points to
+    evaluate as rows of an array and receives their values instead of
+    calling the objective, and a shrink yields its vertices together. A
+    step whose evaluation would exceed maxfev is dropped, as scipy's
+    _MaxFuncCallError drops it; a shrink still moves the vertex it could
+    not evaluate, which keeps its old value. Returns
+    (x, min(fsim), evaluations, success), where success means the search
+    stopped before maxfev.
+    """
+    n = x0.size
+    sim = _simplex_around(x0)
+    fsim = np.full((n + 1,), np.inf, dtype=float)
+    nfev = min(n + 1, maxfev)
+    fsim[:nfev] = yield sim[:nfev]
+    for _ in range(2):  # scipy sorts the initial simplex twice
+        ind = fsim.argsort()
+        sim, fsim = sim[ind], fsim[ind]
+
+    while nfev < maxfev:
+        # scipy's test; fsim is sorted, so its largest |fsim[0] - fsim[j]|
+        # is fsim[-1] - fsim[0], and that cheap half goes first.
+        if (fsim[-1] - fsim[0] <= fatol and
+                np.abs(sim[1:] - sim[0]).max() <= _XATOL):
+            return sim[0], fsim.min(), nfev, True
+
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        (fxr,) = yield xr[None]
+        nfev += 1
+        doshrink = 0
+
+        if fxr < fsim[0]:
+            if nfev < maxfev:
+                xe = 3 * xbar - 2 * sim[-1]
+                (fxe,) = yield xe[None]
+                nfev += 1
+
+                if fxe < fxr:
+                    sim[-1] = xe
+                    fsim[-1] = fxe
+                else:
+                    sim[-1] = xr
+                    fsim[-1] = fxr
+        elif fxr < fsim[-2]:
+            sim[-1] = xr
+            fsim[-1] = fxr
+        elif nfev < maxfev:
+            # Perform contraction
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                (fxc,) = yield xc[None]
+                nfev += 1
+
+                if fxc <= fxr:
+                    sim[-1] = xc
+                    fsim[-1] = fxc
+                else:
+                    doshrink = 1
+            else:
+                # Perform an inside contraction
+                xcc = 0.5 * xbar + 0.5 * sim[-1]
+                (fxcc,) = yield xcc[None]
+                nfev += 1
+
+                if fxcc < fsim[-1]:
+                    sim[-1] = xcc
+                    fsim[-1] = fxcc
+                else:
+                    doshrink = 1
+
+            if doshrink:
+                # Vertex j moves before it is evaluated and depends only on
+                # itself and sim[0], so the evaluable ones go out together.
+                evaluated = min(n, maxfev - nfev)
+                moved = min(n, evaluated + 1)
+                sim[1 : moved + 1] = sim[0] + 0.5 * (sim[1 : moved + 1] - sim[0])
+                if evaluated:
+                    fsim[1 : evaluated + 1] = yield sim[1 : evaluated + 1]
+                    nfev += evaluated
+        ind = fsim.argsort()
+        sim, fsim = sim[ind], fsim[ind]
+
+    return sim[0], fsim.min(), nfev, False
+
+
+def _lockstep_nelder_mead(objective, x0: np.ndarray, maxfev: int, fatol: float):
+    """_nelder_mead from every row of x0, with one objective call per round.
+
+    Each round stacks the points every running search yields, evaluates
+    them in a single batched call and sends each search its own values.
+    Returns the best vertices (K, N), their values (K,), the evaluations
+    (K,) and success (K,).
+    """
+    searches = [_nelder_mead(x, maxfev, fatol) for x in x0]
+    results = [None] * len(searches)
+    running = list(enumerate(searches))
+    points = [search.send(None) for search in searches]
+    while running:
+        values = objective(np.concatenate(points)).tolist()
+        asked, running, points = zip(running, points), [], []
+        stop = 0
+        for (k, search), p in asked:
+            start, stop = stop, stop + len(p)
+            try:
+                points.append(search.send(values[start:stop]))
+                running.append((k, search))
+            except StopIteration as done:
+                results[k] = done.value
+    xs, fun, nfev, success = zip(*results)
+    return np.array(xs), np.array(fun), np.array(nfev), np.array(success)
+
+
 def _minimize_discord(
     rho: DensityMatrix,
     q: float,
@@ -265,43 +401,29 @@ def _minimize_discord(
     groups,
 ) -> DiscordReport:
     objective = _make_objective(rho, q, measured, groups)
-    starts = _start_points(len(measured), opt)
-    best = None
-    evals = 0
-    for x0 in starts:
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxfev": opt.max_evals,
-                "fatol": opt.tol,
-                "xatol": 1e-4,
-                "initial_simplex": _simplex_around(x0),
-            },
-        )
-        evals += res.nfev
-        if best is None or res.fun < best.fun:
-            best = res
-    raw = float(best.fun)
+    starts = np.array(_start_points(len(measured), opt))
+    xs, fun, nfev, success = _lockstep_nelder_mead(objective, starts, opt.max_evals, opt.tol)
+    minima = tuple(float(f) for f in fun)
+    best = min(range(len(minima)), key=minima.__getitem__)  # the first lowest start
+    raw = minima[best]
     nonneg_guaranteed = q <= 1.0 + Q_SWITCH_TOL
     value = raw
     if nonneg_guaranteed and -CLAMP_SLACK <= raw < 0.0:
         value = 0.0
-    pairs = [
-        _canonical_angles(best.x[2 * j], best.x[2 * j + 1])
-        for j in range(len(measured))
-    ]
+    x = xs[best]
+    pairs = [_canonical_angles(x[2 * j], x[2 * j + 1]) for j in range(len(measured))]
     return DiscordReport(
         value=value,
         q=q,
         optimal_measurement=ProductMeasurement.from_angles(pairs),
         measured_qubits=measured,
         starts_used=len(starts),
-        converged=bool(best.success),
-        objective_evals=evals,
+        converged=bool(success[best]),
+        objective_evals=int(nfev.sum()),
         raw_value=raw,
         nonnegativity_guaranteed=nonneg_guaranteed,
+        start_minima=minima,
+        basin_hits=sum(1 for f in minima if f <= raw + BASIN_TOL),
     )
 
 

@@ -52,17 +52,18 @@ def q_log(x: float, q: float) -> float:
     return (x ** (1.0 - q) - 1.0) / (1.0 - q)
 
 
-def _hq(p: np.ndarray, q: float) -> float:
-    """Tsallis entropy of an already-validated probability array.
+def _hq(p: np.ndarray, q: float):
+    """Tsallis entropy along the last axis of already-validated probabilities.
 
-    Entries at or below ZERO_PROB_CUTOFF are dropped as exact zeros:
-    eigensolver noise of size eps would otherwise contribute eps**q, which
-    for small q dwarfs the 1e-5 agreement scale this package works to.
+    A 1-D array gives a scalar, a (K, d) array K entropies. Entries at or
+    below ZERO_PROB_CUTOFF count as exact zeros: eigensolver noise of size
+    eps would otherwise contribute eps**q, which for small q dwarfs the 1e-5
+    agreement scale this package works to.
     """
-    p = p[p > ZERO_PROB_CUTOFF]
+    p = np.where(p > ZERO_PROB_CUTOFF, p, 0.0)
     if abs(q - 1.0) < Q_SWITCH_TOL:
-        return float(-xlogy(p, p).sum())
-    return float((1.0 - (p**q).sum()) / (q - 1.0))
+        return -xlogy(p, p).sum(axis=-1)
+    return (1.0 - (p**q).sum(axis=-1)) / (q - 1.0)
 
 
 def tsallis_entropy_probs(p, q: float) -> float:
@@ -74,7 +75,7 @@ def tsallis_entropy_probs(p, q: float) -> float:
     q = _check_q(q)
     if not isinstance(p, Spectrum):
         p = Spectrum(p)
-    return _hq(p.probs, q)
+    return float(_hq(p.probs, q))
 
 
 def tsallis_entropy(rho: DensityMatrix, q: float) -> float:
@@ -84,7 +85,7 @@ def tsallis_entropy(rho: DensityMatrix, q: float) -> float:
     clamped to 0 first and anything more negative raises.
     """
     q = _check_q(q)
-    return _hq(state_spectrum(rho).probs, q)
+    return float(_hq(state_spectrum(rho).probs, q))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -130,8 +130,8 @@ class Spectrum:
     """Probability vector stored in non-increasing order.
 
     Entries may arrive up to 1e-12 outside [0, 1] (eigensolver noise) and
-    are clamped back in; anything further out is rejected. The total must
-    equal 1 within 1e-9.
+    are clamped back in; anything further out, or NaN, is rejected. The
+    total must equal 1 within 1e-9.
     """
 
     __slots__ = ("probs",)
@@ -143,7 +143,8 @@ class Spectrum:
         p = np.array(values, dtype=float).ravel()
         if p.size == 0:
             raise ValueError("spectrum must not be empty")
-        if np.min(p) < -self.ENTRY_SLACK or np.max(p) > 1.0 + self.ENTRY_SLACK:
+        # Written so that NaN, which fails every comparison, fails the test too.
+        if not (p.min() >= -self.ENTRY_SLACK and p.max() <= 1.0 + self.ENTRY_SLACK):
             raise ValueError("spectrum entries must lie in [0, 1]")
         if abs(p.sum() - 1.0) > self.SUM_TOL:
             raise ValueError("spectrum must sum to 1")

@@ -107,25 +107,43 @@ def projectors(m: BlochMeasurement) -> tuple[np.ndarray, np.ndarray]:
     return (IDENTITY_2 + dotted) / 2.0, (IDENTITY_2 - dotted) / 2.0
 
 
-def _basis_columns(theta: float, phi: float) -> np.ndarray:
-    """2x2 unitary whose columns are the +/- axis eigenvectors for (theta, phi)."""
-    ct, st = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    ph = complex(math.cos(phi), math.sin(phi))
-    return np.array([[ct, -st], [ph * st, ph * ct]], dtype=complex)
+def _basis_columns(theta, phi) -> np.ndarray:
+    """2x2 unitaries whose columns are the +/- axis eigenvectors for (theta, phi).
+
+    theta and phi have one shape; the result has that shape followed by
+    (2, 2). With ct, st = cos, sin(theta/2) and cp, sp = cos, sin(phi) the
+    unitary is [[ct, -st], [(cp + i sp) st, (cp + i sp) ct]].
+    """
+    half = np.divide(theta, 2.0)
+    ct, st = np.cos(half), np.sin(half)
+    cp, sp = np.cos(phi), np.sin(phi)
+    u = np.zeros(ct.shape + (2, 2, 2))  # real and imaginary parts
+    u[..., 0, 0, 0] = ct
+    u[..., 0, 1, 0] = -st
+    u[..., 1, 0, 0] = cp * st
+    u[..., 1, 0, 1] = sp * st
+    u[..., 1, 1, 0] = cp * ct
+    u[..., 1, 1, 1] = sp * ct
+    return u.view(complex)[..., 0]
 
 
 def product_basis(angles) -> np.ndarray:
-    """Rotated product basis W for angles (theta_0, phi_0, theta_1, phi_1, ...).
+    """Rotated product bases W for angles (..., theta_0, phi_0, theta_1, phi_1, ...).
 
-    Column j of W is the common eigenvector of outcome j, with qubit 0 as
-    the high bit of j and bit value 0 for the + outcome, so the outcome
-    projectors are the rank-1 P_j = W[:, j] W[:, j]^dagger.
+    Takes angles of shape (..., 2m) and returns W of shape (..., 2^m, 2^m),
+    one basis per leading index. Column j of W is the common eigenvector of
+    outcome j, with qubit 0 as the high bit of j and bit value 0 for the +
+    outcome, so the outcome projectors are the rank-1
+    P_j = W[:, j] W[:, j]^dagger.
     """
-    w = _basis_columns(angles[0], angles[1])
-    for j in range(2, len(angles), 2):
-        u = _basis_columns(angles[j], angles[j + 1])
-        d = w.shape[0]
-        w = (w[:, None, :, None] * u[None, :, None, :]).reshape(2 * d, 2 * d)
+    a = np.asarray(angles, dtype=float)
+    u = _basis_columns(a[..., 0::2], a[..., 1::2])
+    w = u[..., 0, :, :]
+    for j in range(1, u.shape[-3]):
+        d = w.shape[-1]
+        w = (w[..., :, None, :, None] * u[..., j, None, :, None, :]).reshape(
+            a.shape[:-1] + (2 * d, 2 * d)
+        )
     return w
 
 

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 from .discord import (
     Bipartition,
     OptimizerConfig,
-    induced_discord,
+    _mutual_information_cut,
     induced_discord_bipartite,
+    mutual_information_q,
     q_gqd,
 )
 from .entropy import _check_q
 from .linalg import DensityMatrix, partial_trace
-from .measurement import ProductMeasurement
+from .measurement import ProductMeasurement, apply_full
 from .states import bros_counterexample
 
 __all__ = [
@@ -107,20 +108,31 @@ class CounterexampleAudit:
 def decompose_induced_gqd(
     rho: DensityMatrix, phi: ProductMeasurement, q: float
 ) -> DecompositionLedger:
-    """Split the induced discord of rho under phi into nested bipartite terms."""
+    """Split the induced discord of rho under phi into nested bipartite terms.
+
+    The last term (k = n - 1) is the cut (first n-1)|(last) of rho itself,
+    so it reuses the measured state of the total.
+    """
     q = _check_q(q)
     n = rho.num_qubits
     if len(phi) != n:
         raise ValueError(
             f"measurement arity {len(phi)} does not match qubit count {n}"
         )
-    total = induced_discord(rho, phi, q)
+    measured = apply_full(phi, rho)
+    total = mutual_information_q(rho, q) - mutual_information_q(measured, q)
     terms = []
-    for k in range(1, n):
+    for k in range(1, n - 1):
         reduced = partial_trace(rho, range(k + 1))
         sub = ProductMeasurement(phi.per_qubit[: k + 1])
         cut = Bipartition(tuple(range(k)), (k,))
         terms.append(induced_discord_bipartite(reduced, cut, sub, q))
+    if n > 1:
+        cut = Bipartition(tuple(range(n - 1)), (n - 1,))
+        terms.append(
+            _mutual_information_cut(rho, cut, q)
+            - _mutual_information_cut(measured, cut, q)
+        )
     residual = total - sum(terms)
     return DecompositionLedger(float(total), tuple(terms), float(residual))
 

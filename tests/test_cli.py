@@ -72,6 +72,8 @@ class TestCompute:
         assert_allclose(payload["value"], report.value, atol=1e-12)
         assert payload["diagnostics"]["raw_value"] == report.raw_value
         assert payload["diagnostics"]["measured_qubits"] == [0, 1]
+        assert payload["diagnostics"]["start_minima"] == list(report.start_minima)
+        assert payload["diagnostics"]["basin_hits"] == report.basin_hits
 
     def test_qgqd_matches_closed_form(self, capsys, werner_file):
         code, payload = run_json(

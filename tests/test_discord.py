@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import minimize
 
 from qdiscord import discord
 from qdiscord.discord import (
@@ -118,11 +119,12 @@ class TestFastObjective:
             groups = tuple((i,) for i in range(n))
             for q in (0.5, 1.0, 2.0):
                 objective = _make_objective(rho, q, tuple(range(n)), groups)
-                for _ in range(5):
-                    angles = random_angles(rng, n)
-                    pm = ProductMeasurement.from_angles(angles.reshape(-1, 2))
-                    direct = induced_discord(rho, pm, q)
-                    assert_allclose(objective(angles), direct, atol=1e-11)
+                angles = np.array([random_angles(rng, n) for _ in range(5)])
+                direct = [
+                    induced_discord(rho, ProductMeasurement.from_angles(a.reshape(-1, 2)), q)
+                    for a in angles
+                ]
+                assert_allclose(objective(angles), direct, atol=1e-11)
 
     def test_partial_measurement_route(self):
         # Measuring only qubit 2: the objective must equal the bipartite
@@ -133,28 +135,33 @@ class TestFastObjective:
         q = 0.7
         objective = _make_objective(rho, q, (2,), ((0, 1), (2,)))
         cut = Bipartition((0, 1), (2,))
-        for _ in range(5):
-            angles = random_angles(rng, 1)
-            m = BlochMeasurement.from_angles(angles[0], angles[1])
+        angles = np.array([random_angles(rng, 1) for _ in range(5)])
+        drops = []
+        for a in angles:
+            m = BlochMeasurement.from_angles(a[0], a[1])
             measured_state = DensityMatrix(
                 sum(
                     np.kron(np.eye(4), p) @ rho.matrix @ np.kron(np.eye(4), p)
                     for p in projectors(m)
                 )
             )
-            drop = _mutual_information_cut(rho, cut, q) - _mutual_information_cut(
-                measured_state, cut, q
+            drops.append(
+                _mutual_information_cut(rho, cut, q)
+                - _mutual_information_cut(measured_state, cut, q)
             )
-            assert_allclose(objective(angles), drop, atol=1e-11)
+        assert_allclose(objective(angles), drops, atol=1e-11)
 
     def test_search_unchanged_by_product_basis_kernel(self, monkeypatch):
         # The broadcast product basis equals the np.kron chain bit for bit,
         # so the simplex search must retrace the same path with either one.
         def kron_chain(angles):
-            w = _basis_columns(angles[0], angles[1])
-            for j in range(2, len(angles), 2):
-                w = np.kron(w, _basis_columns(angles[j], angles[j + 1]))
-            return w
+            bases = []
+            for row in np.asarray(angles):
+                w = _basis_columns(row[0], row[1])
+                for j in range(2, len(row), 2):
+                    w = np.kron(w, _basis_columns(row[j], row[j + 1]))
+                bases.append(w)
+            return np.array(bases)
 
         rho = random_density_matrix(3, seed=31)
         fast = q_gqd(rho, 0.7, LIGHT)
@@ -164,6 +171,117 @@ class TestFastObjective:
         assert fast.objective_evals == reference.objective_evals
         for a, b in zip(fast.optimal_measurement, reference.optimal_measurement):
             assert np.array_equal(a.axis, b.axis)
+
+    @pytest.mark.parametrize(
+        "n, measured, groups",
+        [
+            (2, (0, 1), ((0,), (1,))),
+            (3, (0, 1, 2), ((0,), (1,), (2,))),
+            (3, (0, 1, 2), ((0, 1), (2,))),
+            (3, (2,), ((0, 1), (2,))),
+            (4, (0, 1, 2, 3), ((0,), (1,), (2,), (3,))),
+            (4, (1, 3), ((0, 2), (1, 3))),
+        ],
+    )
+    def test_rows_are_independent(self, n, measured, groups):
+        # A row of a batch is the same float as that row evaluated alone.
+        rng = np.random.default_rng(n + len(measured))
+        rho = random_density_matrix(n, seed=90 + n)
+        angles = rng.uniform(-8.0, 8.0, size=(9, 2 * len(measured)))
+        angles[0, 0::2] = 0.0
+        for q in (0.5, 1.0, 2.0):
+            objective = _make_objective(rho, q, measured, groups)
+            batch = objective(angles)
+            alone = [objective(angles[k : k + 1])[0] for k in range(len(angles))]
+            assert batch.shape == (len(angles),)
+            assert np.array_equal(batch, alone)
+
+
+def scipy_starts(objective, starts, max_evals, tol=1e-8):
+    """scipy's Nelder-Mead run alone from each start on the single-row kernel.
+
+    Returns (result, evaluations of each iteration) per start; an iteration
+    with more than two evaluations is a shrink.
+    """
+    out = []
+    for x0 in starts:
+        calls = [0]
+        marks = []
+
+        def fun(x):
+            calls[0] += 1
+            return objective(x[None])[0]
+
+        res = minimize(
+            fun,
+            x0,
+            method="Nelder-Mead",
+            callback=lambda intermediate_result: marks.append(calls[0]),
+            options={
+                "maxfev": max_evals,
+                "fatol": tol,
+                "xatol": 1e-4,
+                "initial_simplex": discord._simplex_around(x0),
+            },
+        )
+        out.append((res, np.diff([x0.size + 1] + marks)))
+    return out
+
+
+def assert_matches_scipy(objective, starts, max_evals):
+    x, fun, nfev, success = discord._lockstep_nelder_mead(objective, starts, max_evals, 1e-8)
+    reference = scipy_starts(objective, starts, max_evals)
+    for k, (res, _) in enumerate(reference):
+        assert np.array_equal(x[k], res.x)
+        assert fun[k] == res.fun
+        assert nfev[k] == res.nfev
+        assert success[k] == res.success
+    return reference
+
+
+# (name, qubits, measured qubits, groups): N = 2 * len(measured) is 2, 6, 8
+KERNELS = {
+    "one-sided-n2": (2, (1,), ((0,), (1,))),
+    "global-n3": (3, (0, 1, 2), ((0,), (1,), (2,))),
+    "global-n4": (4, (0, 1, 2, 3), ((0,), (1,), (2,), (3,))),
+}
+
+
+class TestLockstepNelderMead:
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("extra", ["1", "N", "N+1", "N+2", "400"])
+    def test_matches_scipy_per_start(self, kernel, extra):
+        n, measured, groups = KERNELS[kernel]
+        dim = 2 * len(measured)
+        max_evals = {"1": 1, "N": dim, "N+1": dim + 1, "N+2": dim + 2, "400": 400}[extra]
+        rho = random_density_matrix(n, seed=200 + n)
+        objective = _make_objective(rho, 0.5, measured, groups)
+        starts = np.array(discord._start_points(len(measured), OptimizerConfig(starts=5)))
+        assert_matches_scipy(objective, starts, max_evals)
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_matches_scipy_through_shrinks(self, kernel):
+        # On the maximally mixed state the objective is flat up to rounding,
+        # so contractions fail and the simplices shrink.
+        n, measured, groups = KERNELS[kernel]
+        rho = DensityMatrix(np.eye(2**n) / 2**n)
+        objective = _make_objective(rho, 1.0, measured, groups)
+        starts = np.array(discord._start_points(len(measured), OptimizerConfig(starts=4)))
+        reference = assert_matches_scipy(objective, starts, 400)
+        assert any((steps > 2).any() for _, steps in reference)
+
+    def test_budget_runs_out_mid_shrink(self):
+        n, measured, groups = KERNELS["global-n3"]
+        dim = 2 * len(measured)
+        rho = DensityMatrix(np.eye(2**n) / 2**n)
+        objective = _make_objective(rho, 1.0, measured, groups)
+        starts = np.array(discord._start_points(len(measured), OptimizerConfig(starts=4)))
+        (_, steps), *_ = scipy_starts(objective, starts, 400)
+        first = int(np.flatnonzero(steps > 2)[0])
+        # reflection, contraction and one of the dim shrink evaluations
+        budget = dim + 1 + int(steps[:first].sum()) + 3
+        (res, steps), *_ = assert_matches_scipy(objective, starts, budget)
+        assert res.nfev == budget and steps[-1] == 3
 
 
 class TestGlobalDiscord:
@@ -190,6 +308,15 @@ class TestGlobalDiscord:
         assert len(report.optimal_measurement) == 2
         assert report.objective_evals > 0
         assert isinstance(report.converged, bool)
+
+    def test_per_start_telemetry(self):
+        for n, opt in ((2, LIGHT), (3, OptimizerConfig(starts=10, max_evals=400))):
+            rho = random_density_matrix(n, seed=20 + n)
+            report = q_gqd(rho, 0.5, opt)
+            assert len(report.start_minima) == report.starts_used == opt.starts
+            assert min(report.start_minima) == report.raw_value
+            hits = sum(f <= report.raw_value + discord.BASIN_TOL for f in report.start_minima)
+            assert report.basin_hits == hits >= 1
 
     def test_value_matches_reported_measurement(self):
         rho = random_density_matrix(2, seed=3)

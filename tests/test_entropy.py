@@ -66,6 +66,11 @@ class TestTsallisEntropyProbs:
                 atol=1e-14,
             )
 
+    def test_rejects_nan(self):
+        # A NaN entry used to pass validation and be dropped as a zero.
+        with pytest.raises(ValueError, match="entries"):
+            tsallis_entropy_probs([np.nan, 1.0], 0.5)
+
 
 class TestTsallisEntropyStates:
     def test_maximally_mixed(self):

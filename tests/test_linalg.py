@@ -156,6 +156,10 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="empty"):
             Spectrum([])
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="entries"):
+            Spectrum([np.nan, 0.5, 0.5])
+
 
 class TestPartialTrace:
     def test_bell_marginals(self):

@@ -116,6 +116,17 @@ class TestProductBasis:
                     expected = np.kron(expected, _basis_columns(angles[j], angles[j + 1]))
                 assert np.array_equal(product_basis(angles), expected)
 
+    def test_batch_rows_equal_single_bases(self):
+        rng = np.random.default_rng(13)
+        for n in (1, 2, 3, 4):
+            angles = rng.uniform(-10.0, 10.0, size=(3, 5, 2 * n))
+            angles[0, 0, 0::2] = 0.0
+            bases = product_basis(angles)
+            assert bases.shape == (3, 5, 2**n, 2**n)
+            for i in range(3):
+                for k in range(5):
+                    assert np.array_equal(bases[i, k], product_basis(angles[i, k]))
+
 
 class TestChannels:
     def test_z_measurement_dephases_bell(self):

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qdiscord.discord import OptimizerConfig, induced_discord
-from qdiscord.linalg import DensityMatrix, permute_qubits
-from qdiscord.measurement import BlochMeasurement, ProductMeasurement
+from qdiscord import discord, monogamy
+from qdiscord.discord import (
+    Bipartition,
+    OptimizerConfig,
+    induced_discord,
+    induced_discord_bipartite,
+)
+from qdiscord.linalg import DensityMatrix, partial_trace, permute_qubits
+from qdiscord.measurement import BlochMeasurement, ProductMeasurement, apply_full
 from qdiscord.monogamy import (
     CounterexampleAudit,
     DecompositionLedger,
@@ -52,6 +58,40 @@ class TestDecomposition:
         ledger = decompose_induced_gqd(rho, phi, 0.5)
         assert_allclose(ledger.total, 0.0, atol=1e-12)
         assert_allclose(ledger.terms, (0.0, 0.0), atol=1e-12)
+
+    def test_measures_the_full_state_once(self, monkeypatch):
+        # The k = n - 1 term is the cut (first n-1)|(last) of rho itself, so
+        # it shares the total's measured state and entropies; the values
+        # must still equal the term-by-term route bit for bit.
+        rng = np.random.default_rng(2)
+        rho = random_density_matrix(4, seed=21)
+        phi = random_product_measurement(rng, 4)
+        seen = []
+
+        def counting(phi, rho):
+            seen.append(rho.num_qubits)
+            return apply_full(phi, rho)
+
+        for q in (0.5, 1.0, 2.0):
+            total = induced_discord(rho, phi, q)
+            terms = tuple(
+                induced_discord_bipartite(
+                    partial_trace(rho, range(k + 1)),
+                    Bipartition(tuple(range(k)), (k,)),
+                    ProductMeasurement(phi.per_qubit[: k + 1]),
+                    q,
+                )
+                for k in range(1, 4)
+            )
+            with monkeypatch.context() as patch:
+                patch.setattr(monogamy, "apply_full", counting)
+                patch.setattr(discord, "apply_full", counting)
+                ledger = decompose_induced_gqd(rho, phi, q)
+            assert seen == [4, 2, 3]
+            seen.clear()
+            assert ledger.total == total
+            assert ledger.terms == terms
+            assert ledger.residual == total - sum(terms)
 
     def test_arity_mismatch(self):
         rho = random_density_matrix(3, seed=9)
