@@ -94,7 +94,11 @@ def pauli_diagonal_gqd(
                           - ((1+d)/2^n)^q - ((1-d)/2^n)^q]
 
     and for even n the analogous expression with the four exact eigenvalues
-    lambda_j/2^n of the state, each carrying multiplicity 2^(n-2).
+    lambda_j/2^n of the state, each carrying multiplicity 2^(n-2). For n = 2
+    it is also the one-sided q-discord with either qubit measured, since
+    measuring one qubit along a unit axis m leaves the spectrum
+    (1 +/- |(c1 m1, c2 m2, c3 m3)|)/4, each value twice, and both
+    marginals at I/2.
     """
     q = _check_q(q)
     pauli_diagonal_state(n, c1, c2, c3)  # full admissibility gate

@@ -120,6 +120,8 @@ def _report_diagnostics(report) -> dict:
         "nonnegativity_guaranteed": bool(report.nonnegativity_guaranteed),
         "start_minima": [float(f) for f in report.start_minima],
         "basin_hits": int(report.basin_hits),
+        "start_evals": list(report.start_evals),
+        "start_converged": list(report.start_converged),
     }
 
 

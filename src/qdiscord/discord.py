@@ -11,7 +11,12 @@ points of every running start in a single call of the batched objective,
 angles (K, 2m) to values (K,). A row of the batch is the same float as
 that row evaluated alone, so every start takes exactly scipy's steps and
 the result does not depend on how many starts share a round. The report
-keeps every start's minimum and how many starts reached the best basin.
+keeps every start's minimum, evaluations and convergence, and how many
+starts reached the best basin.
+
+The objective gets the measured spectrum from W^dagger (rho W), one
+batched matmul per call; with every qubit measured it calls the kernel
+that apply_full and outcome_probabilities use.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from .entropy import Q_SWITCH_TOL, _check_q, _hq, tsallis_entropy
 from .linalg import DensityMatrix, partial_trace
-from .measurement import ProductMeasurement, apply_full, product_basis
+from .measurement import ProductMeasurement, _probabilities, apply_full, product_basis
 
 DESK_SCALE_LIMIT = 4
 CLAMP_SLACK = 1e-8
@@ -101,6 +106,9 @@ class DiscordReport:
     entry of measured_qubits. start_minima holds each start's final
     minimum in start order, and basin_hits counts the starts within
     BASIN_TOL of raw_value (at least 1: the best start itself).
+    start_evals and start_converged hold each start's objective
+    evaluations and whether it stopped before max_evals, in start order;
+    they sum to objective_evals, and the best start's flag is converged.
     """
 
     value: float
@@ -114,6 +122,8 @@ class DiscordReport:
     nonnegativity_guaranteed: bool
     start_minima: tuple[float, ...]
     basin_hits: int
+    start_evals: tuple[int, ...]
+    start_converged: tuple[bool, ...]
 
 
 def mutual_information_q(rho: DensityMatrix, q: float) -> float:
@@ -199,9 +209,13 @@ def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], gro
     when some qubits stay unmeasured), so the measured-state entropies come
     from outcome probabilities and per-block spectra of W^dagger rho W (W
     the rotated product basis) rather than from an explicit channel
-    application. Group terms whose qubits are unmeasured cancel exactly and
-    are skipped. Every row is computed on its own: a row's value does not
-    depend on the other rows of the batch.
+    application. With every qubit measured, the probabilities come from
+    measurement._probabilities, the kernel the channel API uses. With some
+    qubits unmeasured, block j is sum_ab W*[a, j] rho[(a, u), (b, v)] W[b, j]:
+    one batched matmul of rho's measured column index b against W, then a
+    2-operand contraction over a with W*. Group terms whose qubits are
+    unmeasured cancel exactly and are skipped. Every row is computed on its
+    own: a row's value does not depend on the other rows of the batch.
     """
     n = rho.num_qubits
     m = len(measured)
@@ -209,14 +223,14 @@ def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], gro
     dim_m = 2**m
     dim_u = 2 ** len(unmeasured)
 
-    perm = measured + unmeasured
-    axes = perm + tuple(n + i for i in perm)
-    tensor = (
+    # rho with rows (a, u, v) and columns b; with dim_u == 1 it is rho itself
+    # with its qubits in measured order.
+    axes = measured + unmeasured + tuple(n + i for i in unmeasured + measured)
+    stacked = (
         rho.matrix.reshape((2,) * (2 * n))
         .transpose(axes)
-        .reshape(dim_m, dim_u, dim_m, dim_u)
+        .reshape(dim_m * dim_u * dim_u, dim_m)
     )
-    flat = tensor.reshape(dim_m * dim_u, dim_m * dim_u) if dim_u == 1 else None
 
     const = -tsallis_entropy(rho, q)
     measured_groups = []
@@ -236,11 +250,12 @@ def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], gro
         w = product_basis(angles)
         k = w.shape[0]
         if dim_u == 1:
-            probs = np.einsum("kaj,ab,kbj->kj", w.conj(), flat, w).real
+            probs = _probabilities(w, stacked)
             np.maximum(probs, 0.0, out=probs)
             spectrum = probs
         else:
-            blocks = np.einsum("kaj,aubv,kbj->kjuv", w.conj(), tensor, w)
+            rho_w = (stacked @ w).reshape(k, dim_m, dim_u, dim_u, dim_m)
+            blocks = np.einsum("kaj,kauvj->kjuv", w.conj(), rho_w)
             probs = np.einsum("kjuu->kj", blocks).real
             np.maximum(probs, 0.0, out=probs)
             spectrum = np.linalg.eigvalsh(blocks).reshape(k, -1)
@@ -424,6 +439,8 @@ def _minimize_discord(
         nonnegativity_guaranteed=nonneg_guaranteed,
         start_minima=minima,
         basin_hits=sum(1 for f in minima if f <= raw + BASIN_TOL),
+        start_evals=tuple(int(e) for e in nfev),
+        start_converged=tuple(bool(c) for c in success),
     )
 
 

@@ -12,7 +12,7 @@ from qdiscord.analytic import (
     werner_ghz_measured_spectrum,
     werner_ghz_optimal_measured_spectrum,
 )
-from qdiscord.discord import OptimizerConfig, q_gqd
+from qdiscord.discord import OptimizerConfig, q_gqd, q_qd_one_sided
 from qdiscord.entropy import majorizes, tsallis_entropy, tsallis_entropy_probs
 from qdiscord.linalg import Spectrum, state_spectrum
 from qdiscord.measurement import (
@@ -143,6 +143,21 @@ class TestPauliClosedForm:
         value = pauli_diagonal_gqd(3, c1, c2, c3, 0.8).value
         report = q_gqd(pauli_diagonal_state(3, c1, c2, c3), 0.8)
         assert abs(value - report.value) <= 1e-5
+
+    def test_one_sided_matches_optimizer(self):
+        # For two qubits the closed form is also the one-sided discord,
+        # whichever qubit is measured: the oracle of the block branch.
+        opt = OptimizerConfig(starts=8, max_evals=800)
+        worst = 0.0
+        for i in range(12):
+            c1, c2, c3 = random_pauli_diagonal_coefficients(2, seed=300 + i)
+            rho = pauli_diagonal_state(2, c1, c2, c3)
+            for q in (0.5, 1.0, 2.0):
+                value = pauli_diagonal_gqd(2, c1, c2, c3, q).value
+                for side in ((0,), (1,)):
+                    report = q_qd_one_sided(rho, side, q, opt)
+                    worst = max(worst, abs(value - report.value))
+        assert worst <= 1e-5
 
 
 class TestOptimalMeasuredEntropy:

@@ -74,6 +74,8 @@ class TestCompute:
         assert payload["diagnostics"]["measured_qubits"] == [0, 1]
         assert payload["diagnostics"]["start_minima"] == list(report.start_minima)
         assert payload["diagnostics"]["basin_hits"] == report.basin_hits
+        assert payload["diagnostics"]["start_evals"] == list(report.start_evals)
+        assert payload["diagnostics"]["start_converged"] == list(report.start_converged)
 
     def test_qgqd_matches_closed_form(self, capsys, werner_file):
         code, payload = run_json(

@@ -15,12 +15,13 @@ from qdiscord.discord import (
     q_gqd,
     q_qd_one_sided,
 )
-from qdiscord.entropy import tsallis_entropy
-from qdiscord.linalg import DensityMatrix, permute_qubits
+from qdiscord.entropy import _hq, tsallis_entropy
+from qdiscord.linalg import DensityMatrix, partial_trace, permute_qubits
 from qdiscord.measurement import (
     BlochMeasurement,
     ProductMeasurement,
     _basis_columns,
+    product_basis,
     projectors,
 )
 from qdiscord.states import random_density_matrix, werner_ghz
@@ -197,6 +198,70 @@ class TestFastObjective:
             assert np.array_equal(batch, alone)
 
 
+def einsum_objective(rho, q, measured, groups):
+    """The objective on the 3-operand einsum kernel, the reference for the matmul one.
+
+    Every branch goes through the blocks sum_ab W*[a, j] rho[(a, u), (b, v)]
+    W[b, j]; with every qubit measured they are 1 x 1 and hold the outcome
+    probabilities.
+    """
+    n = rho.num_qubits
+    unmeasured = tuple(i for i in range(n) if i not in measured)
+    perm = measured + unmeasured
+    dim_m, dim_u = 2 ** len(measured), 2 ** len(unmeasured)
+    tensor = (
+        rho.matrix.reshape((2,) * (2 * n))
+        .transpose(perm + tuple(n + i for i in perm))
+        .reshape(dim_m, dim_u, dim_m, dim_u)
+    )
+
+    def objective(angles):
+        w = product_basis(angles)
+        k = len(w)
+        blocks = np.einsum("kaj,aubv,kbj->kjuv", w.conj(), tensor, w)
+        probs = np.maximum(np.einsum("kjuu->kj", blocks).real, 0.0)
+        spectrum = np.maximum(np.linalg.eigvalsh(blocks).reshape(k, -1), 0.0)
+        value = _hq(spectrum, q) - tsallis_entropy(rho, q)
+        ptensor = probs.reshape((k,) + (2,) * len(measured))
+        for g in groups:
+            if g[0] in measured:
+                keep = [measured.index(i) for i in g]
+                drop = tuple(1 + a for a in range(len(measured)) if a not in keep)
+                value += tsallis_entropy(partial_trace(rho, g), q)
+                value -= _hq(ptensor.sum(axis=drop).reshape(k, -1), q)
+        return value
+
+    return objective
+
+
+class TestMatmulKernel:
+    @pytest.mark.parametrize(
+        "n, measured, groups",
+        [
+            (2, (0, 1), ((0,), (1,))),
+            (3, (0, 1, 2), ((0,), (1,), (2,))),
+            (4, (0, 1, 2, 3), ((0,), (1,), (2,), (3,))),
+            (3, (0, 1, 2), ((0, 1), (2,))),
+            (4, (0, 1, 2, 3), ((0, 2), (1, 3))),
+            (2, (1,), ((0,), (1,))),
+            (3, (0,), ((1, 2), (0,))),
+            (3, (2,), ((0, 1), (2,))),
+            (4, (1, 3), ((0, 2), (1, 3))),
+            (4, (3,), ((0, 1, 2), (3,))),
+        ],
+    )
+    def test_matches_einsum_reference(self, n, measured, groups):
+        # The matmul kernel only reorders the sums of the einsum one.
+        rng = np.random.default_rng(10 * n + len(measured))
+        rho = random_density_matrix(n, seed=110 + n)
+        angles = rng.uniform(-8.0, 8.0, size=(9, 2 * len(measured)))
+        angles[0, 0::2] = 0.0
+        for q in (0.5, 1.0, 2.0):
+            fast = _make_objective(rho, q, measured, groups)(angles)
+            reference = einsum_objective(rho, q, measured, groups)(angles)
+            assert_allclose(fast, reference, rtol=0, atol=1e-13)
+
+
 def scipy_starts(objective, starts, max_evals, tol=1e-8):
     """scipy's Nelder-Mead run alone from each start on the single-row kernel.
 
@@ -317,6 +382,17 @@ class TestGlobalDiscord:
             assert min(report.start_minima) == report.raw_value
             hits = sum(f <= report.raw_value + discord.BASIN_TOL for f in report.start_minima)
             assert report.basin_hits == hits >= 1
+            assert len(report.start_evals) == len(report.start_converged) == opt.starts
+            assert sum(report.start_evals) == report.objective_evals
+            for evals, converged in zip(report.start_evals, report.start_converged):
+                assert converged == (evals < opt.max_evals)
+            best = report.start_minima.index(report.raw_value)
+            assert report.start_converged[best] == report.converged
+        # A budget too small for any start to converge
+        report = q_gqd(random_density_matrix(3, seed=23), 0.5, OptimizerConfig(starts=3, max_evals=30))
+        assert report.start_evals == (30, 30, 30)
+        assert report.start_converged == (False, False, False)
+        assert not report.converged
 
     def test_value_matches_reported_measurement(self):
         rho = random_density_matrix(2, seed=3)

@@ -7,6 +7,7 @@ from qdiscord.measurement import (
     BlochMeasurement,
     ProductMeasurement,
     _basis_columns,
+    _probabilities,
     apply_full,
     outcome_probabilities,
     product_basis,
@@ -39,6 +40,12 @@ class TestBlochMeasurement:
             BlochMeasurement((1.0, 0.0))
         with pytest.raises(ValueError, match="unit length"):
             BlochMeasurement((1.0, 1.0, 0.0))
+
+    def test_rejects_nan_axis(self):
+        with pytest.raises(ValueError, match="unit length"):
+            BlochMeasurement((np.nan, 0.0, 0.0))
+        with pytest.raises(ValueError, match="unit length"):
+            BlochMeasurement.from_angles(np.nan, 0.0)
 
     def test_from_angles(self):
         m = BlochMeasurement.from_angles(np.pi / 2.0, 0.0)
@@ -171,6 +178,22 @@ class TestChannels:
                 probs = [np.trace(p @ rho.matrix).real for p in outcome_projectors]
                 assert_allclose(apply_full(pm, rho).matrix, expected, atol=1e-13)
                 assert_allclose(outcome_probabilities(pm, rho), probs, atol=1e-13)
+
+    def test_matches_three_operand_einsum(self):
+        # Reference: the 3-operand einsum over W^dagger, rho and W. The
+        # matmul kernel sums in another order, so agreement is to rounding.
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 3, 4):
+            rho = random_density_matrix(n, seed=60 + n)
+            angles = rng.uniform(-8.0, 8.0, size=(7, 2 * n))
+            angles[0, 0::2] = 0.0
+            bases = product_basis(angles)
+            expected = np.einsum("kaj,ab,kbj->kj", bases.conj(), rho.matrix, bases).real
+            assert_allclose(_probabilities(bases, rho.matrix), expected, rtol=0, atol=1e-13)
+            for row, w in zip(angles, bases):
+                pm = ProductMeasurement.from_angles(row.reshape(-1, 2))
+                probs = np.einsum("aj,ab,bj->j", w.conj(), rho.matrix, w).real
+                assert_allclose(outcome_probabilities(pm, rho), probs, rtol=0, atol=1e-13)
 
     def test_arity_mismatch(self):
         pm = ProductMeasurement.uniform_axis(3, (0.0, 0.0, 1.0))
