@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
-from .entropy import Q_SWITCH_TOL, _check_q
+from .entropy import _check_q
 from .measurement import ProductMeasurement
 from .states import pauli_diagonal_state
 
@@ -32,7 +31,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ClosedFormResult:
-    """A closed-form value, the formula branch taken, and the echoed inputs."""
+    """A closed-form value, the formula branch taken, and the echoed inputs.
+
+    Branch labels ending in "q1-limit" mark q == 1.0 exactly, where every
+    x^q ln_q x is x ln x; the other labels cover every other q.
+    """
 
     value: float
     branch: str
@@ -40,8 +43,18 @@ class ClosedFormResult:
 
 
 def _xq_lnq(x: float, q: float) -> float:
-    """x**q * ln_q(x) in the cancellation-free form (x - x**q) / (1 - q)."""
-    return (x - x**q) / (1.0 - q)
+    """x**q * ln_q(x) = x expm1((q - 1) ln x) / (q - 1), and x ln x at q == 1.
+
+    Accurate and continuous as q -> 1. x = 0 gives 0 for every q > 0, and
+    so does x < 0, the eigenvalue noise the state gates admit. Kept apart
+    from entropy._hq on purpose: the closed forms are its oracle.
+    """
+    if x <= 0.0:
+        return 0.0
+    ln_x = math.log(x)
+    if q == 1.0:
+        return x * ln_x
+    return x * math.expm1((q - 1.0) * ln_x) / (q - 1.0)
 
 
 def werner_ghz_gqd(n: int, mu: float, q: float) -> ClosedFormResult:
@@ -49,7 +62,7 @@ def werner_ghz_gqd(n: int, mu: float, q: float) -> ClosedFormResult:
 
     Three-term expression in A = (1-mu)/2^n + mu, B = (1-mu)/2^n and
     C = (1-mu)/2^n + mu/2: value = A^q ln_q A + B^q ln_q B - 2 C^q ln_q C,
-    with x^q ln_q x -> x ln x as q -> 1.
+    each term evaluated by _xq_lnq.
     """
     q = _check_q(q)
     n = int(n)
@@ -63,11 +76,8 @@ def werner_ghz_gqd(n: int, mu: float, q: float) -> ClosedFormResult:
     b = (1.0 - mu) / d
     c = (1.0 - mu) / d + mu / 2.0
     inputs = {"n": n, "mu": mu, "q": q}
-    if abs(q - 1.0) < Q_SWITCH_TOL:
-        value = float(xlogy(a, a) + xlogy(b, b) - 2.0 * xlogy(c, c))
-        return ClosedFormResult(value, "q1-limit", inputs)
     value = _xq_lnq(a, q) + _xq_lnq(b, q) - 2.0 * _xq_lnq(c, q)
-    return ClosedFormResult(float(value), "generic", inputs)
+    return ClosedFormResult(value, "q1-limit" if q == 1.0 else "generic", inputs)
 
 
 def _pauli_lambdas(n: int, c1: float, c2: float, c3: float) -> list[float]:
@@ -98,7 +108,7 @@ def pauli_diagonal_gqd(
     it is also the one-sided q-discord with either qubit measured, since
     measuring one qubit along a unit axis m leaves the spectrum
     (1 +/- |(c1 m1, c2 m2, c3 m3)|)/4, each value twice, and both
-    marginals at I/2.
+    marginals at I/2. Both sums of x^q ln_q x terms go through _xq_lnq.
     """
     q = _check_q(q)
     pauli_diagonal_state(n, c1, c2, c3)  # full admissibility gate
@@ -107,33 +117,17 @@ def pauli_diagonal_gqd(
     c = max(abs(c1), abs(c2), abs(c3))
     dim = 2**n
     inputs = {"n": n, "c1": c1, "c2": c2, "c3": c3, "q": q}
-    q1 = abs(q - 1.0) < Q_SWITCH_TOL
+    suffix = "-q1-limit" if q == 1.0 else ""
+    hi_c, lo_c = (1.0 + c) / dim, (1.0 - c) / dim
+    measured = _xq_lnq(hi_c, q) + _xq_lnq(lo_c, q)
     if n % 2 == 1:
         d = math.sqrt(c1 * c1 + c2 * c2 + c3 * c3)
-        hi_c, lo_c = (1.0 + c) / dim, (1.0 - c) / dim
-        hi_d, lo_d = (1.0 + d) / dim, (1.0 - d) / dim
-        if q1:
-            value = 2 ** (n - 1) * float(
-                xlogy(hi_d, hi_d) + xlogy(lo_d, lo_d) - xlogy(hi_c, hi_c) - xlogy(lo_c, lo_c)
-            )
-            return ClosedFormResult(value, "odd-n-q1-limit", inputs)
-        value = -(2 ** (n - 1) / (q - 1.0)) * (
-            hi_c**q + lo_c**q - hi_d**q - lo_d**q
-        )
-        return ClosedFormResult(float(value), "odd-n", inputs)
-    lams = [max(lam, 0.0) / dim for lam in _pauli_lambdas(n, c1, c2, c3)]
-    hi_c, lo_c = (1.0 + c) / dim, (1.0 - c) / dim
-    if q1:
-        value = 2 ** (n - 2) * float(
-            sum(xlogy(lam, lam) for lam in lams)
-            - 2.0 * xlogy(hi_c, hi_c)
-            - 2.0 * xlogy(lo_c, lo_c)
-        )
-        return ClosedFormResult(value, "even-n-q1-limit", inputs)
-    value = -(2 ** (n - 2) / (q - 1.0)) * (
-        2.0 * hi_c**q + 2.0 * lo_c**q - sum(lam**q for lam in lams)
-    )
-    return ClosedFormResult(float(value), "even-n", inputs)
+        state = _xq_lnq((1.0 + d) / dim, q) + _xq_lnq((1.0 - d) / dim, q)
+        value = 2 ** (n - 1) * (state - measured)
+        return ClosedFormResult(value, "odd-n" + suffix, inputs)
+    state = sum(_xq_lnq(lam / dim, q) for lam in _pauli_lambdas(n, c1, c2, c3))
+    value = 2 ** (n - 2) * (state - 2.0 * measured)
+    return ClosedFormResult(value, "even-n" + suffix, inputs)
 
 
 def optimal_measured_entropy(n: int, c1: float, c2: float, c3: float, q: float) -> float:
@@ -148,9 +142,7 @@ def optimal_measured_entropy(n: int, c1: float, c2: float, c3: float, q: float) 
     c = max(abs(c1), abs(c2), abs(c3))
     dim = 2**n
     hi, lo = (1.0 + c) / dim, (1.0 - c) / dim
-    if abs(q - 1.0) < Q_SWITCH_TOL:
-        return float(-(2 ** (n - 1)) * (xlogy(hi, hi) + xlogy(lo, lo)))
-    return float((1.0 - 2 ** (n - 1) * (hi**q + lo**q)) / (q - 1.0))
+    return float(-(2 ** (n - 1)) * (_xq_lnq(hi, q) + _xq_lnq(lo, q)))
 
 
 def werner_ghz_measured_spectrum(mu: float, phi: ProductMeasurement) -> np.ndarray:

@@ -260,24 +260,15 @@ def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], gro
             np.maximum(probs, 0.0, out=probs)
             spectrum = np.linalg.eigvalsh(blocks).reshape(k, -1)
             np.maximum(spectrum, 0.0, out=spectrum)
-        value = const + _hq(spectrum, q)
         ptensor = probs.reshape((k,) + (2,) * m)
-        for ax in measured_groups:
-            value -= _hq((ptensor.sum(axis=ax) if ax else probs).reshape(k, -1), q)
-        return value
+        marginals = [
+            (ptensor.sum(axis=ax) if ax else probs).reshape(k, -1) for ax in measured_groups
+        ]
+        # _hq is a plain sum over entries, so one call over the concatenated
+        # marginals gives the sum of their entropies.
+        return const + _hq(spectrum, q) - _hq(np.concatenate(marginals, axis=1), q)
 
     return objective
-
-
-def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
-    """Fold arbitrary angles to theta in [0, pi], phi in [0, 2 pi)."""
-    st = math.sin(theta)
-    axis = (st * math.cos(phi), st * math.sin(phi), math.cos(theta))
-    t = math.acos(max(-1.0, min(1.0, axis[2])))
-    if abs(math.sin(t)) < 1e-12:
-        return t, 0.0
-    p = math.atan2(axis[1], axis[0]) % (2.0 * math.pi)
-    return t, p
 
 
 def _simplex_around(x0: np.ndarray) -> np.ndarray:
@@ -425,12 +416,10 @@ def _minimize_discord(
     value = raw
     if nonneg_guaranteed and -CLAMP_SLACK <= raw < 0.0:
         value = 0.0
-    x = xs[best]
-    pairs = [_canonical_angles(x[2 * j], x[2 * j + 1]) for j in range(len(measured))]
     return DiscordReport(
         value=value,
         q=q,
-        optimal_measurement=ProductMeasurement.from_angles(pairs),
+        optimal_measurement=ProductMeasurement.from_angles(xs[best].reshape(-1, 2)),
         measured_qubits=measured,
         starts_used=len(starts),
         converged=bool(success[best]),

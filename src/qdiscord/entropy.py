@@ -1,16 +1,21 @@
 """Tsallis q-entropy of probability vectors and density matrices.
 
-Conventions: natural logarithm throughout, 0 * ln_q(0) taken as 0, and any
-q within 1e-9 of 1 routed to the Shannon / von Neumann formulas.
+Conventions: natural logarithm throughout and 0 * ln_q(0) taken as 0. Every
+q-deformed quantity is evaluated through expm1((q - 1) ln x) / (q - 1), which
+stays accurate as q -> 1 and is continuous there; only q == 1.0 itself takes
+the Shannon / von Neumann formula.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import xlogy
 
 from .linalg import DensityMatrix, Spectrum, state_spectrum
 
+# No formula switches on this: q <= 1 + Q_SWITCH_TOL is only the regime in
+# which DiscordReport.nonnegativity_guaranteed holds.
 Q_SWITCH_TOL = 1e-9
 ZERO_PROB_CUTOFF = 1e-12
 
@@ -36,34 +41,40 @@ def _check_q(q: float) -> float:
 def q_log(x: float, q: float) -> float:
     """q-deformed logarithm ln_q(x) = (x**(1-q) - 1) / (1 - q).
 
-    Reduces to ln(x) when |q - 1| < 1e-9. Defined for x >= 0 when q < 1;
-    for q >= 1 the value diverges as x -> 0, so x = 0 raises.
+    Evaluated as expm1((1 - q) ln x) / (1 - q), and as ln(x) at q == 1.
+    Defined for x >= 0 when q < 1, where ln_q(0) = -1 / (1 - q); for
+    q >= 1 the value diverges as x -> 0, so x = 0 raises.
     """
     q = _check_q(q)
     x = float(x)
     if x < 0.0:
         raise ValueError("q-log requires a nonnegative argument")
-    if abs(q - 1.0) < Q_SWITCH_TOL:
-        if x == 0.0:
-            raise ValueError("q-log diverges at zero for q >= 1")
-        return float(np.log(x))
-    if x == 0.0 and q > 1.0:
+    if x == 0.0 and q >= 1.0:
         raise ValueError("q-log diverges at zero for q >= 1")
-    return (x ** (1.0 - q) - 1.0) / (1.0 - q)
+    ln_x = math.log(x) if x > 0.0 else -math.inf
+    if q == 1.0:
+        return ln_x
+    return math.expm1((1.0 - q) * ln_x) / (1.0 - q)
 
 
 def _hq(p: np.ndarray, q: float):
     """Tsallis entropy along the last axis of already-validated probabilities.
 
-    A 1-D array gives a scalar, a (K, d) array K entropies. Entries at or
-    below ZERO_PROB_CUTOFF count as exact zeros: eigensolver noise of size
-    eps would otherwise contribute eps**q, which for small q dwarfs the 1e-5
-    agreement scale this package works to.
+    A 1-D array gives a scalar, a (K, d) array K entropies. Each entry adds
+    -p**q ln_q(p) = -p expm1((q - 1) ln p) / (q - 1), or -p ln p at q == 1,
+    so the sum equals (1 - sum p**q) / (q - 1) without that form's
+    cancellation near q = 1. Being a plain sum over entries, the entropies
+    of several distributions add up to _hq of their concatenation. Entries
+    at or below ZERO_PROB_CUTOFF count as exact zeros (they are mapped to 1,
+    which adds 1 ln 1 = 0): eigensolver noise of size eps would otherwise
+    contribute eps**q, which for small q dwarfs the 1e-5 agreement scale
+    this package works to.
     """
-    p = np.where(p > ZERO_PROB_CUTOFF, p, 0.0)
-    if abs(q - 1.0) < Q_SWITCH_TOL:
-        return -xlogy(p, p).sum(axis=-1)
-    return (1.0 - (p**q).sum(axis=-1)) / (q - 1.0)
+    p = np.where(p > ZERO_PROB_CUTOFF, p, 1.0)
+    ln_p = np.log(p)
+    if q == 1.0:
+        return -(p * ln_p).sum(axis=-1)
+    return -(p * np.expm1((q - 1.0) * ln_p)).sum(axis=-1) / (q - 1.0)
 
 
 def tsallis_entropy_probs(p, q: float) -> float:

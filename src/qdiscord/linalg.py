@@ -32,19 +32,12 @@ __all__ = [
     "SIGMA_Z",
     "DensityMatrix",
     "Spectrum",
-    "kron",
     "kron_all",
     "eigvalsh",
-    "eigh",
     "partial_trace",
     "permute_qubits",
     "state_spectrum",
 ]
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; the left factor is the more significant one."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def kron_all(*factors: np.ndarray) -> np.ndarray:
@@ -72,18 +65,6 @@ def eigvalsh(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m)
     _check_hermitian(m, "matrix")
     return np.linalg.eigvalsh(m)[::-1]
-
-
-def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues non-increasing.
-
-    Returns (w, v) with v[:, k] the eigenvector for w[k], so that
-    m = v @ diag(w) @ v^dagger up to floating-point error.
-    """
-    m = np.asarray(m)
-    _check_hermitian(m, "matrix")
-    w, v = np.linalg.eigh(m)
-    return w[::-1], v[:, ::-1]
 
 
 class DensityMatrix:

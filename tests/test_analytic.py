@@ -127,6 +127,16 @@ class TestPauliClosedForm:
             exact = pauli_diagonal_gqd(n, 0.3, -0.2, 0.4, 1.0).value
             assert abs(near - exact) <= 1e-5
 
+    def test_state_gate_edge(self):
+        # The state gate admits |c|_2 up to 1 + 1e-12, where the odd-n
+        # eigenvalue (1 - |c|_2)/2^n is a tiny negative that counts as 0.
+        edge = (1.0 + 4e-13) / np.sqrt(3.0)
+        inside = 1.0 / np.sqrt(3.0)
+        for q in (0.5, 1.0, 2.0):
+            value = pauli_diagonal_gqd(3, edge, edge, edge, q).value
+            expected = pauli_diagonal_gqd(3, inside, inside, inside, q).value
+            assert abs(value - expected) < 1e-6
+
     def test_single_axis_state_has_no_discord(self):
         # With only c3 nonzero the state is classical in the z basis.
         for q in (0.5, 1.0, 2.0):
@@ -260,6 +270,26 @@ class TestMeasuredSpectra:
             pauli_diagonal_measured_spectrum(3, 0.1, 0.1, 0.1, pm)
         with pytest.raises(ValueError, match="at least two"):
             werner_ghz_optimal_measured_spectrum(1, 0.5)
+
+
+class TestContinuityAcrossQOne:
+    # Each closed form at q = 1 against the mean of its values at 1 -/+ h:
+    # the q == 1 formula against the expm1 form on both sides.
+    CASES = {
+        "werner_ghz_n3": lambda q: werner_ghz_gqd(3, 0.6, q).value,
+        "werner_ghz_n4": lambda q: werner_ghz_gqd(4, 0.95, q).value,
+        "pauli_n3": lambda q: pauli_diagonal_gqd(3, 0.3, -0.2, 0.4, q).value,
+        "pauli_n4": lambda q: pauli_diagonal_gqd(4, 0.25, 0.15, -0.3, q).value,
+        "optimal_measured_n3": lambda q: optimal_measured_entropy(3, 0.3, -0.2, 0.4, q),
+        "optimal_measured_n4": lambda q: optimal_measured_entropy(4, 0.25, 0.15, -0.3, q),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_no_jump(self, name):
+        f = self.CASES[name]
+        for h in (1e-6, 1e-9, 1e-11):
+            jump = f(1.0) - 0.5 * (f(1.0 - h) + f(1.0 + h))
+            assert abs(jump) < 1e-10, (h, jump)
 
 
 class TestResultType:

@@ -11,6 +11,16 @@ from qdiscord.entropy import (
     von_neumann_entropy,
 )
 from qdiscord.linalg import DensityMatrix, Spectrum
+from qdiscord.states import random_density_matrix
+
+# Steps h across q = 1: the q == 1 formula on one side of each comparison,
+# the expm1 form on the other.
+Q_ONE_STEPS = (1e-6, 1e-9, 1e-11)
+
+
+def jump_at_q_one(f, h):
+    """f(1) minus the mean of f(1 - h) and f(1 + h): O(h^2) for smooth f."""
+    return f(1.0) - 0.5 * (f(1.0 - h) + f(1.0 + h))
 
 
 class TestQLog:
@@ -22,6 +32,21 @@ class TestQLog:
     def test_half_q_value(self):
         # ln_{0.5}(4) = (4^{0.5} - 1) / 0.5 = 2
         assert_allclose(q_log(4.0, 0.5), 2.0)
+
+    def test_zero_argument(self):
+        # ln_q(0) = -1 / (1 - q) for every q < 1, however close to 1.
+        for q in (0.5, 1.0 - 2e-9, 1.0 - 1e-10):
+            assert_allclose(q_log(0.0, q), -1.0 / (1.0 - q), rtol=1e-15)
+        for q in (1.0, 1.0 + 1e-10, 2.0):
+            with pytest.raises(ValueError, match="diverges"):
+                q_log(0.0, q)
+        with pytest.raises(ValueError, match="nonnegative"):
+            q_log(-1.0, 0.5)
+
+    def test_continuous_across_q_one(self):
+        for x in (1e-3, 0.25, 3.0):
+            for h in Q_ONE_STEPS:
+                assert abs(jump_at_q_one(lambda q: q_log(x, q), h)) < 1e-10
 
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError, match="positive real"):
@@ -53,6 +78,24 @@ class TestTsallisEntropyProbs:
             assert_allclose(
                 tsallis_entropy_probs(Spectrum(p), 1.0 + 1e-10), shannon, atol=1e-8
             )
+
+    def test_second_order_accurate_near_q_one(self):
+        # H_q = -sum p ln p - (q - 1)/2 sum p ln^2 p + O((q - 1)^2).
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            p = rng.dirichlet(np.ones(8))
+            ln_p = np.log(p)
+            for q in (1.0 - 1e-9, 1.0 + 1e-9):
+                expected = -np.sum(p * ln_p) - (q - 1.0) / 2.0 * np.sum(p * ln_p**2)
+                assert abs(tsallis_entropy_probs(p, q) - expected) < 1e-13
+
+    def test_continuous_across_q_one(self):
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            p = Spectrum(np.concatenate([rng.dirichlet(np.ones(6)), [0.0, 0.0]]))
+            for h in Q_ONE_STEPS:
+                jump = jump_at_q_one(lambda q: tsallis_entropy_probs(p, q), h)
+                assert abs(jump) < 1e-10
 
     def test_zero_probabilities_do_not_contribute(self):
         # For q < 1 a tiny eigenvalue epsilon would add epsilon^q, which can be
@@ -95,6 +138,12 @@ class TestTsallisEntropyStates:
         rho = DensityMatrix(np.eye(2) / 2.0)
         with pytest.raises(ValueError, match="positive real"):
             tsallis_entropy(rho, 0.0)
+
+    def test_continuous_across_q_one(self):
+        for seed in range(5, 10):
+            rho = random_density_matrix(3, seed=seed)
+            for h in Q_ONE_STEPS:
+                assert abs(jump_at_q_one(lambda q: tsallis_entropy(rho, q), h)) < 1e-10
 
 
 class TestVonNeumann:
