@@ -19,7 +19,6 @@ from .discord import (
     DiscordReport,
     OptimizerConfig,
     induced_discord,
-    induced_discord_bipartite,
     mutual_information_q,
     q_gqd,
     q_qd_one_sided,
@@ -85,7 +84,6 @@ __all__ = [
     "DiscordReport",
     "OptimizerConfig",
     "induced_discord",
-    "induced_discord_bipartite",
     "mutual_information_q",
     "q_gqd",
     "q_qd_one_sided",

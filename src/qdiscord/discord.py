@@ -1,5 +1,9 @@
 """q-mutual information and measurement-minimized discord quantities.
 
+Every quantity uses I_q = -S_q(rho) + sum_g S_q(rho_g) over parties g: the
+single qubits, or the two sides of a cut=(left, right). _parties and
+_mutual_information are the only code for each.
+
 The global quantity minimizes the q-mutual-information drop over product
 projective measurements of every qubit; the one-sided quantity measures
 only one party. Minimization is multi-start Nelder-Mead over the Bloch
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import Q_SWITCH_TOL, _check_q, _hq, tsallis_entropy
+from .entropy import _check_q, _hq, tsallis_entropy
 from .linalg import DensityMatrix, partial_trace
 from .measurement import ProductMeasurement, _probabilities, apply_full, product_basis
 
@@ -43,7 +47,6 @@ __all__ = [
     "DiscordReport",
     "mutual_information_q",
     "induced_discord",
-    "induced_discord_bipartite",
     "q_gqd",
     "q_qd_one_sided",
 ]
@@ -126,52 +129,44 @@ class DiscordReport:
     start_converged: tuple[bool, ...]
 
 
-def mutual_information_q(rho: DensityMatrix, q: float) -> float:
-    """I_q(rho) = sum_i S_q(rho^{A_i}) - S_q(rho) over single-qubit marginals."""
-    q = _check_q(q)
+def _parties(n: int, cut) -> tuple[tuple[int, ...], ...]:
+    """Single qubits when cut is None, else the sides of the covering cut."""
+    if cut is None:
+        return tuple((i,) for i in range(n))
+    if not isinstance(cut, Bipartition):
+        left, right = cut
+        cut = Bipartition(left, right)
+    cut.check_covers(n)
+    return (cut.left, cut.right)
+
+
+def _mutual_information(rho: DensityMatrix, groups, q: float) -> float:
+    """-S_q(rho) + sum_g S_q(rho_g), summed in that order over the groups."""
     total = -tsallis_entropy(rho, q)
-    for i in range(rho.num_qubits):
-        total += tsallis_entropy(partial_trace(rho, {i}), q)
+    for g in groups:
+        total += tsallis_entropy(partial_trace(rho, g), q)
     return total
 
 
-def _mutual_information_cut(rho: DensityMatrix, cut: Bipartition, q: float) -> float:
-    return (
-        tsallis_entropy(partial_trace(rho, cut.left), q)
-        + tsallis_entropy(partial_trace(rho, cut.right), q)
-        - tsallis_entropy(rho, q)
-    )
-
-
-def induced_discord(rho: DensityMatrix, phi: ProductMeasurement, q: float) -> float:
-    """Mutual-information drop I_q(rho) - I_q(Phi(rho)) for one fixed measurement."""
+def mutual_information_q(rho: DensityMatrix, q: float) -> float:
+    """I_q(rho) = sum_i S_q(rho^{A_i}) - S_q(rho) over single-qubit marginals."""
     q = _check_q(q)
-    measured = apply_full(phi, rho)
-    return mutual_information_q(rho, q) - mutual_information_q(measured, q)
+    return _mutual_information(rho, _parties(rho.num_qubits, None), q)
 
 
-def induced_discord_bipartite(
-    rho: DensityMatrix, cut, phi: ProductMeasurement, q: float
+def induced_discord(
+    rho: DensityMatrix, phi: ProductMeasurement, q: float, *, cut=None
 ) -> float:
-    """Two-party mutual-information drop across `cut` for one fixed measurement.
+    """Mutual-information drop I_q(rho) - I_q(Phi(rho)) for one fixed measurement.
 
-    The measurement still acts on every qubit of rho; only the mutual
-    information is the two-party version.
+    The parties are the single qubits by default; cut=(left, right) uses
+    the two-party mutual information across that bipartition instead. The
+    measurement acts on every qubit of rho either way.
     """
     q = _check_q(q)
-    cut = _as_bipartition(cut)
-    cut.check_covers(rho.num_qubits)
+    groups = _parties(rho.num_qubits, cut)
     measured = apply_full(phi, rho)
-    return _mutual_information_cut(rho, cut, q) - _mutual_information_cut(
-        measured, cut, q
-    )
-
-
-def _as_bipartition(cut) -> Bipartition:
-    if isinstance(cut, Bipartition):
-        return cut
-    left, right = cut
-    return Bipartition(tuple(left), tuple(right))
+    return _mutual_information(rho, groups, q) - _mutual_information(measured, groups, q)
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +227,11 @@ def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], gro
         .reshape(dim_m * dim_u * dim_u, dim_m)
     )
 
-    const = -tsallis_entropy(rho, q)
     measured_groups = []
+    parties = []
     for g in groups:
-        g = tuple(g)
         if all(i in measured for i in g):
-            const += tsallis_entropy(partial_trace(rho, g), q)
+            parties.append(g)
             positions = tuple(measured.index(i) for i in g)
             # axis 0 of the outcome tensor is the batch
             sum_axes = tuple(1 + ax for ax in range(m) if ax not in positions)
@@ -245,6 +239,7 @@ def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], gro
         elif any(i in measured for i in g):
             raise ValueError("each party must be fully measured or fully unmeasured")
         # fully unmeasured groups drop out: their marginal is untouched
+    const = _mutual_information(rho, parties, q)
 
     def objective(angles: np.ndarray) -> np.ndarray:
         w = product_basis(angles)
@@ -259,7 +254,6 @@ def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], gro
             probs = np.einsum("kjuu->kj", blocks).real
             np.maximum(probs, 0.0, out=probs)
             spectrum = np.linalg.eigvalsh(blocks).reshape(k, -1)
-            np.maximum(spectrum, 0.0, out=spectrum)
         ptensor = probs.reshape((k,) + (2,) * m)
         marginals = [
             (ptensor.sum(axis=ax) if ax else probs).reshape(k, -1) for ax in measured_groups
@@ -412,7 +406,7 @@ def _minimize_discord(
     minima = tuple(float(f) for f in fun)
     best = min(range(len(minima)), key=minima.__getitem__)  # the first lowest start
     raw = minima[best]
-    nonneg_guaranteed = q <= 1.0 + Q_SWITCH_TOL
+    nonneg_guaranteed = q <= 1.0
     value = raw
     if nonneg_guaranteed and -CLAMP_SLACK <= raw < 0.0:
         value = 0.0
@@ -450,13 +444,7 @@ def q_gqd(rho: DensityMatrix, q: float, opt: OptimizerConfig | None = None, *, c
     _check_desk_scale(rho)
     opt = opt if opt is not None else OptimizerConfig()
     n = rho.num_qubits
-    if cut is None:
-        groups = tuple((i,) for i in range(n))
-    else:
-        cut = _as_bipartition(cut)
-        cut.check_covers(n)
-        groups = (cut.left, cut.right)
-    return _minimize_discord(rho, q, opt, tuple(range(n)), groups)
+    return _minimize_discord(rho, q, opt, tuple(range(n)), _parties(n, cut))
 
 
 def q_qd_one_sided(

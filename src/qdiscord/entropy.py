@@ -12,15 +12,11 @@ import math
 
 import numpy as np
 
-from .linalg import DensityMatrix, Spectrum, state_spectrum
+from .linalg import DensityMatrix, Spectrum
 
-# No formula switches on this: q <= 1 + Q_SWITCH_TOL is only the regime in
-# which DiscordReport.nonnegativity_guaranteed holds.
-Q_SWITCH_TOL = 1e-9
 ZERO_PROB_CUTOFF = 1e-12
 
 __all__ = [
-    "Q_SWITCH_TOL",
     "ZERO_PROB_CUTOFF",
     "q_log",
     "tsallis_entropy_probs",
@@ -43,7 +39,8 @@ def q_log(x: float, q: float) -> float:
 
     Evaluated as expm1((1 - q) ln x) / (1 - q), and as ln(x) at q == 1.
     Defined for x >= 0 when q < 1, where ln_q(0) = -1 / (1 - q); for
-    q >= 1 the value diverges as x -> 0, so x = 0 raises.
+    q >= 1 the value diverges as x -> 0, so x = 0 raises, and so does a
+    value too large for a float (tiny x at large q).
     """
     q = _check_q(q)
     x = float(x)
@@ -54,7 +51,10 @@ def q_log(x: float, q: float) -> float:
     ln_x = math.log(x) if x > 0.0 else -math.inf
     if q == 1.0:
         return ln_x
-    return math.expm1((1.0 - q) * ln_x) / (1.0 - q)
+    try:
+        return math.expm1((1.0 - q) * ln_x) / (1.0 - q)
+    except OverflowError:
+        raise ValueError(f"q-log overflows a float at x={x!r}, q={q!r}") from None
 
 
 def _hq(p: np.ndarray, q: float):
@@ -92,11 +92,12 @@ def tsallis_entropy_probs(p, q: float) -> float:
 def tsallis_entropy(rho: DensityMatrix, q: float) -> float:
     """Tsallis q-entropy S_q(rho) = (1 - tr rho**q) / (q - 1).
 
-    Evaluated on the eigenvalue spectrum; eigenvalues in [-1e-9, 0) are
-    clamped to 0 first and anything more negative raises.
+    Evaluated on the eigenvalues the DensityMatrix constructor stored and
+    checked; those at or below ZERO_PROB_CUTOFF, including eigensolver noise
+    below 0, count as exact zeros.
     """
     q = _check_q(q)
-    return float(_hq(state_spectrum(rho).probs, q))
+    return float(_hq(rho.eigenvalues, q))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -180,9 +180,9 @@ def permute_qubits(rho: DensityMatrix, order: Iterable[int]) -> DensityMatrix:
 
 
 def state_spectrum(rho: DensityMatrix) -> Spectrum:
-    """Eigenvalue spectrum of a state, with noise in [-1e-9, 0) clamped to 0.
+    """Eigenvalue spectrum of a state, with eigensolver noise clipped to [0, 1].
 
     Uses the eigenvalues the DensityMatrix constructor already computed and
     checked against EIGENVALUE_FLOOR.
     """
-    return Spectrum(np.maximum(rho.eigenvalues, 0.0))
+    return Spectrum(np.clip(rho.eigenvalues, 0.0, 1.0))

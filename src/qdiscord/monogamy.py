@@ -6,6 +6,8 @@ piece independently gives the bounded-sum inequality, and when the nested
 optimal values dominate the pairwise ones the classic monogamy inequality
 whole >= sum of pairwise follows. A known rank-2 three-qubit mixture shows
 the domination condition is not automatic; its audit lives here too.
+Nested pieces are induced_discord and q_gqd with cut=(first k)|(k+1 th);
+the cut (0)|(1) is the (0, 1) pairwise problem, so it is solved once.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 from .discord import (
     Bipartition,
     OptimizerConfig,
-    _mutual_information_cut,
-    induced_discord_bipartite,
-    mutual_information_q,
+    _mutual_information,
+    _parties,
+    induced_discord,
     q_gqd,
 )
 from .entropy import _check_q
@@ -119,31 +121,30 @@ def decompose_induced_gqd(
         raise ValueError(
             f"measurement arity {len(phi)} does not match qubit count {n}"
         )
+    parties = _parties(n, None)
     measured = apply_full(phi, rho)
-    total = mutual_information_q(rho, q) - mutual_information_q(measured, q)
+    total = _mutual_information(rho, parties, q) - _mutual_information(measured, parties, q)
     terms = []
     for k in range(1, n - 1):
-        reduced = partial_trace(rho, range(k + 1))
         sub = ProductMeasurement(phi.per_qubit[: k + 1])
-        cut = Bipartition(tuple(range(k)), (k,))
-        terms.append(induced_discord_bipartite(reduced, cut, sub, q))
+        terms.append(induced_discord(partial_trace(rho, range(k + 1)), sub, q, cut=_first_vs_last(k)))
     if n > 1:
-        cut = Bipartition(tuple(range(n - 1)), (n - 1,))
-        terms.append(
-            _mutual_information_cut(rho, cut, q)
-            - _mutual_information_cut(measured, cut, q)
-        )
+        last = _parties(n, _first_vs_last(n - 1))
+        terms.append(_mutual_information(rho, last, q) - _mutual_information(measured, last, q))
     residual = total - sum(terms)
     return DecompositionLedger(float(total), tuple(terms), float(residual))
 
 
-def _nested_values(rho, q, opt):
-    values = []
-    for k in range(1, rho.num_qubits):
-        reduced = partial_trace(rho, range(k + 1))
-        cut = Bipartition(tuple(range(k)), (k,))
-        values.append(q_gqd(reduced, q, opt, cut=cut).value)
-    return tuple(values)
+def _first_vs_last(k: int) -> Bipartition:
+    """The cut (first k)|(k+1 th) of the first k+1 qubits."""
+    return Bipartition(tuple(range(k)), (k,))
+
+
+def _nested_values(rho, q, opt, first=1):
+    return tuple(
+        q_gqd(partial_trace(rho, range(k + 1)), q, opt, cut=_first_vs_last(k)).value
+        for k in range(first, rho.num_qubits)
+    )
 
 
 def bounded_sum_check(
@@ -166,7 +167,8 @@ def monogamy_report(
     """Evaluate the monogamy inequality and its sufficient condition.
 
     Every value is a fresh independent optimization (the full-state argmin
-    is never reused for marginals, which would bias nested values upward).
+    is never reused for marginals, which would bias nested values upward);
+    nested[0], the cut (0)|(1), is the pairwise[0] problem and reuses it.
     condition_holds implies inequality_holds mathematically; that
     implication is enforced as a hard check.
     """
@@ -175,7 +177,7 @@ def monogamy_report(
     pairwise = tuple(
         q_gqd(partial_trace(rho, (0, k)), q, opt).value for k in range(1, n)
     )
-    nested = _nested_values(rho, q, opt)
+    nested = pairwise[:1] + _nested_values(rho, q, opt, first=2)
     inequality_margin = whole - sum(pairwise)
     condition_margins = tuple(ns - pw for ns, pw in zip(nested, pairwise))
     inequality_holds = inequality_margin >= -INEQUALITY_TOL

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from qdiscord.analytic import werner_ghz_gqd
 from qdiscord.cli import DEFAULT_TARGETS, SweepSpec, main
 from qdiscord.discord import OptimizerConfig, q_gqd, q_qd_one_sided
+from qdiscord.linalg import DensityMatrix
 from qdiscord.states import random_density_matrix, save_state, werner_ghz
 
 LIGHT_FLAGS = ["--starts", "4", "--max-evals", "400"]
@@ -95,6 +96,20 @@ class TestCompute:
         report = q_qd_one_sided(rho, (1,), 0.5, OptimizerConfig(starts=4, max_evals=400))
         assert_allclose(payload["value"], report.value, atol=1e-12)
         assert payload["diagnostics"]["measured_qubits"] == [1]
+
+    @pytest.mark.parametrize("quantity", ["entropy", "mutual_info", "qgqd"])
+    def test_eigenvalues_just_outside_unit_interval(self, capsys, tmp_path, quantity):
+        path = tmp_path / "edge.json"
+        save_state(path, DensityMatrix(np.diag([1.0 + 5e-10, -5e-10])))
+        code, payload = run_json(
+            capsys,
+            ["compute", "--state", str(path), "--quantity", quantity, "--q", "0.5"]
+            + LIGHT_FLAGS,
+        )
+        assert code == 0
+        assert abs(payload["value"]) <= 1e-9
+        if quantity == "entropy":
+            assert payload["diagnostics"]["spectrum"] == [1.0, 0.0]
 
 
 class TestExitCodes:

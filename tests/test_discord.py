@@ -8,9 +8,8 @@ from qdiscord.discord import (
     Bipartition,
     OptimizerConfig,
     _make_objective,
-    _mutual_information_cut,
+    _mutual_information,
     induced_discord,
-    induced_discord_bipartite,
     mutual_information_q,
     q_gqd,
     q_qd_one_sided,
@@ -108,6 +107,14 @@ class TestMutualInformation:
         with pytest.raises(ValueError, match="positive real"):
             mutual_information_q(BELL, -0.5)
 
+    def test_eigenvalues_just_outside_unit_interval(self):
+        # An admitted state whose eigenvalues stray 5e-10 past [0, 1].
+        rho = DensityMatrix(np.diag([1.0 + 5e-10, -5e-10]))
+        for q in (0.5, 1.0, 2.0):
+            for value in (mutual_information_q(rho, q), q_gqd(rho, q, LIGHT).value):
+                assert np.isfinite(value)
+                assert abs(value) <= 1e-9
+
 
 class TestFastObjective:
     def test_matches_direct_channel_route(self):
@@ -134,8 +141,8 @@ class TestFastObjective:
         rng = np.random.default_rng(1)
         rho = random_density_matrix(3, seed=7)
         q = 0.7
-        objective = _make_objective(rho, q, (2,), ((0, 1), (2,)))
-        cut = Bipartition((0, 1), (2,))
+        cut = ((0, 1), (2,))
+        objective = _make_objective(rho, q, (2,), cut)
         angles = np.array([random_angles(rng, 1) for _ in range(5)])
         drops = []
         for a in angles:
@@ -147,8 +154,7 @@ class TestFastObjective:
                 )
             )
             drops.append(
-                _mutual_information_cut(rho, cut, q)
-                - _mutual_information_cut(measured_state, cut, q)
+                _mutual_information(rho, cut, q) - _mutual_information(measured_state, cut, q)
             )
         assert_allclose(objective(angles), drops, atol=1e-11)
 
@@ -403,6 +409,7 @@ class TestGlobalDiscord:
     def test_nonnegativity_flag_tracks_regime(self):
         assert q_gqd(BELL, 0.5, LIGHT).nonnegativity_guaranteed
         assert q_gqd(BELL, 1.0, LIGHT).nonnegativity_guaranteed
+        assert not q_gqd(BELL, 1.0 + 1e-10, LIGHT).nonnegativity_guaranteed
         assert not q_gqd(BELL, 2.0, LIGHT).nonnegativity_guaranteed
 
     def test_fixed_measurement_upper_bounds_minimum(self):
@@ -469,11 +476,13 @@ class TestInducedDiscordBipartite:
         rho = random_density_matrix(3, seed=80)
         pm = ProductMeasurement.uniform_axis(3, (0.0, 0.0, 1.0))
         with pytest.raises(ValueError, match="cover every qubit"):
-            induced_discord_bipartite(rho, ((0,), (1,)), pm, 0.5)
+            induced_discord(rho, pm, 0.5, cut=((0,), (1,)))
 
     def test_two_qubit_cut_matches_multiparty(self):
+        # The cut (0)|(1) has the single qubits as its parties, so it is the
+        # same computation as the multi-party default.
         rho = random_density_matrix(2, seed=81)
         pm = ProductMeasurement.uniform_axis(2, (1.0, 0.0, 0.0))
         a = induced_discord(rho, pm, 0.5)
-        b = induced_discord_bipartite(rho, ((0,), (1,)), pm, 0.5)
-        assert_allclose(a, b, atol=1e-12)
+        b = induced_discord(rho, pm, 0.5, cut=((0,), (1,)))
+        assert a == b

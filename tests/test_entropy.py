@@ -48,6 +48,12 @@ class TestQLog:
             for h in Q_ONE_STEPS:
                 assert abs(jump_at_q_one(lambda q: q_log(x, q), h)) < 1e-10
 
+    def test_overflow_raises_value_error(self):
+        # (1 - q) ln x beyond about 709 has no float value.
+        for q in (3.4, 10.0):
+            with pytest.raises(ValueError, match="overflow"):
+                q_log(1e-300, q)
+
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError, match="positive real"):
             q_log(2.0, 0.0)
@@ -138,6 +144,15 @@ class TestTsallisEntropyStates:
         rho = DensityMatrix(np.eye(2) / 2.0)
         with pytest.raises(ValueError, match="positive real"):
             tsallis_entropy(rho, 0.0)
+
+    def test_eigenvalues_just_outside_unit_interval(self):
+        # DensityMatrix admits eigenvalues down to -1e-9, so the largest one
+        # may exceed 1 by as much; the entropy of such a pure state is ~0.
+        rho = DensityMatrix(np.diag([1.0 + 5e-10, -5e-10]))
+        for q in (0.5, 1.0, 2.0):
+            value = tsallis_entropy(rho, q)
+            assert np.isfinite(value)
+            assert abs(value) <= 1e-9
 
     def test_continuous_across_q_one(self):
         for seed in range(5, 10):

@@ -7,7 +7,6 @@ from qdiscord.discord import (
     Bipartition,
     OptimizerConfig,
     induced_discord,
-    induced_discord_bipartite,
 )
 from qdiscord.linalg import DensityMatrix, partial_trace, permute_qubits
 from qdiscord.measurement import BlochMeasurement, ProductMeasurement, apply_full
@@ -75,11 +74,11 @@ class TestDecomposition:
         for q in (0.5, 1.0, 2.0):
             total = induced_discord(rho, phi, q)
             terms = tuple(
-                induced_discord_bipartite(
+                induced_discord(
                     partial_trace(rho, range(k + 1)),
-                    Bipartition(tuple(range(k)), (k,)),
                     ProductMeasurement(phi.per_qubit[: k + 1]),
                     q,
+                    cut=Bipartition(tuple(range(k)), (k,)),
                 )
                 for k in range(1, 4)
             )
@@ -141,6 +140,21 @@ class TestMonogamyReport:
         assert report.inequality_holds
         assert report.condition_holds
         assert report.whole > 0.1
+
+    def test_solves_the_first_pair_once(self, monkeypatch):
+        # The nested cut (0)|(1) is the (0, 1) pairwise problem itself, so a
+        # 3-qubit report makes 4 solves: the whole, two pairs, one nested cut.
+        solves = []
+
+        def counting(*args, **kwargs):
+            solves.append(args[0].num_qubits)
+            return discord.q_gqd(*args, **kwargs)
+
+        monkeypatch.setattr(monogamy, "q_gqd", counting)
+        report = monogamy_report(random_density_matrix(3, seed=40), 0.5, LIGHT)
+        assert solves == [3, 2, 2, 3]
+        assert report.nested[0] == report.pairwise[0]
+        assert report.condition_margins[0] == 0.0
 
     def test_margins_are_consistent(self):
         report = monogamy_report(random_density_matrix(3, seed=40), 0.5, LIGHT)
