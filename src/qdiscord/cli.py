@@ -100,7 +100,6 @@ def _optimizer_from(args) -> OptimizerConfig:
         return OptimizerConfig(
             starts=args.starts,
             max_evals=args.max_evals,
-            tol=args.tol,
             seed=args.seed,
         )
     except ValueError as exc:
@@ -466,7 +465,6 @@ def _add_optimizer_flags(sub):
     sub.add_argument(
         "--max-evals", type=int, default=2000, help="objective evaluations per start"
     )
-    sub.add_argument("--tol", type=float, default=1e-8, help="objective tolerance")
     sub.add_argument("--seed", type=int, default=0, help="seed for restarts and suites")
 
 

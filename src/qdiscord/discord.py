@@ -20,7 +20,9 @@ starts reached the best basin.
 
 The objective gets the measured spectrum from W^dagger (rho W), one
 batched matmul per call; with every qubit measured it calls the kernel
-that apply_full and outcome_probabilities use.
+that apply_full and outcome_probabilities use. It is the only code that
+evaluates I_q(Phi(rho)): induced_discord, the fixed-measurement drop, is
+its row at the measurement's angles, so no measured state is built.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .entropy import _check_q, _hq, tsallis_entropy
 from .linalg import DensityMatrix, partial_trace
-from .measurement import ProductMeasurement, _probabilities, apply_full, product_basis
+from .measurement import ProductMeasurement, _angles, _probabilities, product_basis
 
 DESK_SCALE_LIMIT = 4
 CLAMP_SLACK = 1e-8
@@ -78,14 +80,12 @@ class OptimizerConfig:
 
     starts counts starting points (the first eight are deterministic grid
     patterns, the rest are seeded sphere-uniform draws), max_evals caps the
-    objective evaluations per start, tol is the simplex value tolerance,
-    and seed fixes the random starts so identical configs give identical
-    results.
+    objective evaluations per start, and seed fixes the random starts so
+    identical configs give identical results.
     """
 
     starts: int = 16
     max_evals: int = 2000
-    tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -93,8 +93,6 @@ class OptimizerConfig:
             raise ValueError("starts must be at least 1")
         if self.max_evals < 1:
             raise ValueError("max_evals must be at least 1")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -161,12 +159,14 @@ def induced_discord(
 
     The parties are the single qubits by default; cut=(left, right) uses
     the two-party mutual information across that bipartition instead. The
-    measurement acts on every qubit of rho either way.
+    measurement acts on every qubit of rho either way. The value is one row
+    of the objective q_gqd minimizes, evaluated at phi's angles.
     """
     q = _check_q(q)
-    groups = _parties(rho.num_qubits, cut)
-    measured = apply_full(phi, rho)
-    return _mutual_information(rho, groups, q) - _mutual_information(measured, groups, q)
+    n = rho.num_qubits
+    angles = _angles(phi, n)
+    objective = _make_objective(rho, q, tuple(range(n)), _parties(n, cut))
+    return float(objective(np.array([angles]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +210,8 @@ def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], gro
     one batched matmul of rho's measured column index b against W, then a
     2-operand contraction over a with W*. Group terms whose qubits are
     unmeasured cancel exactly and are skipped. Every row is computed on its
-    own: a row's value does not depend on the other rows of the batch.
+    own: a row's value does not depend on the other rows of the batch, and
+    induced_discord is the single row at one measurement.
     """
     n = rho.num_qubits
     m = len(measured)
@@ -274,9 +275,10 @@ def _simplex_around(x0: np.ndarray) -> np.ndarray:
 
 
 _XATOL = 1e-4  # scipy's default
+_FATOL = 1e-8
 
 
-def _nelder_mead(x0: np.ndarray, maxfev: int, fatol: float):
+def _nelder_mead(x0: np.ndarray, maxfev: int):
     """scipy's _minimize_neldermead from _simplex_around(x0), as a generator.
 
     The loop is scipy's line for line (no bounds, maxiter unbounded, the
@@ -302,7 +304,7 @@ def _nelder_mead(x0: np.ndarray, maxfev: int, fatol: float):
     while nfev < maxfev:
         # scipy's test; fsim is sorted, so its largest |fsim[0] - fsim[j]|
         # is fsim[-1] - fsim[0], and that cheap half goes first.
-        if (fsim[-1] - fsim[0] <= fatol and
+        if (fsim[-1] - fsim[0] <= _FATOL and
                 np.abs(sim[1:] - sim[0]).max() <= _XATOL):
             return sim[0], fsim.min(), nfev, True
 
@@ -366,7 +368,7 @@ def _nelder_mead(x0: np.ndarray, maxfev: int, fatol: float):
     return sim[0], fsim.min(), nfev, False
 
 
-def _lockstep_nelder_mead(objective, x0: np.ndarray, maxfev: int, fatol: float):
+def _lockstep_nelder_mead(objective, x0: np.ndarray, maxfev: int):
     """_nelder_mead from every row of x0, with one objective call per round.
 
     Each round stacks the points every running search yields, evaluates
@@ -374,7 +376,7 @@ def _lockstep_nelder_mead(objective, x0: np.ndarray, maxfev: int, fatol: float):
     Returns the best vertices (K, N), their values (K,), the evaluations
     (K,) and success (K,).
     """
-    searches = [_nelder_mead(x, maxfev, fatol) for x in x0]
+    searches = [_nelder_mead(x, maxfev) for x in x0]
     results = [None] * len(searches)
     running = list(enumerate(searches))
     points = [search.send(None) for search in searches]
@@ -402,7 +404,7 @@ def _minimize_discord(
 ) -> DiscordReport:
     objective = _make_objective(rho, q, measured, groups)
     starts = np.array(_start_points(len(measured), opt))
-    xs, fun, nfev, success = _lockstep_nelder_mead(objective, starts, opt.max_evals, opt.tol)
+    xs, fun, nfev, success = _lockstep_nelder_mead(objective, starts, opt.max_evals)
     minima = tuple(float(f) for f in fun)
     best = min(range(len(minima)), key=minima.__getitem__)  # the first lowest start
     raw = minima[best]

@@ -33,7 +33,6 @@ __all__ = [
     "DensityMatrix",
     "Spectrum",
     "kron_all",
-    "eigvalsh",
     "partial_trace",
     "permute_qubits",
     "state_spectrum",
@@ -56,17 +55,6 @@ def _check_hermitian(m: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} is not Hermitian")
 
 
-def eigvalsh(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix in non-increasing order.
-
-    Raises ValueError if the matrix is not square or deviates from
-    Hermiticity by more than HERMITICITY_TOL in any entry.
-    """
-    m = np.asarray(m)
-    _check_hermitian(m, "matrix")
-    return np.linalg.eigvalsh(m)[::-1]
-
-
 class DensityMatrix:
     """Hermitian, unit-trace, positive semidefinite operator on n qubits.
 
@@ -74,7 +62,8 @@ class DensityMatrix:
     properties (Hermiticity to 1e-10, trace to 1e-10, smallest eigenvalue
     above -1e-9). It stores the matrix as a read-only complex array and the
     eigenvalues its PSD check computed as `eigenvalues`, a read-only array
-    in non-increasing order equal to eigvalsh(matrix).
+    in non-increasing order, the output of numpy.linalg.eigvalsh(matrix)
+    reversed.
     """
 
     __slots__ = ("matrix", "num_qubits", "eigenvalues")
@@ -183,6 +172,9 @@ def state_spectrum(rho: DensityMatrix) -> Spectrum:
     """Eigenvalue spectrum of a state, with eigensolver noise clipped to [0, 1].
 
     Uses the eigenvalues the DensityMatrix constructor already computed and
-    checked against EIGENVALUE_FLOOR.
+    checked against EIGENVALUE_FLOOR. The clipped values are divided by
+    their sum: clipping many entries just below 0 up to 0 can add more than
+    Spectrum.SUM_TOL to the total.
     """
-    return Spectrum(np.clip(rho.eigenvalues, 0.0, 1.0))
+    p = np.clip(rho.eigenvalues, 0.0, 1.0)
+    return Spectrum(p / p.sum())

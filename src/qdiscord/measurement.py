@@ -5,9 +5,13 @@ A single-qubit measurement is a unit Bloch axis a; its projectors are
 Its 2^n outcome projectors are the columns of one unitary, the rotated
 product basis W (the Kronecker product of the per-qubit eigenbases), so
 the outcome probabilities are diag(W^dagger rho W) and the non-selective
-channel sum_j P_j rho P_j is W diag(p) W^dagger. Every caller, the discord
-objective included, gets the measured state through product_basis, and
-the outcome probabilities of a full measurement through _probabilities.
+channel sum_j P_j rho P_j is W diag(p) W^dagger. A ProductMeasurement
+enters through _angles, which checks its arity against the state and
+turns each axis into (theta, phi); apply_full, outcome_probabilities and
+discord.induced_discord all call it. Every caller, the discord objective
+included, gets W through product_basis, and the outcome probabilities of
+a full measurement through _probabilities. apply_full is the only code
+that builds a measured DensityMatrix.
 
 _probabilities takes a batch of bases, shape (..., d, d), and computes the
 diagonal as diag(W^dagger (rho W)): one batched BLAS matmul rho W, then the
@@ -155,16 +159,15 @@ def product_basis(angles) -> np.ndarray:
     return w
 
 
-def _measured_basis(phi: ProductMeasurement, rho: DensityMatrix) -> np.ndarray:
-    if len(phi) != rho.num_qubits:
-        raise ValueError(
-            f"measurement arity {len(phi)} does not match qubit count {rho.num_qubits}"
-        )
+def _angles(phi: ProductMeasurement, n: int) -> list[float]:
+    """phi's axes as (theta_0, phi_0, theta_1, phi_1, ...) for an n-qubit state."""
+    if len(phi) != n:
+        raise ValueError(f"measurement arity {len(phi)} does not match qubit count {n}")
     angles = []
     for m in phi.per_qubit:
         a1, a2, a3 = m.axis
         angles += (math.atan2(math.hypot(a1, a2), a3), math.atan2(a2, a1))
-    return product_basis(angles)
+    return angles
 
 
 def _probabilities(w: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -178,10 +181,10 @@ def _probabilities(w: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
 def apply_full(phi: ProductMeasurement, rho: DensityMatrix) -> DensityMatrix:
     """Non-selective product measurement sum_j P_j rho P_j = W diag(p) W^dagger."""
-    w = _measured_basis(phi, rho)
+    w = product_basis(_angles(phi, rho.num_qubits))
     return DensityMatrix((w * _probabilities(w, rho.matrix)) @ w.conj().T)
 
 
 def outcome_probabilities(phi: ProductMeasurement, rho: DensityMatrix) -> np.ndarray:
     """Probabilities of the 2^n outcomes, indexed with qubit 0 as the high bit."""
-    return _probabilities(_measured_basis(phi, rho), rho.matrix)
+    return _probabilities(product_basis(_angles(phi, rho.num_qubits)), rho.matrix)

@@ -8,23 +8,18 @@ whole >= sum of pairwise follows. A known rank-2 three-qubit mixture shows
 the domination condition is not automatic; its audit lives here too.
 Nested pieces are induced_discord and q_gqd with cut=(first k)|(k+1 th);
 the cut (0)|(1) is the (0, 1) pairwise problem, so it is solved once.
+Every ledger value is an induced_discord call, a row of the objective
+q_gqd minimizes, so this module builds no measured state of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .discord import (
-    Bipartition,
-    OptimizerConfig,
-    _mutual_information,
-    _parties,
-    induced_discord,
-    q_gqd,
-)
+from .discord import Bipartition, OptimizerConfig, induced_discord, q_gqd
 from .entropy import _check_q
 from .linalg import DensityMatrix, partial_trace
-from .measurement import ProductMeasurement, apply_full
+from .measurement import ProductMeasurement
 from .states import bros_counterexample
 
 __all__ = [
@@ -112,27 +107,21 @@ def decompose_induced_gqd(
 ) -> DecompositionLedger:
     """Split the induced discord of rho under phi into nested bipartite terms.
 
-    The last term (k = n - 1) is the cut (first n-1)|(last) of rho itself,
-    so it reuses the measured state of the total.
+    Every value is induced_discord: the total on rho, and terms[k-1] on
+    the first k+1 qubits across the cut (first k)|(k+1 th), measured by
+    phi's first k+1 axes.
     """
-    q = _check_q(q)
-    n = rho.num_qubits
-    if len(phi) != n:
-        raise ValueError(
-            f"measurement arity {len(phi)} does not match qubit count {n}"
+    total = induced_discord(rho, phi, q)
+    terms = tuple(
+        induced_discord(
+            partial_trace(rho, range(k + 1)),
+            ProductMeasurement(phi.per_qubit[: k + 1]),
+            q,
+            cut=_first_vs_last(k),
         )
-    parties = _parties(n, None)
-    measured = apply_full(phi, rho)
-    total = _mutual_information(rho, parties, q) - _mutual_information(measured, parties, q)
-    terms = []
-    for k in range(1, n - 1):
-        sub = ProductMeasurement(phi.per_qubit[: k + 1])
-        terms.append(induced_discord(partial_trace(rho, range(k + 1)), sub, q, cut=_first_vs_last(k)))
-    if n > 1:
-        last = _parties(n, _first_vs_last(n - 1))
-        terms.append(_mutual_information(rho, last, q) - _mutual_information(measured, last, q))
-    residual = total - sum(terms)
-    return DecompositionLedger(float(total), tuple(terms), float(residual))
+        for k in range(1, rho.num_qubits)
+    )
+    return DecompositionLedger(total, terms, total - sum(terms))
 
 
 def _first_vs_last(k: int) -> Bipartition:

@@ -111,6 +111,19 @@ class TestCompute:
         if quantity == "entropy":
             assert payload["diagnostics"]["spectrum"] == [1.0, 0.0]
 
+    def test_many_eigenvalues_just_below_zero(self, capsys, tmp_path):
+        # Clipping 14 eigenvalues of -9e-10 up to 0 must not make the
+        # spectrum diagnostic fail its sum check.
+        path = tmp_path / "edge.json"
+        save_state(path, DensityMatrix(np.diag([0.5 + 6.3e-9] * 2 + [-9e-10] * 14)))
+        code, payload = run_json(
+            capsys, ["compute", "--state", str(path), "--quantity", "entropy", "--q", "0.5"]
+        )
+        assert code == 0
+        spectrum = payload["diagnostics"]["spectrum"]
+        assert len(spectrum) == 16
+        assert_allclose(sum(spectrum), 1.0, rtol=0, atol=1e-15)
+
 
 class TestExitCodes:
     def test_bad_q_is_parameter_error(self, capsys, werner_file):

@@ -20,6 +20,7 @@ from qdiscord.measurement import (
     BlochMeasurement,
     ProductMeasurement,
     _basis_columns,
+    apply_full,
     product_basis,
     projectors,
 )
@@ -76,8 +77,6 @@ class TestOptimizerConfig:
             OptimizerConfig(starts=0)
         with pytest.raises(ValueError, match="max_evals"):
             OptimizerConfig(max_evals=0)
-        with pytest.raises(ValueError, match="tol"):
-            OptimizerConfig(tol=0.0)
         with pytest.raises(ValueError, match="seed must be non-negative"):
             OptimizerConfig(seed=-1)
 
@@ -118,21 +117,26 @@ class TestMutualInformation:
 
 class TestFastObjective:
     def test_matches_direct_channel_route(self):
-        # The optimizer objective works from outcome probabilities and block
-        # spectra; it must agree with applying the channel and recomputing
-        # mutual information from scratch.
+        # The optimizer objective works from outcome probabilities; it must
+        # agree with applying the channel and recomputing mutual information
+        # from scratch, and induced_discord must give the same row.
         rng = np.random.default_rng(0)
-        for n in (2, 3):
+        for n, cut in ((2, None), (3, None), (4, None), (4, ((0, 2), (1, 3)))):
             rho = random_density_matrix(n, seed=100 + n)
-            groups = tuple((i,) for i in range(n))
+            groups = discord._parties(n, cut)
             for q in (0.5, 1.0, 2.0):
                 objective = _make_objective(rho, q, tuple(range(n)), groups)
                 angles = np.array([random_angles(rng, n) for _ in range(5)])
-                direct = [
-                    induced_discord(rho, ProductMeasurement.from_angles(a.reshape(-1, 2)), q)
-                    for a in angles
-                ]
+                direct, induced = [], []
+                for a in angles:
+                    phi = ProductMeasurement.from_angles(a.reshape(-1, 2))
+                    direct.append(
+                        _mutual_information(rho, groups, q)
+                        - _mutual_information(apply_full(phi, rho), groups, q)
+                    )
+                    induced.append(induced_discord(rho, phi, q, cut=cut))
                 assert_allclose(objective(angles), direct, atol=1e-11)
+                assert_allclose(induced, direct, atol=1e-11)
 
     def test_partial_measurement_route(self):
         # Measuring only qubit 2: the objective must equal the bipartite
@@ -268,7 +272,7 @@ class TestMatmulKernel:
             assert_allclose(fast, reference, rtol=0, atol=1e-13)
 
 
-def scipy_starts(objective, starts, max_evals, tol=1e-8):
+def scipy_starts(objective, starts, max_evals):
     """scipy's Nelder-Mead run alone from each start on the single-row kernel.
 
     Returns (result, evaluations of each iteration) per start; an iteration
@@ -290,7 +294,7 @@ def scipy_starts(objective, starts, max_evals, tol=1e-8):
             callback=lambda intermediate_result: marks.append(calls[0]),
             options={
                 "maxfev": max_evals,
-                "fatol": tol,
+                "fatol": discord._FATOL,
                 "xatol": 1e-4,
                 "initial_simplex": discord._simplex_around(x0),
             },
@@ -300,7 +304,7 @@ def scipy_starts(objective, starts, max_evals, tol=1e-8):
 
 
 def assert_matches_scipy(objective, starts, max_evals):
-    x, fun, nfev, success = discord._lockstep_nelder_mead(objective, starts, max_evals, 1e-8)
+    x, fun, nfev, success = discord._lockstep_nelder_mead(objective, starts, max_evals)
     reference = scipy_starts(objective, starts, max_evals)
     for k, (res, _) in enumerate(reference):
         assert np.array_equal(x[k], res.x)

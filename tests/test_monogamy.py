@@ -9,7 +9,7 @@ from qdiscord.discord import (
     induced_discord,
 )
 from qdiscord.linalg import DensityMatrix, partial_trace, permute_qubits
-from qdiscord.measurement import BlochMeasurement, ProductMeasurement, apply_full
+from qdiscord.measurement import BlochMeasurement, ProductMeasurement
 from qdiscord.monogamy import (
     CounterexampleAudit,
     DecompositionLedger,
@@ -58,18 +58,19 @@ class TestDecomposition:
         assert_allclose(ledger.total, 0.0, atol=1e-12)
         assert_allclose(ledger.terms, (0.0, 0.0), atol=1e-12)
 
-    def test_measures_the_full_state_once(self, monkeypatch):
-        # The k = n - 1 term is the cut (first n-1)|(last) of rho itself, so
-        # it shares the total's measured state and entropies; the values
-        # must still equal the term-by-term route bit for bit.
+    def test_builds_no_full_size_matrix(self, monkeypatch):
+        # Every value is a row of the discord objective, which works from
+        # outcome probabilities, so no measured 16 x 16 state is built; the
+        # values must equal the term-by-term route bit for bit.
         rng = np.random.default_rng(2)
         rho = random_density_matrix(4, seed=21)
         phi = random_product_measurement(rng, 4)
-        seen = []
+        built = []
+        init = DensityMatrix.__init__
 
-        def counting(phi, rho):
-            seen.append(rho.num_qubits)
-            return apply_full(phi, rho)
+        def counting(self, matrix):
+            init(self, matrix)
+            built.append(self.dim)
 
         for q in (0.5, 1.0, 2.0):
             total = induced_discord(rho, phi, q)
@@ -83,11 +84,10 @@ class TestDecomposition:
                 for k in range(1, 4)
             )
             with monkeypatch.context() as patch:
-                patch.setattr(monogamy, "apply_full", counting)
-                patch.setattr(discord, "apply_full", counting)
+                patch.setattr(DensityMatrix, "__init__", counting)
                 ledger = decompose_induced_gqd(rho, phi, q)
-            assert seen == [4, 2, 3]
-            seen.clear()
+            assert built and 16 not in built
+            built.clear()
             assert ledger.total == total
             assert ledger.terms == terms
             assert ledger.residual == total - sum(terms)
