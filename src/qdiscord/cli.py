@@ -463,7 +463,10 @@ def _fmt(value: float) -> str:
 def _add_optimizer_flags(sub):
     sub.add_argument("--starts", type=int, default=16, help="optimizer restarts")
     sub.add_argument(
-        "--max-evals", type=int, default=2000, help="objective evaluations per start"
+        "--max-evals",
+        type=int,
+        default=2000,
+        help="value-and-gradient evaluations per start",
     )
     sub.add_argument("--seed", type=int, default=0, help="seed for restarts and suites")
 

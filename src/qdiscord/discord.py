@@ -5,16 +5,19 @@ single qubits, or the two sides of a cut=(left, right). _parties and
 _mutual_information are the only code for each.
 
 The global quantity minimizes the q-mutual-information drop over product
-projective measurements of every qubit; the one-sided quantity measures
-only one party. Minimization is multi-start Nelder-Mead over the Bloch
-angles (theta, phi) of each measured qubit.
+projective measurements of every qubit (at q = 1, the global discord of
+Rulli & Sarandy, PRA 84, 042109 (2011)); the one-sided quantity measures
+only one party. Minimization is multi-start BFGS with a strong-Wolfe line
+search (Nocedal & Wright, Numerical Optimization, ch. 3 and 6) over the
+Bloch angles (theta, phi) of each measured qubit, on the objective's exact
+gradient.
 
-The starts run in lockstep: each is scipy's Nelder-Mead loop written as a
-generator that yields the points it needs, and each round evaluates the
-points of every running start in a single call of the batched objective,
-angles (K, 2m) to values (K,). A row of the batch is the same float as
-that row evaluated alone, so every start takes exactly scipy's steps and
-the result does not depend on how many starts share a round. The report
+The starts run in lockstep: each is a BFGS loop written as a generator
+that yields the point it needs, and each round evaluates the points of
+every running start in a single value-and-gradient call of the batched
+objective, angles (K, 2m) to values (K,) and gradients (K, 2m). A row of
+the batch is the same float as that row evaluated alone, so a start's
+result does not depend on how many starts share a round. The report
 keeps every start's minimum, evaluations and convergence, and how many
 starts reached the best basin.
 
@@ -22,17 +25,19 @@ The objective gets the measured spectrum from W^dagger (rho W), one
 batched matmul per call; with every qubit measured it calls the kernel
 that apply_full and outcome_probabilities use. It is the only code that
 evaluates I_q(Phi(rho)): induced_discord, the fixed-measurement drop, is
-its row at the measurement's angles, so no measured state is built.
+its row at the measurement's angles, so no measured state is built. The
+search alone asks for gradients; induced_discord takes the value-only path.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _check_q, _hq, tsallis_entropy
+from .entropy import _check_q, _dhq, _hq, tsallis_entropy
 from .linalg import DensityMatrix, partial_trace
 from .measurement import ProductMeasurement, _angles, _probabilities, product_basis
 
@@ -76,12 +81,12 @@ class Bipartition:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings for the multi-start simplex search.
+    """Settings for the multi-start BFGS search.
 
     starts counts starting points (the first eight are deterministic grid
     patterns, the rest are seeded sphere-uniform draws), max_evals caps the
-    objective evaluations per start, and seed fixes the random starts so
-    identical configs give identical results.
+    value-and-gradient evaluations per start, and seed fixes the random
+    starts so identical configs give identical results.
     """
 
     starts: int = 16
@@ -107,9 +112,11 @@ class DiscordReport:
     entry of measured_qubits. start_minima holds each start's final
     minimum in start order, and basin_hits counts the starts within
     BASIN_TOL of raw_value (at least 1: the best start itself).
-    start_evals and start_converged hold each start's objective
-    evaluations and whether it stopped before max_evals, in start order;
-    they sum to objective_evals, and the best start's flag is converged.
+    start_evals and start_converged hold each start's value-and-gradient
+    evaluations and whether it stopped by its own test (a small gradient,
+    a step that no longer lowers the value, or a line search that finds no
+    decrease) before max_evals, in start order; the evaluations sum to
+    objective_evals, and the best start's flag is converged.
     """
 
     value: float
@@ -197,6 +204,28 @@ def _start_points(m: int, opt: OptimizerConfig) -> list[np.ndarray]:
     return points
 
 
+@functools.lru_cache(maxsize=64)
+def _gradient_tables(m: int, measured_groups: tuple):
+    """Index tables of the objective's gradient, built once per shape.
+
+    flipped[i, j] is outcome j with measured qubit i's bit flipped (qubit 0
+    is the high bit) and signs[i, j] is +1 where that bit of j is 0, else
+    -1; shapes holds each measured group's marginal as an outcome tensor
+    with its summed axes kept at length 1. Objectives of one shape share
+    the read-only arrays, and value-only objectives never build them.
+    """
+    outcomes = np.arange(2**m)
+    bits = (1 << np.arange(m - 1, -1, -1))[:, None]
+    flipped = outcomes ^ bits
+    signs = np.where(outcomes & bits, -1.0, 1.0)
+    flipped.setflags(write=False)
+    signs.setflags(write=False)
+    shapes = tuple(
+        tuple(1 if 1 + ax in sum_axes else 2 for ax in range(m)) for sum_axes in measured_groups
+    )
+    return flipped, signs, shapes
+
+
 def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], groups):
     """Batched I_q(rho) - I_q(Phi(rho)): angles of shape (K, 2m) to K values.
 
@@ -212,6 +241,19 @@ def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], gro
     unmeasured cancel exactly and are skipped. Every row is computed on its
     own: a row's value does not depend on the other rows of the batch, and
     induced_discord is the single row at one measurement.
+
+    objective(angles, gradient=True) returns (values (K,), gradients
+    (K, 2m)) instead, the gradient exact. Differentiating qubit k's factor
+    gives dW = W (I x G x I), with G_theta = [[0, -1/2], [1/2, 0]] and
+    G_phi = i [[sin^2(theta/2), sin(theta)/2], [sin(theta)/2, cos^2(theta/2)]].
+    With C_ji the (j, i) block of (W x I)^dagger rho (W x I) and
+    E_j = h'(B_j) - sum_g h'(marginal_g)[j] I (h' from entropy._dhq, and
+    h'(B_j) = V h'(Lambda) V^dagger from the block's eigh), the derivatives
+    are sum_j +-Re tr(E_j C_{j, j^k}) in theta_k, + where qubit k's bit of
+    j is 0, and -sin(theta_k) sum_j Im tr(E_j C_{j, j^k}) in phi_k. In
+    this mode the block spectra come from eigh, whose eigenvalues can
+    differ from eigvalsh's in the last bits; with every qubit measured the
+    values are the value-only ones.
     """
     n = rho.num_qubits
     m = len(measured)
@@ -241,8 +283,9 @@ def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], gro
             raise ValueError("each party must be fully measured or fully unmeasured")
         # fully unmeasured groups drop out: their marginal is untouched
     const = _mutual_information(rho, parties, q)
+    measured_groups = tuple(measured_groups)
 
-    def objective(angles: np.ndarray) -> np.ndarray:
+    def objective(angles: np.ndarray, gradient: bool = False):
         w = product_basis(angles)
         k = w.shape[0]
         if dim_u == 1:
@@ -254,140 +297,154 @@ def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], gro
             blocks = np.einsum("kaj,kauvj->kjuv", w.conj(), rho_w)
             probs = np.einsum("kjuu->kj", blocks).real
             np.maximum(probs, 0.0, out=probs)
-            spectrum = np.linalg.eigvalsh(blocks).reshape(k, -1)
+            if gradient:
+                eigenvalues, vectors = np.linalg.eigh(blocks)
+            else:
+                eigenvalues = np.linalg.eigvalsh(blocks)
+            spectrum = eigenvalues.reshape(k, -1)
         ptensor = probs.reshape((k,) + (2,) * m)
         marginals = [
             (ptensor.sum(axis=ax) if ax else probs).reshape(k, -1) for ax in measured_groups
         ]
         # _hq is a plain sum over entries, so one call over the concatenated
         # marginals gives the sum of their entropies.
-        return const + _hq(spectrum, q) - _hq(np.concatenate(marginals, axis=1), q)
+        values = const + _hq(spectrum, q) - _hq(np.concatenate(marginals, axis=1), q)
+        if not gradient:
+            return values
+
+        flipped, signs, marginal_shapes = _gradient_tables(m, measured_groups)
+        # sum_g h'(marginal_g), broadcast back to the outcomes
+        shift = np.zeros_like(ptensor)
+        for shape, marginal in zip(marginal_shapes, marginals):
+            shift += _dhq(marginal, q).reshape((k,) + shape)
+        shift = shift.reshape(k, dim_m)
+        if dim_u == 1:
+            # rho W again: _probabilities keeps only its diagonal
+            rho_w = (stacked @ w).reshape(k, dim_m, 1, 1, dim_m)
+            e = (_dhq(probs, q) - shift)[:, :, None, None]
+        else:
+            e = (vectors * _dhq(eigenvalues, q)[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
+            e -= shift[:, :, None, None] * np.eye(dim_u)
+        # traces[k, i, j] = tr(E_j C_{j, j^i}) for measured qubit i
+        traces = np.einsum("kaj,kjvu,kauvij->kij", w.conj(), e, rho_w[..., flipped])
+        grad = np.empty((k, 2 * m))
+        grad[:, 0::2] = (signs * traces.real).sum(axis=-1)
+        grad[:, 1::2] = -np.sin(np.asarray(angles)[:, 0::2]) * traces.imag.sum(axis=-1)
+        return values, grad
 
     return objective
 
 
-def _simplex_around(x0: np.ndarray) -> np.ndarray:
-    d = x0.size
-    simplex = np.tile(x0, (d + 1, 1))
-    for k in range(d):
-        simplex[k + 1, k] += 0.35
-    return simplex
+# BFGS settings (Nocedal & Wright, Numerical Optimization, ch. 3 and 6)
+_C1, _C2 = 1e-4, 0.9  # strong-Wolfe sufficient decrease and curvature
+_GTOL = 1e-6  # stop when max |gradient| is at most this
+_FTOL = 1e-13  # stop when a step lowers f by at most this times max(1, |f|)
+_CURVATURE_TOL = 1e-10  # update only when s.y exceeds this times |s| |y|
+_STEP_TOL = 1e-12  # the line search gives up when its bracket is this short
 
 
-_XATOL = 1e-4  # scipy's default
-_FATOL = 1e-8
+def _line_search(x, f0, g0, p, alpha, budget: int):
+    """Strong-Wolfe step along p from x (N&W Alg. 3.5 and 3.6), as a generator.
 
-
-def _nelder_mead(x0: np.ndarray, maxfev: int):
-    """scipy's _minimize_neldermead from _simplex_around(x0), as a generator.
-
-    The loop is scipy's line for line (no bounds, maxiter unbounded, the
-    standard coefficients rho = 1, chi = 2, psi = sigma = 1/2 multiplied
-    out in each trial point), except that it yields the points to
-    evaluate as rows of an array and receives their values instead of
-    calling the objective, and a shrink yields its vertices together. A
-    step whose evaluation would exceed maxfev is dropped, as scipy's
-    _MaxFuncCallError drops it; a shrink still moves the vertex it could
-    not evaluate, which keeps its old value. Returns
-    (x, min(fsim), evaluations, success), where success means the search
-    stopped before maxfev.
+    Yields each trial point and receives its (value, gradient). The
+    bracketing phase extrapolates by 4x; once a bracket exists, the zoom
+    phase tries the minimizer of the quadratic through f(lo), f'(lo) and
+    f(hi), bisecting when that leaves the middle 80 % of the bracket. lo is
+    always the lowest trial that meets sufficient decrease. Returns
+    (alpha, f, g, evaluations) at a strong-Wolfe point, or at lo when the
+    budget runs out or the bracket collapses; alpha is 0 when no trial
+    lowered f.
     """
-    n = x0.size
-    sim = _simplex_around(x0)
-    fsim = np.full((n + 1,), np.inf, dtype=float)
-    nfev = min(n + 1, maxfev)
-    fsim[:nfev] = yield sim[:nfev]
-    for _ in range(2):  # scipy sorts the initial simplex twice
-        ind = fsim.argsort()
-        sim, fsim = sim[ind], fsim[ind]
-
-    while nfev < maxfev:
-        # scipy's test; fsim is sorted, so its largest |fsim[0] - fsim[j]|
-        # is fsim[-1] - fsim[0], and that cheap half goes first.
-        if (fsim[-1] - fsim[0] <= _FATOL and
-                np.abs(sim[1:] - sim[0]).max() <= _XATOL):
-            return sim[0], fsim.min(), nfev, True
-
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
-        (fxr,) = yield xr[None]
-        nfev += 1
-        doshrink = 0
-
-        if fxr < fsim[0]:
-            if nfev < maxfev:
-                xe = 3 * xbar - 2 * sim[-1]
-                (fxe,) = yield xe[None]
-                nfev += 1
-
-                if fxe < fxr:
-                    sim[-1] = xe
-                    fsim[-1] = fxe
-                else:
-                    sim[-1] = xr
-                    fsim[-1] = fxr
-        elif fxr < fsim[-2]:
-            sim[-1] = xr
-            fsim[-1] = fxr
-        elif nfev < maxfev:
-            # Perform contraction
-            if fxr < fsim[-1]:
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                (fxc,) = yield xc[None]
-                nfev += 1
-
-                if fxc <= fxr:
-                    sim[-1] = xc
-                    fsim[-1] = fxc
-                else:
-                    doshrink = 1
-            else:
-                # Perform an inside contraction
-                xcc = 0.5 * xbar + 0.5 * sim[-1]
-                (fxcc,) = yield xcc[None]
-                nfev += 1
-
-                if fxcc < fsim[-1]:
-                    sim[-1] = xcc
-                    fsim[-1] = fxcc
-                else:
-                    doshrink = 1
-
-            if doshrink:
-                # Vertex j moves before it is evaluated and depends only on
-                # itself and sim[0], so the evaluable ones go out together.
-                evaluated = min(n, maxfev - nfev)
-                moved = min(n, evaluated + 1)
-                sim[1 : moved + 1] = sim[0] + 0.5 * (sim[1 : moved + 1] - sim[0])
-                if evaluated:
-                    fsim[1 : evaluated + 1] = yield sim[1 : evaluated + 1]
-                    nfev += evaluated
-        ind = fsim.argsort()
-        sim, fsim = sim[ind], fsim[ind]
-
-    return sim[0], fsim.min(), nfev, False
+    d0 = g0 @ p
+    p_norm = math.sqrt(p @ p)
+    lo, f_lo, g_lo, d_lo = 0.0, f0, g0, d0
+    hi = f_hi = None
+    used = 0
+    while used < budget:
+        f, g = yield x + alpha * p
+        used += 1
+        d = g @ p
+        if f > f0 + _C1 * alpha * d0 or f >= f_lo:
+            hi, f_hi = alpha, f
+        elif abs(d) <= -_C2 * d0:
+            return alpha, f, g, used
+        else:
+            if d * (1.0 if hi is None else hi - lo) >= 0.0:
+                hi, f_hi = lo, f_lo
+            lo, f_lo, g_lo, d_lo = alpha, f, g, d
+        if hi is None:
+            alpha = 4.0 * lo
+            continue
+        width = hi - lo
+        if abs(width) * p_norm <= _STEP_TOL:
+            break
+        curvature = (f_hi - f_lo - d_lo * width) / (width * width)
+        t = -d_lo / (2.0 * curvature) / width if curvature > 0.0 else 0.5
+        alpha = lo + (t if 0.1 <= t <= 0.9 else 0.5) * width
+    return lo, f_lo, g_lo, used
 
 
-def _lockstep_nelder_mead(objective, x0: np.ndarray, maxfev: int):
-    """_nelder_mead from every row of x0, with one objective call per round.
+def _bfgs(x0: np.ndarray, max_evals: int):
+    """BFGS from x0 as a generator that yields points and receives (f, g).
 
-    Each round stacks the points every running search yields, evaluates
-    them in a single batched call and sends each search its own values.
-    Returns the best vertices (K, N), their values (K,), the evaluations
-    (K,) and success (K,).
+    The first step is steepest descent of length min(1, 1 / |p|); the
+    inverse Hessian estimate starts as (s.y / y.y) I at the first update
+    (N&W eq. 6.20), and an update is skipped unless s.y > 1e-10 |s| |y|.
+    The search stops when max |g| <= _GTOL, when an accepted step lowers f
+    by at most _FTOL max(1, |f|) (at q < 1 the gradient of a rank-deficient
+    state never vanishes at its p -> 0 kink), when the line search finds no
+    decrease, or after max_evals evaluations. Returns (x, f, evaluations,
+    success), where success means the search stopped before max_evals.
     """
-    searches = [_nelder_mead(x, maxfev) for x in x0]
+    x = x0
+    f, g = yield x
+    nfev = 1
+    h = None
+    while nfev < max_evals and np.abs(g).max() > _GTOL:
+        p = -g if h is None else -(h @ g)
+        if g @ p >= 0.0:  # rounding cost h its positive definiteness
+            h, p = None, -g
+        alpha = min(1.0, 1.0 / math.sqrt(p @ p)) if h is None else 1.0
+        alpha, f_new, g_new, used = yield from _line_search(
+            x, f, g, p, alpha, max_evals - nfev
+        )
+        nfev += used
+        if alpha == 0.0:
+            break
+        s, y = alpha * p, g_new - g
+        progress = f - f_new
+        x, f, g = x + s, f_new, g_new
+        if progress <= _FTOL * max(1.0, abs(f)):
+            break
+        sy, yy = s @ y, y @ y
+        if sy > _CURVATURE_TOL * math.sqrt((s @ s) * yy):
+            if h is None:
+                h = (sy / yy) * np.eye(x.size)
+            # (I - s y^T / sy) h (I - y s^T / sy) + s s^T / sy, multiplied out
+            hy = h @ y
+            h = h + (s[:, None] * ((1.0 + (y @ hy) / sy) * s - hy) - hy[:, None] * s) / sy
+    return x, f, nfev, nfev < max_evals
+
+
+def _lockstep_bfgs(objective, x0: np.ndarray, max_evals: int):
+    """_bfgs from every row of x0, with one objective call per round.
+
+    Each round stacks the point every running search yields, evaluates
+    values and gradients in a single batched call and sends each search its
+    own row. Rows are computed independently, so a start takes the same
+    steps whichever starts share its rounds. Returns the final points
+    (K, N), their values (K,), the evaluations (K,) and success (K,).
+    """
+    searches = [_bfgs(x, max_evals) for x in x0]
     results = [None] * len(searches)
     running = list(enumerate(searches))
     points = [search.send(None) for search in searches]
     while running:
-        values = objective(np.concatenate(points)).tolist()
-        asked, running, points = zip(running, points), [], []
-        stop = 0
-        for (k, search), p in asked:
-            start, stop = stop, stop + len(p)
+        values, grads = objective(np.array(points), gradient=True)
+        asked, running, points = zip(running, values.tolist(), grads), [], []
+        for (k, search), f, g in asked:
             try:
-                points.append(search.send(values[start:stop]))
+                points.append(search.send((f, g)))
                 running.append((k, search))
             except StopIteration as done:
                 results[k] = done.value
@@ -404,7 +461,7 @@ def _minimize_discord(
 ) -> DiscordReport:
     objective = _make_objective(rho, q, measured, groups)
     starts = np.array(_start_points(len(measured), opt))
-    xs, fun, nfev, success = _lockstep_nelder_mead(objective, starts, opt.max_evals)
+    xs, fun, nfev, success = _lockstep_bfgs(objective, starts, opt.max_evals)
     minima = tuple(float(f) for f in fun)
     best = min(range(len(minima)), key=minima.__getitem__)  # the first lowest start
     raw = minima[best]
@@ -457,6 +514,14 @@ def q_qd_one_sided(
     The complement is treated as the unmeasured party and the score is the
     two-party mutual-information drop across that split, minimized over
     per-qubit product measurements of the measured subset.
+
+    Three closed forms pin it, each checked by a test at 1e-5 with 8 starts
+    of 800 evaluations. With one qubit of n = 3 or 4 measured, the GHZ
+    dilution gives werner_ghz_gqd(n, mu, q): every axis yields the all-z
+    spectrum and both marginals stay put. With one qubit of n = 4
+    measured, the Pauli-diagonal state gives pauli_diagonal_gqd(4, c1, c2,
+    c3, q), since the measured spectrum is (1 +/- |c o m|)/16. At n = 2
+    the Pauli-diagonal closed form is the value with either qubit measured.
     """
     q = _check_q(q)
     _check_desk_scale(rho)

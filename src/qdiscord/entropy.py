@@ -77,6 +77,21 @@ def _hq(p: np.ndarray, q: float):
     return -(p * np.expm1((q - 1.0) * ln_p)).sum(axis=-1) / (q - 1.0)
 
 
+def _dhq(p: np.ndarray, q: float) -> np.ndarray:
+    """Entrywise derivative of _hq's terms, less the constant -1 they share.
+
+    -q expm1((q - 1) ln p) / (q - 1), or -ln p at q == 1, and 0 for
+    entries at or below ZERO_PROB_CUTOFF, which _hq counts as exact zeros.
+    The dropped constant multiplies the change of a total probability, and
+    that is zero along any trace-preserving path.
+    """
+    p = np.where(p > ZERO_PROB_CUTOFF, p, 1.0)
+    ln_p = np.log(p)
+    if q == 1.0:
+        return -ln_p
+    return -q * np.expm1((q - 1.0) * ln_p) / (q - 1.0)
+
+
 def tsallis_entropy_probs(p, q: float) -> float:
     """Tsallis q-entropy H_q(p) = (1 - sum_j p_j**q) / (q - 1).
 

@@ -83,6 +83,22 @@ class TestWernerGhzClosedForm:
         report = q_gqd(werner_ghz(2, 0.5), 0.5)
         assert abs(value - report.value) <= 1e-5
 
+    def test_one_sided_matches_optimizer(self):
+        # Measuring any one qubit gives the all-z ceiling spectrum on every
+        # axis and leaves both marginals unchanged, so the one-sided value
+        # is the global closed form.
+        opt = OptimizerConfig(starts=8, max_evals=800)
+        worst = 0.0
+        for n in (3, 4):
+            for mu in (0.2, 0.6, 0.95):
+                rho = werner_ghz(n, mu)
+                for q in (0.5, 1.0, 2.0):
+                    value = werner_ghz_gqd(n, mu, q).value
+                    for k in range(n):
+                        report = q_qd_one_sided(rho, (k,), q, opt)
+                        worst = max(worst, abs(value - report.value))
+        assert worst <= 1e-5
+
 
 class TestPauliLambdas:
     def test_two_qubit_spectrum(self):
@@ -166,6 +182,22 @@ class TestPauliClosedForm:
                 value = pauli_diagonal_gqd(2, c1, c2, c3, q).value
                 for side in ((0,), (1,)):
                     report = q_qd_one_sided(rho, side, q, opt)
+                    worst = max(worst, abs(value - report.value))
+        assert worst <= 1e-5
+
+    def test_one_sided_n4_matches_optimizer(self):
+        # The three sigma_i^(x3) left by measuring one of four qubits
+        # pairwise anticommute, so the measured spectrum is (1 +/- |c o m|)/16
+        # and the one-sided value is the global closed form.
+        opt = OptimizerConfig(starts=8, max_evals=800)
+        worst = 0.0
+        for i in range(6):
+            c1, c2, c3 = random_pauli_diagonal_coefficients(4, seed=400 + i)
+            rho = pauli_diagonal_state(4, c1, c2, c3)
+            for q in (0.5, 1.0, 2.0):
+                value = pauli_diagonal_gqd(4, c1, c2, c3, q).value
+                for k in range(4):
+                    report = q_qd_one_sided(rho, (k,), q, opt)
                     worst = max(worst, abs(value - report.value))
         assert worst <= 1e-5
 

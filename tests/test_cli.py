@@ -370,3 +370,13 @@ class TestConsoleEntry:
         )
         assert result.returncode == 0
         assert result.stdout.startswith("q,mixed:2,difference\n")
+
+    def test_package_execution(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "qdiscord", "sweep", "--steps", "2", "--starts", "1", "--max-evals", "20"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        names = ",".join(DEFAULT_TARGETS)
+        assert result.stdout.startswith(f"q,{names},difference\n")
