@@ -426,16 +426,16 @@ def _bfgs(x0: np.ndarray, max_evals: int):
     return x, f, nfev, nfev < max_evals
 
 
-def _lockstep_bfgs(objective, x0: np.ndarray, max_evals: int):
-    """_bfgs from every row of x0, with one objective call per round.
+def _lockstep(objective, searches):
+    """Run generator searches such as _bfgs with one objective call per round.
 
     Each round stacks the point every running search yields, evaluates
     values and gradients in a single batched call and sends each search its
-    own row. Rows are computed independently, so a start takes the same
-    steps whichever starts share its rounds. Returns the final points
-    (K, N), their values (K,), the evaluations (K,) and success (K,).
+    own (f, g). Rows are computed independently, so a search takes the same
+    steps whichever searches share its rounds. Each search returns
+    (x, f, evaluations, success); the result is those four stacked over the
+    searches: (K, N), (K,), (K,) and (K,).
     """
-    searches = [_bfgs(x, max_evals) for x in x0]
     results = [None] * len(searches)
     running = list(enumerate(searches))
     points = [search.send(None) for search in searches]
@@ -461,7 +461,8 @@ def _minimize_discord(
 ) -> DiscordReport:
     objective = _make_objective(rho, q, measured, groups)
     starts = np.array(_start_points(len(measured), opt))
-    xs, fun, nfev, success = _lockstep_bfgs(objective, starts, opt.max_evals)
+    searches = [_bfgs(x, opt.max_evals) for x in starts]
+    xs, fun, nfev, success = _lockstep(objective, searches)
     minima = tuple(float(f) for f in fun)
     best = min(range(len(minima)), key=minima.__getitem__)  # the first lowest start
     raw = minima[best]

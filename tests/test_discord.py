@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import minimize
 
 from qdiscord import discord
 from qdiscord.discord import (
@@ -314,6 +315,10 @@ KERNELS = {
 }
 
 
+def lockstep_bfgs(objective, starts, max_evals):
+    return discord._lockstep(objective, [discord._bfgs(x, max_evals) for x in starts])
+
+
 class TestLockstepBFGS:
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     @pytest.mark.parametrize("extra", ["1", "N", "N+1", "N+2", "400"])
@@ -325,9 +330,9 @@ class TestLockstepBFGS:
         rho = random_density_matrix(n, seed=200 + n)
         objective = _make_objective(rho, 0.5, measured, groups)
         starts = np.array(discord._start_points(len(measured), OptimizerConfig(starts=16)))
-        x, fun, nfev, success = discord._lockstep_bfgs(objective, starts, max_evals)
+        x, fun, nfev, success = lockstep_bfgs(objective, starts, max_evals)
         for k in range(len(starts)):
-            alone = discord._lockstep_bfgs(objective, starts[k : k + 1], max_evals)
+            alone = lockstep_bfgs(objective, starts[k : k + 1], max_evals)
             assert np.array_equal(x[k], alone[0][0])
             assert fun[k] == alone[1][0]
             assert nfev[k] == alone[2][0] <= max_evals
@@ -341,7 +346,7 @@ class TestLockstepBFGS:
         rho = DensityMatrix(np.eye(2**n) / 2**n)
         objective = _make_objective(rho, 1.0, measured, groups)
         starts = np.array(discord._start_points(len(measured), OptimizerConfig(starts=4)))
-        x, fun, nfev, success = discord._lockstep_bfgs(objective, starts, 400)
+        x, fun, nfev, success = lockstep_bfgs(objective, starts, 400)
         assert np.array_equal(x, starts)
         assert nfev.tolist() == [1] * 4
         assert success.all()
@@ -355,9 +360,178 @@ class TestLockstepBFGS:
         x0 = np.array(discord._start_points(len(measured), OptimizerConfig(starts=1)))
         f0 = objective(x0)[0]
         for budget in range(2, 16):
-            x, fun, nfev, success = discord._lockstep_bfgs(objective, x0, budget)
+            x, fun, nfev, success = lockstep_bfgs(objective, x0, budget)
             assert nfev[0] == budget and not success[0]
             assert fun[0] == objective(x)[0] <= f0
+
+
+XATOL = 1e-4  # scipy's default
+FATOL = 1e-8
+
+
+def simplex_around(x0):
+    simplex = np.tile(x0, (x0.size + 1, 1))
+    for k in range(x0.size):
+        simplex[k + 1, k] += 0.35
+    return simplex
+
+
+def nelder_mead(x0, maxfev):
+    """scipy's _minimize_neldermead from simplex_around(x0), as a search for
+    discord._lockstep: it yields each point and receives (f, g).
+
+    The loop is scipy's line for line (no bounds, maxiter unbounded, the
+    standard coefficients rho = 1, chi = 2, psi = sigma = 1/2 multiplied
+    out in each trial point). A step whose evaluation would exceed maxfev is
+    dropped, as scipy's _MaxFuncCallError drops it; a shrink still moves the
+    vertex it could not evaluate, which keeps its old value. A shrink takes
+    one round per vertex, so the starts of a lockstep run fall out of step.
+    """
+    n = x0.size
+    sim = simplex_around(x0)
+    fsim = np.full((n + 1,), np.inf, dtype=float)
+    nfev = 0
+    while nfev < min(n + 1, maxfev):
+        fsim[nfev], _ = yield sim[nfev]
+        nfev += 1
+    for _ in range(2):  # scipy sorts the initial simplex twice
+        ind = fsim.argsort()
+        sim, fsim = sim[ind], fsim[ind]
+
+    while nfev < maxfev:
+        if fsim[-1] - fsim[0] <= FATOL and np.abs(sim[1:] - sim[0]).max() <= XATOL:
+            return sim[0], fsim.min(), nfev, True
+
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr, _ = yield xr
+        nfev += 1
+        doshrink = 0
+
+        if fxr < fsim[0]:
+            if nfev < maxfev:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe, _ = yield xe
+                nfev += 1
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif nfev < maxfev:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc, _ = yield xc
+                nfev += 1
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    doshrink = 1
+            else:  # inside contraction
+                xcc = 0.5 * xbar + 0.5 * sim[-1]
+                fxcc, _ = yield xcc
+                nfev += 1
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    doshrink = 1
+
+            if doshrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    if nfev == maxfev:
+                        break
+                    fsim[j], _ = yield sim[j]
+                    nfev += 1
+        ind = fsim.argsort()
+        sim, fsim = sim[ind], fsim[ind]
+
+    return sim[0], fsim.min(), nfev, False
+
+
+def scipy_starts(objective, starts, max_evals):
+    """scipy's Nelder-Mead run alone from each start on the single-row kernel.
+
+    Returns (result, evaluations of each iteration) per start; an iteration
+    with more than two evaluations is a shrink.
+    """
+    out = []
+    for x0 in starts:
+        calls = [0]
+        marks = []
+
+        def fun(x):
+            calls[0] += 1
+            values, _ = objective(x[None], gradient=True)
+            return values[0]
+
+        res = minimize(
+            fun,
+            x0,
+            method="Nelder-Mead",
+            callback=lambda intermediate_result: marks.append(calls[0]),
+            options={
+                "maxfev": max_evals,
+                "fatol": FATOL,
+                "xatol": XATOL,
+                "initial_simplex": simplex_around(x0),
+            },
+        )
+        out.append((res, np.diff([x0.size + 1] + marks)))
+    return out
+
+
+def assert_matches_scipy(objective, starts, max_evals):
+    searches = [nelder_mead(x, max_evals) for x in starts]
+    x, fun, nfev, success = discord._lockstep(objective, searches)
+    reference = scipy_starts(objective, starts, max_evals)
+    for k, (res, _) in enumerate(reference):
+        assert np.array_equal(x[k], res.x)
+        assert fun[k] == res.fun
+        assert nfev[k] == res.nfev
+        assert success[k] == res.success
+    return reference
+
+
+class TestLockstepNelderMead:
+    # discord._lockstep driving scipy's Nelder-Mead, whose starts stop at
+    # scattered rounds and exhaust their budgets mid-step, repeats each start
+    # run alone by scipy step for step.
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("extra", ["1", "N", "N+1", "N+2", "400"])
+    def test_matches_scipy_per_start(self, kernel, extra):
+        n, measured, groups = KERNELS[kernel]
+        dim = 2 * len(measured)
+        max_evals = {"1": 1, "N": dim, "N+1": dim + 1, "N+2": dim + 2, "400": 400}[extra]
+        rho = random_density_matrix(n, seed=200 + n)
+        objective = _make_objective(rho, 0.5, measured, groups)
+        starts = np.array(discord._start_points(len(measured), OptimizerConfig(starts=5)))
+        assert_matches_scipy(objective, starts, max_evals)
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_matches_scipy_through_shrinks(self, kernel):
+        # On the maximally mixed state the objective is flat up to rounding,
+        # so contractions fail and the simplices shrink.
+        n, measured, groups = KERNELS[kernel]
+        rho = DensityMatrix(np.eye(2**n) / 2**n)
+        objective = _make_objective(rho, 1.0, measured, groups)
+        starts = np.array(discord._start_points(len(measured), OptimizerConfig(starts=4)))
+        reference = assert_matches_scipy(objective, starts, 400)
+        assert any((steps > 2).any() for _, steps in reference)
+
+    def test_budget_runs_out_mid_shrink(self):
+        n, measured, groups = KERNELS["global-n3"]
+        dim = 2 * len(measured)
+        rho = DensityMatrix(np.eye(2**n) / 2**n)
+        objective = _make_objective(rho, 1.0, measured, groups)
+        starts = np.array(discord._start_points(len(measured), OptimizerConfig(starts=4)))
+        (_, steps), *_ = scipy_starts(objective, starts, 400)
+        first = int(np.flatnonzero(steps > 2)[0])
+        # reflection, contraction and one of the dim shrink evaluations
+        budget = dim + 1 + int(steps[:first].sum()) + 3
+        (res, steps), *_ = assert_matches_scipy(objective, starts, budget)
+        assert res.nfev == budget and steps[-1] == 3
 
 
 class TestGlobalDiscord:
