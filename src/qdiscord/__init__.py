@@ -15,7 +15,6 @@ from .analytic import (
     werner_ghz_optimal_measured_spectrum,
 )
 from .discord import (
-    Bipartition,
     DiscordReport,
     OptimizerConfig,
     induced_discord,
@@ -80,7 +79,6 @@ __all__ = [
     "werner_ghz_gqd",
     "werner_ghz_measured_spectrum",
     "werner_ghz_optimal_measured_spectrum",
-    "Bipartition",
     "DiscordReport",
     "OptimizerConfig",
     "induced_discord",

@@ -35,7 +35,7 @@ from .entropy import (
     tsallis_entropy,
     tsallis_entropy_probs,
 )
-from .linalg import DensityMatrix, partial_trace, state_spectrum
+from .linalg import DESK_SCALE_LIMIT, DensityMatrix, partial_trace, state_spectrum
 from .measurement import ProductMeasurement, apply_full
 from .monogamy import (
     INEQUALITY_TOL,
@@ -414,8 +414,8 @@ def _parse_target(text: str):
         return text, pauli_diagonal_state(n, c1, c2, c3)
     if kind == "mixed" and len(fields) == 1:
         n = _target_number(text, fields[0], int)
-        if not 1 <= n <= 4:
-            raise ParameterError("mixed target qubit count must be 1..4")
+        if not 1 <= n <= DESK_SCALE_LIMIT:
+            raise ParameterError(f"mixed target qubit count must be 1..{DESK_SCALE_LIMIT}")
         return text, DensityMatrix(np.eye(2**n) / 2**n)
     if kind == "file" and len(fields) >= 1:
         return text.replace(",", ";"), load_state(rest)
@@ -461,14 +461,15 @@ def _fmt(value: float) -> str:
 
 
 def _add_optimizer_flags(sub):
-    sub.add_argument("--starts", type=int, default=16, help="optimizer restarts")
+    defaults = OptimizerConfig()
+    sub.add_argument("--starts", type=int, default=defaults.starts, help="optimizer restarts")
     sub.add_argument(
         "--max-evals",
         type=int,
-        default=2000,
+        default=defaults.max_evals,
         help="value-and-gradient evaluations per start",
     )
-    sub.add_argument("--seed", type=int, default=0, help="seed for restarts and suites")
+    sub.add_argument("--seed", type=int, default=defaults.seed, help="seed for restarts and suites")
 
 
 def build_parser() -> argparse.ArgumentParser:

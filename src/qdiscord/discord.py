@@ -1,8 +1,9 @@
 """q-mutual information and measurement-minimized discord quantities.
 
 Every quantity uses I_q = -S_q(rho) + sum_g S_q(rho_g) over parties g: the
-single qubits, or the two sides of a cut=(left, right). _parties and
-_mutual_information are the only code for each.
+single qubits, or the two sides of a cut=(left, right), a plain pair that
+_parties alone checks. _parties and _mutual_information are the only code
+for each.
 
 The global quantity minimizes the q-mutual-information drop over product
 projective measurements of every qubit (at q = 1, the global discord of
@@ -22,11 +23,11 @@ keeps every start's minimum, evaluations and convergence, and how many
 starts reached the best basin.
 
 The objective gets the measured spectrum from W^dagger (rho W), one
-batched matmul per call; with every qubit measured it calls the kernel
-that apply_full and outcome_probabilities use. It is the only code that
-evaluates I_q(Phi(rho)): induced_discord, the fixed-measurement drop, is
-its row at the measurement's angles, so no measured state is built. The
-search alone asks for gradients; induced_discord takes the value-only path.
+batched matmul per call that its gradient reuses; with every qubit
+measured it takes the diagonal apply_full uses, else eigh's block spectra,
+so value calls and gradient calls agree bit for bit. It is the only code
+that evaluates I_q(Phi(rho)): induced_discord, the fixed-measurement drop,
+is its row at the measurement's angles, so no measured state is built.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import _check_q, _dhq, _hq, tsallis_entropy
-from .linalg import DensityMatrix, partial_trace
-from .measurement import ProductMeasurement, _angles, _probabilities, product_basis
+from .linalg import DESK_SCALE_LIMIT, DensityMatrix, partial_trace
+from .measurement import ProductMeasurement, _angles, _diagonal, product_basis
 
-DESK_SCALE_LIMIT = 4
 CLAMP_SLACK = 1e-8
 # Starts whose minimum lies within this of the best one share its basin.
 BASIN_TOL = 1e-7
@@ -49,7 +49,6 @@ BASIN_TOL = 1e-7
 __all__ = [
     "DESK_SCALE_LIMIT",
     "BASIN_TOL",
-    "Bipartition",
     "OptimizerConfig",
     "DiscordReport",
     "mutual_information_q",
@@ -57,26 +56,6 @@ __all__ = [
     "q_gqd",
     "q_qd_one_sided",
 ]
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """Two-block split of qubit indices, used for two-party quantities."""
-
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "left", tuple(sorted(int(i) for i in self.left)))
-        object.__setattr__(self, "right", tuple(sorted(int(i) for i in self.right)))
-        if not self.left or not self.right:
-            raise ValueError("both sides of a bipartition must be nonempty")
-        if set(self.left) & set(self.right):
-            raise ValueError("bipartition sides must be disjoint")
-
-    def check_covers(self, num_qubits: int) -> None:
-        if sorted(self.left + self.right) != list(range(num_qubits)):
-            raise ValueError("bipartition must cover every qubit exactly once")
 
 
 @dataclass(frozen=True)
@@ -135,14 +114,17 @@ class DiscordReport:
 
 
 def _parties(n: int, cut) -> tuple[tuple[int, ...], ...]:
-    """Single qubits when cut is None, else the sides of the covering cut."""
+    """Single qubits when cut is None, else cut's sides, sorted; they must split range(n)."""
     if cut is None:
         return tuple((i,) for i in range(n))
-    if not isinstance(cut, Bipartition):
-        left, right = cut
-        cut = Bipartition(left, right)
-    cut.check_covers(n)
-    return (cut.left, cut.right)
+    left, right = (tuple(sorted(int(i) for i in side)) for side in cut)
+    if not left or not right:
+        raise ValueError("both sides of a bipartition must be nonempty")
+    if set(left) & set(right):
+        raise ValueError("bipartition sides must be disjoint")
+    if sorted(left + right) != list(range(n)):
+        raise ValueError("bipartition must cover every qubit exactly once")
+    return (left, right)
 
 
 def _mutual_information(rho: DensityMatrix, groups, q: float) -> float:
@@ -234,12 +216,12 @@ def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], gro
     from outcome probabilities and per-block spectra of W^dagger rho W (W
     the rotated product basis) rather than from an explicit channel
     application. With every qubit measured, the probabilities come from
-    measurement._probabilities, the kernel the channel API uses. With some
-    qubits unmeasured, block j is sum_ab W*[a, j] rho[(a, u), (b, v)] W[b, j]:
-    one batched matmul of rho's measured column index b against W, then a
-    2-operand contraction over a with W*. Group terms whose qubits are
-    unmeasured cancel exactly and are skipped. Every row is computed on its
-    own: a row's value does not depend on the other rows of the batch, and
+    rho W by measurement._diagonal, the kernel the channel API uses. With
+    some qubits unmeasured, block j is sum_ab W*[a, j] rho[(a, u), (b, v)]
+    W[b, j], rho W then a 2-operand contraction over a with W*, and eigh
+    gives its spectrum. Group terms whose qubits are unmeasured cancel
+    exactly and are skipped. Every row is computed on its own: a row's
+    value does not depend on the other rows of the batch, and
     induced_discord is the single row at one measurement.
 
     objective(angles, gradient=True) returns (values (K,), gradients
@@ -250,10 +232,8 @@ def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], gro
     E_j = h'(B_j) - sum_g h'(marginal_g)[j] I (h' from entropy._dhq, and
     h'(B_j) = V h'(Lambda) V^dagger from the block's eigh), the derivatives
     are sum_j +-Re tr(E_j C_{j, j^k}) in theta_k, + where qubit k's bit of
-    j is 0, and -sin(theta_k) sum_j Im tr(E_j C_{j, j^k}) in phi_k. In
-    this mode the block spectra come from eigh, whose eigenvalues can
-    differ from eigvalsh's in the last bits; with every qubit measured the
-    values are the value-only ones.
+    j is 0, and -sin(theta_k) sum_j Im tr(E_j C_{j, j^k}) in phi_k, with
+    the C_ji read from the same rho W. The values do not change.
     """
     n = rho.num_qubits
     m = len(measured)
@@ -288,19 +268,17 @@ def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], gro
     def objective(angles: np.ndarray, gradient: bool = False):
         w = product_basis(angles)
         k = w.shape[0]
+        rho_w = stacked @ w
         if dim_u == 1:
-            probs = _probabilities(w, stacked)
+            probs = _diagonal(w, rho_w).real
             np.maximum(probs, 0.0, out=probs)
             spectrum = probs
         else:
-            rho_w = (stacked @ w).reshape(k, dim_m, dim_u, dim_u, dim_m)
+            rho_w = rho_w.reshape(k, dim_m, dim_u, dim_u, dim_m)
             blocks = np.einsum("kaj,kauvj->kjuv", w.conj(), rho_w)
             probs = np.einsum("kjuu->kj", blocks).real
             np.maximum(probs, 0.0, out=probs)
-            if gradient:
-                eigenvalues, vectors = np.linalg.eigh(blocks)
-            else:
-                eigenvalues = np.linalg.eigvalsh(blocks)
+            eigenvalues, vectors = np.linalg.eigh(blocks)
             spectrum = eigenvalues.reshape(k, -1)
         ptensor = probs.reshape((k,) + (2,) * m)
         marginals = [
@@ -319,8 +297,7 @@ def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], gro
             shift += _dhq(marginal, q).reshape((k,) + shape)
         shift = shift.reshape(k, dim_m)
         if dim_u == 1:
-            # rho W again: _probabilities keeps only its diagonal
-            rho_w = (stacked @ w).reshape(k, dim_m, 1, 1, dim_m)
+            rho_w = rho_w.reshape(k, dim_m, 1, 1, dim_m)
             e = (_dhq(probs, q) - shift)[:, :, None, None]
         else:
             e = (vectors * _dhq(eigenvalues, q)[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
@@ -489,7 +466,7 @@ def _minimize_discord(
 
 def _check_desk_scale(rho: DensityMatrix) -> None:
     if rho.num_qubits > DESK_SCALE_LIMIT:
-        raise ValueError("state exceeds desk-scale limit of 4 qubits")
+        raise ValueError(f"state exceeds desk-scale limit of {DESK_SCALE_LIMIT} qubits")
 
 
 def q_gqd(rho: DensityMatrix, q: float, opt: OptimizerConfig | None = None, *, cut=None) -> DiscordReport:

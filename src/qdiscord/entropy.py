@@ -39,11 +39,13 @@ def q_log(x: float, q: float) -> float:
 
     Evaluated as expm1((1 - q) ln x) / (1 - q), and as ln(x) at q == 1.
     Defined for x >= 0 when q < 1, where ln_q(0) = -1 / (1 - q); for
-    q >= 1 the value diverges as x -> 0, so x = 0 raises, and so does a
-    value too large for a float (tiny x at large q).
+    q >= 1 the value diverges as x -> 0, so x = 0 raises, and so do NaN
+    and a value too large for a float (tiny x at large q).
     """
     q = _check_q(q)
     x = float(x)
+    if math.isnan(x):
+        raise ValueError("q-log requires a number, got NaN")
     if x < 0.0:
         raise ValueError("q-log requires a nonnegative argument")
     if x == 0.0 and q >= 1.0:
@@ -57,6 +59,19 @@ def q_log(x: float, q: float) -> float:
         raise ValueError(f"q-log overflows a float at x={x!r}, q={q!r}") from None
 
 
+def _terms(p: np.ndarray, q: float):
+    """(p', x, s) with -p' x / s the entropy terms and -q x / s their slopes.
+
+    p' is p with entries at or below ZERO_PROB_CUTOFF set to 1, where x = 0;
+    x = expm1((q - 1) ln p') and s = q - 1, or x = ln p' and s = 1 at q == 1.
+    """
+    p = np.where(p > ZERO_PROB_CUTOFF, p, 1.0)
+    ln_p = np.log(p)
+    if q == 1.0:
+        return p, ln_p, 1.0
+    return p, np.expm1((q - 1.0) * ln_p), q - 1.0
+
+
 def _hq(p: np.ndarray, q: float):
     """Tsallis entropy along the last axis of already-validated probabilities.
 
@@ -65,16 +80,12 @@ def _hq(p: np.ndarray, q: float):
     so the sum equals (1 - sum p**q) / (q - 1) without that form's
     cancellation near q = 1. Being a plain sum over entries, the entropies
     of several distributions add up to _hq of their concatenation. Entries
-    at or below ZERO_PROB_CUTOFF count as exact zeros (they are mapped to 1,
-    which adds 1 ln 1 = 0): eigensolver noise of size eps would otherwise
-    contribute eps**q, which for small q dwarfs the 1e-5 agreement scale
-    this package works to.
+    at or below ZERO_PROB_CUTOFF count as exact zeros (see _terms):
+    eigensolver noise of size eps would otherwise contribute eps**q, which
+    for small q dwarfs the 1e-5 agreement scale this package works to.
     """
-    p = np.where(p > ZERO_PROB_CUTOFF, p, 1.0)
-    ln_p = np.log(p)
-    if q == 1.0:
-        return -(p * ln_p).sum(axis=-1)
-    return -(p * np.expm1((q - 1.0) * ln_p)).sum(axis=-1) / (q - 1.0)
+    p, x, s = _terms(p, q)
+    return -(p * x).sum(axis=-1) / s
 
 
 def _dhq(p: np.ndarray, q: float) -> np.ndarray:
@@ -85,11 +96,8 @@ def _dhq(p: np.ndarray, q: float) -> np.ndarray:
     The dropped constant multiplies the change of a total probability, and
     that is zero along any trace-preserving path.
     """
-    p = np.where(p > ZERO_PROB_CUTOFF, p, 1.0)
-    ln_p = np.log(p)
-    if q == 1.0:
-        return -ln_p
-    return -q * np.expm1((q - 1.0) * ln_p) / (q - 1.0)
+    _, x, s = _terms(p, q)
+    return -q * x / s
 
 
 def tsallis_entropy_probs(p, q: float) -> float:
@@ -151,9 +159,11 @@ def schur_concavity_witness(q: float, trials: int, seed: int = 0) -> bool:
     Each trial draws a random spectrum y and a random convex mix of
     permutation matrices D; x = D y is then majorized by y, so Schur
     concavity demands H_q(x) >= H_q(y). Returns True when every trial
-    satisfies that within 1e-10.
+    satisfies that within 1e-10; trials must be at least 1.
     """
     q = _check_q(q)
+    if int(trials) < 1:
+        raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
     eye_cache: dict[int, np.ndarray] = {}
     for _ in range(int(trials)):

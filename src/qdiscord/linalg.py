@@ -14,6 +14,7 @@ import numpy as np
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
+DESK_SCALE_LIMIT = 4  # most qubits of a random state, CLI target or discord search
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -26,6 +27,7 @@ __all__ = [
     "HERMITICITY_TOL",
     "TRACE_TOL",
     "EIGENVALUE_FLOOR",
+    "DESK_SCALE_LIMIT",
     "IDENTITY_2",
     "SIGMA_X",
     "SIGMA_Y",

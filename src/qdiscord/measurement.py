@@ -10,14 +10,15 @@ enters through _angles, which checks its arity against the state and
 turns each axis into (theta, phi); apply_full, outcome_probabilities and
 discord.induced_discord all call it. Every caller, the discord objective
 included, gets W through product_basis, and the outcome probabilities of
-a full measurement through _probabilities. apply_full is the only code
-that builds a measured DensityMatrix.
+a full measurement from _diagonal. apply_full is the only code that
+builds a measured DensityMatrix.
 
-_probabilities takes a batch of bases, shape (..., d, d), and computes the
-diagonal as diag(W^dagger (rho W)): one batched BLAS matmul rho W, then the
-column-wise product with the conjugate of W summed down each column. That
-is O(d^2) per basis after the matmul, where a 3-operand einsum over
-W^dagger, rho and W costs O(d^3) complex products per basis in a C loop.
+The outcome probabilities are diag(W^dagger (rho W)): the caller computes
+rho W, one batched BLAS matmul, and _diagonal takes the column-wise
+product with the conjugate of W summed down each column. That is O(d^2)
+per basis after the matmul, where a 3-operand einsum over W^dagger, rho
+and W costs O(d^3) complex products per basis in a C loop. The caller
+keeps rho W: the discord objective reuses it for its gradient.
 
 product_basis builds W one qubit at a time: the d x d basis so far and the
 next qubit's 2 x 2 eigenbasis u are combined by a broadcast outer product,
@@ -170,21 +171,23 @@ def _angles(phi: ProductMeasurement, n: int) -> list[float]:
     return angles
 
 
-def _probabilities(w: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Outcome probabilities diag(W^dagger rho W) for bases w of shape (..., d, d).
+def _diagonal(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """diag(W^dagger X) for bases w and products x = rho W, both of shape (..., d, d).
 
-    matrix is rho as a (d, d) array; the result has shape (..., d). Every
-    basis of a batch gets the same floats as it would alone.
+    The result has shape (..., d) and is complex; its real part is the
+    outcome probabilities. Every basis of a batch gets the same floats as
+    it would alone.
     """
-    return (w.conj() * (matrix @ w)).sum(axis=-2).real
+    return (w.conj() * x).sum(axis=-2)
 
 
 def apply_full(phi: ProductMeasurement, rho: DensityMatrix) -> DensityMatrix:
     """Non-selective product measurement sum_j P_j rho P_j = W diag(p) W^dagger."""
     w = product_basis(_angles(phi, rho.num_qubits))
-    return DensityMatrix((w * _probabilities(w, rho.matrix)) @ w.conj().T)
+    return DensityMatrix((w * _diagonal(w, rho.matrix @ w).real) @ w.conj().T)
 
 
 def outcome_probabilities(phi: ProductMeasurement, rho: DensityMatrix) -> np.ndarray:
     """Probabilities of the 2^n outcomes, indexed with qubit 0 as the high bit."""
-    return _probabilities(product_basis(_angles(phi, rho.num_qubits)), rho.matrix)
+    w = product_basis(_angles(phi, rho.num_qubits))
+    return _diagonal(w, rho.matrix @ w).real

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .discord import Bipartition, OptimizerConfig, induced_discord, q_gqd
+from .discord import OptimizerConfig, induced_discord, q_gqd
 from .entropy import _check_q
 from .linalg import DensityMatrix, partial_trace
 from .measurement import ProductMeasurement
@@ -124,9 +124,9 @@ def decompose_induced_gqd(
     return DecompositionLedger(total, terms, total - sum(terms))
 
 
-def _first_vs_last(k: int) -> Bipartition:
+def _first_vs_last(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The cut (first k)|(k+1 th) of the first k+1 qubits."""
-    return Bipartition(tuple(range(k)), (k,))
+    return tuple(range(k)), (k,)
 
 
 def _nested_values(rho, q, opt, first=1):
@@ -200,7 +200,7 @@ def bros_counterexample_audit(
     q = _check_q(q)
     rho = bros_counterexample()
     whole = q_gqd(rho, q, opt).value
-    first_vs_rest = q_gqd(rho, q, opt, cut=Bipartition((0,), (1, 2))).value
+    first_vs_rest = q_gqd(rho, q, opt, cut=((0,), (1, 2))).value
     pair_01 = q_gqd(partial_trace(rho, (0, 1)), q, opt).value
     pair_02 = q_gqd(partial_trace(rho, (0, 2)), q, opt).value
     first_vs_rest_vanishes = first_vs_rest <= VANISH_TOL

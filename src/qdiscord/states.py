@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .linalg import (
+    DESK_SCALE_LIMIT,
     DensityMatrix,
     SIGMA_X,
     SIGMA_Y,
@@ -115,8 +116,8 @@ def random_density_matrix(n: int, seed=None) -> DensityMatrix:
     seed may be an int, None, or an existing numpy Generator.
     """
     n = int(n)
-    if not 1 <= n <= 4:
-        raise ValueError("qubit count must be between 1 and 4")
+    if not 1 <= n <= DESK_SCALE_LIMIT:
+        raise ValueError(f"qubit count must be between 1 and {DESK_SCALE_LIMIT}")
     rng = np.random.default_rng(seed)
     d = 2**n
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))

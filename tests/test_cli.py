@@ -7,9 +7,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qdiscord.analytic import werner_ghz_gqd
-from qdiscord.cli import DEFAULT_TARGETS, SweepSpec, main
+from qdiscord.cli import DEFAULT_TARGETS, SweepSpec, build_parser, main
 from qdiscord.discord import OptimizerConfig, q_gqd, q_qd_one_sided
-from qdiscord.linalg import DensityMatrix
+from qdiscord.linalg import DESK_SCALE_LIMIT, DensityMatrix
 from qdiscord.states import random_density_matrix, save_state, werner_ghz
 
 LIGHT_FLAGS = ["--starts", "4", "--max-evals", "400"]
@@ -125,6 +125,26 @@ class TestCompute:
         assert_allclose(sum(spectrum), 1.0, rtol=0, atol=1e-15)
 
 
+class TestOptimizerFlags:
+    def test_defaults_are_the_library_defaults(self):
+        # Every subcommand that takes the optimizer flags defaults them to
+        # OptimizerConfig's fields.
+        defaults = OptimizerConfig()
+        parser = build_parser()
+        required = {
+            "compute": ["--state", "s.json", "--quantity", "entropy", "--q", "1"],
+            "verify": ["--suite", "telescoping"],
+            "sweep": [],
+        }
+        for command, rest in required.items():
+            args = parser.parse_args([command] + rest)
+            assert (args.starts, args.max_evals, args.seed) == (
+                defaults.starts,
+                defaults.max_evals,
+                defaults.seed,
+            )
+
+
 class TestExitCodes:
     def test_bad_q_is_parameter_error(self, capsys, werner_file):
         code = main(["compute", "--state", werner_file, "--quantity", "entropy", "--q", "0"])
@@ -204,6 +224,11 @@ class TestExitCodes:
     def test_malformed_target_number(self, capsys):
         assert main(["sweep", "--target", "alpha:zero"]) == 4
         assert "malformed target" in capsys.readouterr().err
+
+    def test_mixed_target_beyond_desk_scale(self, capsys):
+        for target in ("mixed:0", f"mixed:{DESK_SCALE_LIMIT + 1}"):
+            assert main(["sweep", "--target", target]) == 4
+            assert "mixed target qubit count must be 1..4" in capsys.readouterr().err
 
     def test_target_outside_state_space(self, capsys):
         assert main(["sweep", "--target", "werner:2:1.5"]) == 3

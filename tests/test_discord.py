@@ -5,7 +5,6 @@ from scipy.optimize import minimize
 
 from qdiscord import discord
 from qdiscord.discord import (
-    Bipartition,
     OptimizerConfig,
     _make_objective,
     _mutual_information,
@@ -47,22 +46,28 @@ def random_angles(rng, m):
     return np.column_stack([theta, phi]).ravel()
 
 
-class TestBipartition:
-    def test_sorts_and_stores(self):
-        cut = Bipartition((2, 0), (1,))
-        assert cut.left == (0, 2)
-        assert cut.right == (1,)
-        cut.check_covers(3)
+class TestCut:
+    # A cut is a plain (left, right) pair, checked where it is used.
+    def test_sides_are_sorted(self):
+        rho = random_density_matrix(3, seed=61)
+        phi = ProductMeasurement.from_angles([(0.3, 1.1), (2.0, 0.4), (1.2, 5.0)])
+        for q in (0.5, 1.0, 2.0):
+            unsorted = induced_discord(rho, phi, q, cut=((2, 0), (1,)))
+            assert unsorted == induced_discord(rho, phi, q, cut=((0, 2), (1,)))
 
     def test_rejects_empty_or_overlapping(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            Bipartition((), (0,))
-        with pytest.raises(ValueError, match="disjoint"):
-            Bipartition((0, 1), (1, 2))
+        rho = random_density_matrix(3, seed=61)
+        phi = ProductMeasurement.uniform_axis(3, (0.0, 0.0, 1.0))
+        with pytest.raises(ValueError, match="both sides of a bipartition must be nonempty"):
+            induced_discord(rho, phi, 0.5, cut=((), (0, 1, 2)))
+        with pytest.raises(ValueError, match="bipartition sides must be disjoint"):
+            q_gqd(rho, 0.5, LIGHT, cut=((0, 1), (1, 2)))
 
-    def test_check_covers(self):
-        with pytest.raises(ValueError, match="cover every qubit"):
-            Bipartition((0,), (1,)).check_covers(3)
+    def test_must_cover_every_qubit(self):
+        rho = random_density_matrix(3, seed=61)
+        phi = ProductMeasurement.uniform_axis(3, (0.0, 0.0, 1.0))
+        with pytest.raises(ValueError, match="bipartition must cover every qubit exactly once"):
+            induced_discord(rho, phi, 0.5, cut=((0,), (1,)))
 
 
 class TestOptimizerConfig:
@@ -234,7 +239,7 @@ class TestFastObjective:
         for q in (0.5, 1.0, 2.0):
             objective = _make_objective(rho, q, measured, groups)
             values, grads = objective(angles, gradient=True)
-            assert_allclose(values, objective(angles), rtol=0, atol=1e-14)
+            assert np.array_equal(values, objective(angles))
             central = np.empty_like(grads)
             for i in range(angles.shape[1]):
                 shift = np.zeros(angles.shape[1])
@@ -463,8 +468,7 @@ def scipy_starts(objective, starts, max_evals):
 
         def fun(x):
             calls[0] += 1
-            values, _ = objective(x[None], gradient=True)
-            return values[0]
+            return objective(x[None])[0]
 
         res = minimize(
             fun,
@@ -622,6 +626,7 @@ class TestGlobalDiscord:
             q_gqd(rho, 0.5, LIGHT, cut=((0,), (1,)))
 
     def test_desk_scale_limit(self):
+        assert discord.DESK_SCALE_LIMIT == 4
         rho = DensityMatrix(np.eye(32) / 32.0)
         with pytest.raises(ValueError, match="desk-scale limit"):
             q_gqd(rho, 0.5)

@@ -48,6 +48,17 @@ class TestQLog:
             for h in Q_ONE_STEPS:
                 assert abs(jump_at_q_one(lambda q: q_log(x, q), h)) < 1e-10
 
+    def test_nan_raises(self):
+        # NaN fails every comparison, so x > 0 alone would treat it as x = 0.
+        for q in (0.5, 1.0, 2.0):
+            with pytest.raises(ValueError, match="NaN"):
+                q_log(float("nan"), q)
+
+    def test_infinite_argument_gives_limits(self):
+        assert q_log(float("inf"), 0.5) == float("inf")
+        assert q_log(float("inf"), 1.0) == float("inf")
+        assert q_log(float("inf"), 2.0) == 1.0
+
     def test_overflow_raises_value_error(self):
         # (1 - q) ln x beyond about 709 has no float value.
         for q in (3.4, 10.0):
@@ -207,3 +218,8 @@ class TestMajorization:
     def test_witness_passes(self):
         assert schur_concavity_witness(0.5, trials=50, seed=0)
         assert schur_concavity_witness(2.0, trials=50, seed=1)
+
+    def test_witness_needs_a_trial(self):
+        for trials in (0, -3):
+            with pytest.raises(ValueError, match="trials must be at least 1"):
+                schur_concavity_witness(0.5, trials)

@@ -7,7 +7,7 @@ from qdiscord.measurement import (
     BlochMeasurement,
     ProductMeasurement,
     _basis_columns,
-    _probabilities,
+    _diagonal,
     apply_full,
     outcome_probabilities,
     product_basis,
@@ -189,7 +189,7 @@ class TestChannels:
             angles[0, 0::2] = 0.0
             bases = product_basis(angles)
             expected = np.einsum("kaj,ab,kbj->kj", bases.conj(), rho.matrix, bases).real
-            assert_allclose(_probabilities(bases, rho.matrix), expected, rtol=0, atol=1e-13)
+            assert_allclose(_diagonal(bases, rho.matrix @ bases).real, expected, rtol=0, atol=1e-13)
             for row, w in zip(angles, bases):
                 pm = ProductMeasurement.from_angles(row.reshape(-1, 2))
                 probs = np.einsum("aj,ab,bj->j", w.conj(), rho.matrix, w).real

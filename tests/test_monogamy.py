@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from qdiscord import discord, monogamy
 from qdiscord.discord import (
-    Bipartition,
     OptimizerConfig,
     induced_discord,
 )
@@ -79,7 +78,7 @@ class TestDecomposition:
                     partial_trace(rho, range(k + 1)),
                     ProductMeasurement(phi.per_qubit[: k + 1]),
                     q,
-                    cut=Bipartition(tuple(range(k)), (k,)),
+                    cut=(tuple(range(k)), (k,)),
                 )
                 for k in range(1, 4)
             )
