@@ -16,7 +16,7 @@ import numpy as np
 
 from .entropy import _check_q
 from .measurement import ProductMeasurement
-from .states import pauli_diagonal_state
+from .states import _check_mu, _check_n, pauli_diagonal_state
 
 __all__ = [
     "ClosedFormResult",
@@ -65,12 +65,8 @@ def werner_ghz_gqd(n: int, mu: float, q: float) -> ClosedFormResult:
     each term evaluated by _xq_lnq.
     """
     q = _check_q(q)
-    n = int(n)
-    if n < 2:
-        raise ValueError("family requires at least two qubits")
-    mu = float(mu)
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError("mixing weight mu must lie in [0, 1]")
+    n = _check_n(n)
+    mu = _check_mu(mu)
     d = 2**n
     a = (1.0 - mu) / d + mu
     b = (1.0 - mu) / d
@@ -108,26 +104,34 @@ def pauli_diagonal_gqd(
     it is also the one-sided q-discord with either qubit measured, since
     measuring one qubit along a unit axis m leaves the spectrum
     (1 +/- |(c1 m1, c2 m2, c3 m3)|)/4, each value twice, and both
-    marginals at I/2. Both sums of x^q ln_q x terms go through _xq_lnq.
+    marginals at I/2. Both sums of x^q ln_q x terms go through _xq_lnq,
+    and the measured term is optimal_measured_entropy's.
     """
     q = _check_q(q)
-    pauli_diagonal_state(n, c1, c2, c3)  # full admissibility gate
-    n = int(n)
-    c1, c2, c3 = float(c1), float(c2), float(c3)
-    c = max(abs(c1), abs(c2), abs(c3))
+    n, c1, c2, c3 = _pauli_params(n, c1, c2, c3)
     dim = 2**n
     inputs = {"n": n, "c1": c1, "c2": c2, "c3": c3, "q": q}
     suffix = "-q1-limit" if q == 1.0 else ""
-    hi_c, lo_c = (1.0 + c) / dim, (1.0 - c) / dim
-    measured = _xq_lnq(hi_c, q) + _xq_lnq(lo_c, q)
+    measured = _measured_entropy(n, c1, c2, c3, q)
     if n % 2 == 1:
         d = math.sqrt(c1 * c1 + c2 * c2 + c3 * c3)
         state = _xq_lnq((1.0 + d) / dim, q) + _xq_lnq((1.0 - d) / dim, q)
-        value = 2 ** (n - 1) * (state - measured)
-        return ClosedFormResult(value, "odd-n" + suffix, inputs)
+        return ClosedFormResult(2 ** (n - 1) * state + measured, "odd-n" + suffix, inputs)
     state = sum(_xq_lnq(lam / dim, q) for lam in _pauli_lambdas(n, c1, c2, c3))
-    value = 2 ** (n - 2) * (state - 2.0 * measured)
-    return ClosedFormResult(value, "even-n" + suffix, inputs)
+    return ClosedFormResult(2 ** (n - 2) * state + measured, "even-n" + suffix, inputs)
+
+
+def _pauli_params(n, c1, c2, c3) -> tuple[int, float, float, float]:
+    """n and the c_i as numbers, once pauli_diagonal_state's full admissibility gate passes."""
+    pauli_diagonal_state(n, c1, c2, c3)
+    return _check_n(n), float(c1), float(c2), float(c3)
+
+
+def _measured_entropy(n: int, c1: float, c2: float, c3: float, q: float) -> float:
+    """S_q of the spectrum (1 +/- c)/2^n, each 2^(n-1) times, c = max |c_i|; no gates."""
+    c = max(abs(c1), abs(c2), abs(c3))
+    dim = 2**n
+    return -(2 ** (n - 1)) * (_xq_lnq((1.0 + c) / dim, q) + _xq_lnq((1.0 - c) / dim, q))
 
 
 def optimal_measured_entropy(n: int, c1: float, c2: float, c3: float, q: float) -> float:
@@ -137,12 +141,7 @@ def optimal_measured_entropy(n: int, c1: float, c2: float, c3: float, q: float) 
     the measured spectrum is (1 +/- c)/2^n with multiplicity 2^(n-1) each.
     """
     q = _check_q(q)
-    pauli_diagonal_state(n, c1, c2, c3)
-    n = int(n)
-    c = max(abs(c1), abs(c2), abs(c3))
-    dim = 2**n
-    hi, lo = (1.0 + c) / dim, (1.0 - c) / dim
-    return float(-(2 ** (n - 1)) * (_xq_lnq(hi, q) + _xq_lnq(lo, q)))
+    return _measured_entropy(*_pauli_params(n, c1, c2, c3), q)
 
 
 def werner_ghz_measured_spectrum(mu: float, phi: ProductMeasurement) -> np.ndarray:
@@ -156,12 +155,8 @@ def werner_ghz_measured_spectrum(mu: float, phi: ProductMeasurement) -> np.ndarr
     are exactly the outcome probabilities since the measured state is
     diagonal in the measurement basis.
     """
-    mu = float(mu)
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError("mixing weight mu must lie in [0, 1]")
-    n = len(phi)
-    if n < 2:
-        raise ValueError("family requires at least two qubits")
+    mu = _check_mu(mu)
+    n = _check_n(len(phi))
     axes = [m.axis for m in phi]
     out = np.empty(2**n)
     for idx in range(2**n):
@@ -183,12 +178,8 @@ def werner_ghz_optimal_measured_spectrum(n: int, mu: float) -> np.ndarray:
     Two entries (1-mu)/2^n + mu/2 and 2^n - 2 entries (1-mu)/2^n; every
     other product measurement yields a spectrum majorized by this one.
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError("family requires at least two qubits")
-    mu = float(mu)
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError("mixing weight mu must lie in [0, 1]")
+    n = _check_n(n)
+    mu = _check_mu(mu)
     d = 2**n
     out = np.full(d, (1.0 - mu) / d)
     out[:2] += mu / 2.0
@@ -203,8 +194,7 @@ def pauli_diagonal_measured_spectrum(
     t = c1 prod a_i + c2 prod b_i + c3 prod g_i over the measurement axes;
     each sign carries multiplicity 2^(n-1). |t| never exceeds max |c_i|.
     """
-    pauli_diagonal_state(n, c1, c2, c3)
-    n = int(n)
+    n, c1, c2, c3 = _pauli_params(n, c1, c2, c3)
     if len(phi) != n:
         raise ValueError(
             f"measurement arity {len(phi)} does not match qubit count {n}"
@@ -215,7 +205,7 @@ def pauli_diagonal_measured_spectrum(
         pa *= a
         pb *= b
         pg *= g
-    t = float(c1) * pa + float(c2) * pb + float(c3) * pg
+    t = c1 * pa + c2 * pb + c3 * pg
     d = 2**n
     half = 2 ** (n - 1)
     return np.concatenate(

@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +52,7 @@ from .states import (
     werner_ghz,
 )
 
-__all__ = ["SweepSpec", "main", "cmd_compute", "cmd_verify", "cmd_sweep"]
+__all__ = ["main", "cmd_compute", "cmd_verify", "cmd_sweep"]
 
 EXIT_OK = 0
 EXIT_SUITE_FAILED = 1
@@ -68,30 +67,10 @@ class ParameterError(ValueError):
     """A numeric flag violates its domain (exit code 4)."""
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A q grid plus the named states to evaluate on it."""
-
-    q_min: float
-    q_max: float
-    steps: int
-    targets: tuple
-
-    def __post_init__(self):
-        if not (math.isfinite(self.q_min) and self.q_min > 0.0):
-            raise ParameterError("--q-min must be a positive real number")
-        if not math.isfinite(self.q_max) or self.q_max <= self.q_min:
-            raise ParameterError("--q-max must be finite and exceed --q-min")
-        if self.steps < 2:
-            raise ParameterError("--steps must be at least 2")
-        if not self.targets:
-            raise ParameterError("at least one sweep target is required")
-
-
-def _positive_q(q: float) -> float:
+def _positive_q(q: float, flag: str = "--q") -> float:
     q = float(q)
     if not math.isfinite(q) or q <= 0.0:
-        raise ParameterError("--q must be a positive real number")
+        raise ParameterError(f"{flag} must be a positive real number")
     return q
 
 
@@ -187,19 +166,19 @@ def _suite_nonnegativity(seed, trials, opt):
             min_gqd = min(min_gqd, g)
             min_one_sided = min(min_one_sided, s)
             failures += int(g < -1e-8) + int(s < -1e-8)
-    passed = failures == 0
-    lines = [
-        _mark(min_gqd >= -1e-8)
-        + f" q_gqd raw minimum {min_gqd:.3e} over {trials} states x {len(q_grid)} q values (floor -1e-08)",
-        _mark(min_one_sided >= -1e-8)
-        + f" one-sided q-QD raw minimum {min_one_sided:.3e} (floor -1e-08)",
+    checks = [
+        (
+            min_gqd >= -1e-8,
+            f"q_gqd raw minimum {min_gqd:.3e} over {trials} states x {len(q_grid)} q values (floor -1e-08)",
+        ),
+        (min_one_sided >= -1e-8, f"one-sided q-QD raw minimum {min_one_sided:.3e} (floor -1e-08)"),
     ]
     details = {
         "min_qgqd": float(min_gqd),
         "min_one_sided": float(min_one_sided),
         "failures": failures,
     }
-    return passed, lines, details
+    return checks, details
 
 
 def _suite_telescoping(seed, trials, opt):
@@ -211,25 +190,29 @@ def _suite_telescoping(seed, trials, opt):
         for q in (0.5, 1.0):
             ledger = decompose_induced_gqd(rho, phi, q)
             worst = max(worst, abs(ledger.residual))
-    passed = worst <= 1e-9
-    lines = [
-        _mark(passed)
-        + f" decomposition residual max {worst:.3e} over {trials} (state, measurement) pairs (limit 1e-09)"
+    checks = [
+        (
+            worst <= 1e-9,
+            f"decomposition residual max {worst:.3e} over {trials} (state, measurement) pairs (limit 1e-09)",
+        )
     ]
-    return passed, lines, {"max_residual": float(worst)}
+    return checks, {"max_residual": float(worst)}
 
 
 def _suite_monogamy(seed, trials, opt):
     audit = bros_counterexample_audit(0.9, opt)
-    audit_ok = audit.passed and not audit.condition_holds and audit.inequality_holds
-    lines = [
-        _mark(audit.passed)
-        + f" counterexample audit at q=0.9: first_vs_rest={audit.first_vs_rest:.2e}"
-        + f" pair_01={audit.pair_01:.6f} pair_02={audit.pair_02:.2e}"
-        + f" whole={audit.whole:.6f}",
-        _mark(not audit.condition_holds and audit.inequality_holds)
-        + f" condition_holds={str(audit.condition_holds).lower()}"
-        + f" inequality_holds={str(audit.inequality_holds).lower()}",
+    checks = [
+        (
+            audit.passed,
+            f"counterexample audit at q=0.9: first_vs_rest={audit.first_vs_rest:.2e}"
+            f" pair_01={audit.pair_01:.6f} pair_02={audit.pair_02:.2e}"
+            f" whole={audit.whole:.6f}",
+        ),
+        (
+            not audit.condition_holds and audit.inequality_holds,
+            f"condition_holds={str(audit.condition_holds).lower()}"
+            f" inequality_holds={str(audit.inequality_holds).lower()}",
+        ),
     ]
     rng = np.random.default_rng(seed)
     implication_violations = 0
@@ -238,23 +221,19 @@ def _suite_monogamy(seed, trials, opt):
         rho = random_density_matrix(3, rng)
         try:
             report = monogamy_report(rho, 0.5, opt)
-        except RuntimeError:
+        except RuntimeError:  # raised exactly when the condition holds and the inequality fails
             implication_violations += 1
             continue
-        if report.condition_holds and not report.inequality_holds:
-            implication_violations += 1
         # bounded_sum_check's test, on the discords the report already holds
         if report.whole < sum(report.nested) - INEQUALITY_TOL:
             bounded_failures += 1
-    lines.append(
-        _mark(implication_violations == 0)
-        + f" condition-implies-inequality violations: {implication_violations} over {trials} random states"
-    )
-    lines.append(
-        _mark(bounded_failures == 0)
-        + f" bounded-sum failures: {bounded_failures} over {trials} random states"
-    )
-    passed = audit_ok and implication_violations == 0 and bounded_failures == 0
+    checks += [
+        (
+            implication_violations == 0,
+            f"condition-implies-inequality violations: {implication_violations} over {trials} random states",
+        ),
+        (bounded_failures == 0, f"bounded-sum failures: {bounded_failures} over {trials} random states"),
+    ]
     details = {
         "audit": {
             "q": audit.q,
@@ -269,7 +248,7 @@ def _suite_monogamy(seed, trials, opt):
         "implication_violations": implication_violations,
         "bounded_sum_failures": bounded_failures,
     }
-    return passed, lines, details
+    return checks, details
 
 
 def _suite_oracle_agreement(seed, trials, opt):
@@ -287,12 +266,10 @@ def _suite_oracle_agreement(seed, trials, opt):
             closed = pauli_diagonal_gqd(n, c1, c2, c3, q).value
             numeric = q_gqd(pauli_diagonal_state(n, c1, c2, c3), q, opt).value
         worst = max(worst, abs(closed - numeric))
-    passed = worst <= 1e-5
-    lines = [
-        _mark(passed)
-        + f" closed form vs optimizer worst gap {worst:.3e} over {trials} states (limit 1e-05)"
+    checks = [
+        (worst <= 1e-5, f"closed form vs optimizer worst gap {worst:.3e} over {trials} states (limit 1e-05)")
     ]
-    return passed, lines, {"worst_gap": float(worst)}
+    return checks, {"worst_gap": float(worst)}
 
 
 def _suite_majorization(seed, trials, opt):
@@ -317,33 +294,22 @@ def _suite_majorization(seed, trials, opt):
                 order_failures += 1
         c1, c2, c3 = random_pauli_diagonal_coefficients(3, rng)
         prods = np.ones(3)
-        for theta, phi_angle in _random_axis_pairs(rng, 3):
-            st = math.sin(theta)
-            prods *= np.array(
-                [st * math.cos(phi_angle), st * math.sin(phi_angle), math.cos(theta)]
-            )
+        for m in ProductMeasurement.from_angles(_random_axis_pairs(rng, 3)):
+            prods *= m.axis
         total = c1 * prods[0] + c2 * prods[1] + c3 * prods[2]
         if abs(total) > max(abs(c1), abs(c2), abs(c3)) + 1e-12:
             bound_failures += 1
     schur_ok = all(schur_concavity_witness(q, trials, seed) for q in (0.5, 2.0))
-    lines = [
-        _mark(worst_spec <= 1e-10)
-        + f" measured-spectrum formula max error {worst_spec:.3e} (limit 1e-10)",
-        _mark(maj_failures == 0)
-        + f" all-z spectrum majorizes every measured spectrum: {trials - maj_failures}/{trials}",
-        _mark(order_failures == 0)
-        + f" entropy ordering failures: {order_failures} (q in 0.5, 2)",
-        _mark(bound_failures == 0)
-        + f" correlation product bound failures: {bound_failures}",
-        _mark(schur_ok) + " doubly stochastic mixing never lowers H_q (q in 0.5, 2)",
+    checks = [
+        (worst_spec <= 1e-10, f"measured-spectrum formula max error {worst_spec:.3e} (limit 1e-10)"),
+        (
+            maj_failures == 0,
+            f"all-z spectrum majorizes every measured spectrum: {trials - maj_failures}/{trials}",
+        ),
+        (order_failures == 0, f"entropy ordering failures: {order_failures} (q in 0.5, 2)"),
+        (bound_failures == 0, f"correlation product bound failures: {bound_failures}"),
+        (schur_ok, "doubly stochastic mixing never lowers H_q (q in 0.5, 2)"),
     ]
-    passed = (
-        worst_spec <= 1e-10
-        and maj_failures == 0
-        and order_failures == 0
-        and bound_failures == 0
-        and schur_ok
-    )
     details = {
         "worst_spectrum_error": worst_spec,
         "majorization_failures": maj_failures,
@@ -351,13 +317,11 @@ def _suite_majorization(seed, trials, opt):
         "bound_failures": bound_failures,
         "schur_ok": schur_ok,
     }
-    return passed, lines, details
+    return checks, details
 
 
-def _mark(ok: bool) -> str:
-    return "[PASS]" if ok else "[FAIL]"
-
-
+# Each suite returns (checks, details): checks is a list of (ok, text) pairs,
+# one per printed line; cmd_verify derives the verdict from them alone.
 SUITES = {
     "nonnegativity": _suite_nonnegativity,
     "telescoping": _suite_telescoping,
@@ -373,9 +337,10 @@ def cmd_verify(args) -> int:
     opt = _optimizer_from(args)
     suite = SUITES[args.suite]
     print(f"suite {args.suite} (seed={args.seed}, trials={args.trials})")
-    passed, lines, details = suite(args.seed, args.trials, opt)
-    for line in lines:
-        print(line)
+    checks, details = suite(args.seed, args.trials, opt)
+    for ok, text in checks:
+        print(f"{'[PASS]' if ok else '[FAIL]'} {text}")
+    passed = all(ok for ok, _ in checks)
     print(
         json.dumps(
             {
@@ -427,14 +392,13 @@ def _parse_target(text: str):
 
 def cmd_sweep(args) -> int:
     opt = _optimizer_from(args)
-    targets = tuple(_parse_target(t) for t in (args.target or DEFAULT_TARGETS))
-    spec = SweepSpec(
-        q_min=float(args.q_min),
-        q_max=float(args.q_max),
-        steps=int(args.steps),
-        targets=targets,
-    )
-    text = _render_sweep(spec, opt)
+    targets = [_parse_target(t) for t in (args.target or DEFAULT_TARGETS)]
+    q_min = _positive_q(args.q_min, "--q-min")
+    if not math.isfinite(args.q_max) or args.q_max <= q_min:
+        raise ParameterError("--q-max must be finite and exceed --q-min")
+    if args.steps < 2:
+        raise ParameterError("--steps must be at least 2")
+    text = _render_sweep(np.linspace(q_min, args.q_max, args.steps), targets, opt)
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -443,12 +407,11 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _render_sweep(spec: SweepSpec, opt: OptimizerConfig) -> str:
-    qs = [float(v) for v in np.linspace(spec.q_min, spec.q_max, spec.steps)]
-    header = "q," + ",".join(name for name, _ in spec.targets) + ",difference"
+def _render_sweep(qs, targets, opt: OptimizerConfig) -> str:
+    header = "q," + ",".join(name for name, _ in targets) + ",difference"
     rows = [header]
-    for q in qs:
-        row_values = [q_gqd(state, q, opt).value for _, state in spec.targets]
+    for q in map(float, qs):
+        row_values = [q_gqd(state, q, opt).value for _, state in targets]
         difference = row_values[0] - row_values[1] if len(row_values) >= 2 else 0.0
         rows.append(
             ",".join([_fmt(q)] + [_fmt(v) for v in row_values] + [_fmt(difference)])

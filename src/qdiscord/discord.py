@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import _check_q, _dhq, _hq, tsallis_entropy
-from .linalg import DESK_SCALE_LIMIT, DensityMatrix, partial_trace
+from .linalg import DESK_SCALE_LIMIT, DensityMatrix, _index, partial_trace
 from .measurement import ProductMeasurement, _angles, _diagonal, product_basis
 
 CLAMP_SLACK = 1e-8
@@ -117,7 +117,10 @@ def _parties(n: int, cut) -> tuple[tuple[int, ...], ...]:
     """Single qubits when cut is None, else cut's sides, sorted; they must split range(n)."""
     if cut is None:
         return tuple((i,) for i in range(n))
-    left, right = (tuple(sorted(int(i) for i in side)) for side in cut)
+    sides = tuple(cut)
+    if len(sides) != 2:
+        raise ValueError("a bipartition is a pair of sides (left, right)")
+    left, right = (tuple(sorted(_index(i, "qubit index") for i in side)) for side in sides)
     if not left or not right:
         raise ValueError("both sides of a bipartition must be nonempty")
     if set(left) & set(right):
@@ -505,7 +508,7 @@ def q_qd_one_sided(
     _check_desk_scale(rho)
     opt = opt if opt is not None else OptimizerConfig()
     n = rho.num_qubits
-    measured = tuple(sorted({int(i) for i in measured}))
+    measured = tuple(sorted({_index(i, "qubit index") for i in measured}))
     if not measured or len(measured) >= n:
         raise ValueError("measured subset must be nonempty and proper")
     if measured[0] < 0 or measured[-1] >= n:

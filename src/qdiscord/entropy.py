@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .linalg import DensityMatrix, Spectrum
+from .linalg import DensityMatrix, Spectrum, _index
 
 ZERO_PROB_CUTOFF = 1e-12
 
@@ -162,11 +162,12 @@ def schur_concavity_witness(q: float, trials: int, seed: int = 0) -> bool:
     satisfies that within 1e-10; trials must be at least 1.
     """
     q = _check_q(q)
-    if int(trials) < 1:
+    trials = _index(trials, "trials")
+    if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
     eye_cache: dict[int, np.ndarray] = {}
-    for _ in range(int(trials)):
+    for _ in range(trials):
         d = int(rng.integers(2, 9))
         eye = eye_cache.setdefault(d, np.eye(d))
         y = rng.dirichlet(np.ones(d))

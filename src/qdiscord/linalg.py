@@ -7,6 +7,7 @@ the computational-basis value of qubit i.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable
 
 import numpy as np
@@ -135,6 +136,14 @@ class Spectrum:
         return f"Spectrum({np.array2string(self.probs, precision=6)})"
 
 
+def _index(value, what: str) -> int:
+    """value as an int; a float or other non-integer raises instead of truncating."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Trace out every qubit not listed in keep.
 
@@ -142,7 +151,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     keep={0, 2} on a 3-qubit state yields the (q0, q2) marginal.
     """
     n = rho.num_qubits
-    kept = sorted({int(k) for k in keep})
+    kept = sorted({_index(k, "qubit index") for k in keep})
     if not kept:
         raise ValueError("cannot trace out all qubits")
     if kept[0] < 0 or kept[-1] >= n:
@@ -161,7 +170,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 def permute_qubits(rho: DensityMatrix, order: Iterable[int]) -> DensityMatrix:
     """Reorder tensor factors so that new qubit k is old qubit order[k]."""
     n = rho.num_qubits
-    order = tuple(int(i) for i in order)
+    order = tuple(_index(i, "qubit index") for i in order)
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of all qubit indices")
     t = rho.matrix.reshape((2,) * (2 * n))

@@ -40,6 +40,7 @@ from .linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _index,
 )
 
 __all__ = [
@@ -101,7 +102,7 @@ class ProductMeasurement:
     def uniform_axis(cls, n: int, axis) -> "ProductMeasurement":
         """The same axis on every one of n qubits."""
         m = BlochMeasurement(axis)
-        return cls((m,) * int(n))
+        return cls((m,) * _index(n, "qubit count"))
 
     def __len__(self) -> int:
         return len(self.per_qubit)

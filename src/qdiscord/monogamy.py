@@ -64,8 +64,11 @@ class MonogamyReport:
     Qubit 0 is the distinguished party: pairwise[k-1] is the discord of the
     (0, k) marginal and nested[k-1] the discord of the first k+1 qubits
     across the cut (first k)|(k+1 th). inequality_holds tracks
-    whole >= sum(pairwise) - tol, condition_holds tracks
-    nested[k] >= pairwise[k] - tol for every k; the raw margins are kept
+    whole >= sum(pairwise) - tol. condition_holds is the nested domination
+    condition: the cut (first k)|(k+1 th) dominates the pair (0, k),
+    nested[k-1] >= pairwise[k-1] - tol, for every k. It is not the
+    condition CounterexampleAudit tests: on bros_counterexample() at
+    q = 0.9 this one holds and the audit's fails. The raw margins are kept
     alongside the booleans.
     """
 
@@ -82,10 +85,14 @@ class MonogamyReport:
 class CounterexampleAudit:
     """Audit of the rank-2 mixture (|000><000| + |1+1><1+1|)/2.
 
-    The state separates the nested-domination condition from the monogamy
-    inequality itself: its discord across the cut {0}|{1,2} vanishes while
-    the (0,1) pairwise discord does not, so the condition fails, yet the
-    inequality whole >= pair_01 + pair_02 still holds (with equality).
+    The state separates a sufficient condition from the monogamy
+    inequality itself. condition_holds here is first_vs_rest >= pair_01 -
+    tol: the cut {0}|{1,2} dominates the pair (0, 1). Its discord across
+    {0}|{1,2} vanishes while the (0,1) pairwise discord does not, so the
+    condition fails, yet inequality_holds, whole >= pair_01 + pair_02 - tol,
+    still holds (with equality). This is not MonogamyReport's nested
+    condition, (first k)|(k+1 th) against the pair (0, k), which holds on
+    this state at q = 0.9.
     """
 
     q: float

@@ -18,6 +18,7 @@ from .linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _index,
     kron_all,
 )
 
@@ -42,18 +43,23 @@ class StateFormatError(ValueError):
 
 
 def _check_n(n: int) -> int:
-    n = int(n)
+    n = _index(n, "qubit count")
     if n < 2:
         raise ValueError("family requires at least two qubits")
     return n
 
 
-def werner_ghz(n: int, mu: float) -> DensityMatrix:
-    """GHZ state diluted by white noise: (1-mu) I/2^n + mu |GHZ_n><GHZ_n|."""
-    n = _check_n(n)
+def _check_mu(mu: float) -> float:
     mu = float(mu)
     if not 0.0 <= mu <= 1.0:
         raise ValueError("mixing weight mu must lie in [0, 1]")
+    return mu
+
+
+def werner_ghz(n: int, mu: float) -> DensityMatrix:
+    """GHZ state diluted by white noise: (1-mu) I/2^n + mu |GHZ_n><GHZ_n|."""
+    n = _check_n(n)
+    mu = _check_mu(mu)
     d = 2**n
     m = np.zeros((d, d), dtype=complex)
     np.fill_diagonal(m, (1.0 - mu) / d)
@@ -115,7 +121,7 @@ def random_density_matrix(n: int, seed=None) -> DensityMatrix:
 
     seed may be an int, None, or an existing numpy Generator.
     """
-    n = int(n)
+    n = _index(n, "qubit count")
     if not 1 <= n <= DESK_SCALE_LIMIT:
         raise ValueError(f"qubit count must be between 1 and {DESK_SCALE_LIMIT}")
     rng = np.random.default_rng(seed)

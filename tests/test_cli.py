@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qdiscord import cli
 from qdiscord.analytic import werner_ghz_gqd
-from qdiscord.cli import DEFAULT_TARGETS, SweepSpec, build_parser, main
+from qdiscord.cli import DEFAULT_TARGETS, build_parser, main
 from qdiscord.discord import OptimizerConfig, q_gqd, q_qd_one_sided
 from qdiscord.linalg import DESK_SCALE_LIMIT, DensityMatrix
+from qdiscord.monogamy import DecompositionLedger
 from qdiscord.states import random_density_matrix, save_state, werner_ghz
 
 LIGHT_FLAGS = ["--starts", "4", "--max-evals", "400"]
@@ -305,13 +307,16 @@ class TestSweep:
     def test_default_targets(self):
         assert DEFAULT_TARGETS == ("alpha:0.58", "alpha:0.3")
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError, match="steps"):
-            SweepSpec(q_min=0.1, q_max=0.9, steps=1, targets=(("a", None),))
-        with pytest.raises(ValueError, match="q-max"):
-            SweepSpec(q_min=0.9, q_max=0.1, steps=5, targets=(("a", None),))
-        with pytest.raises(ValueError, match="target"):
-            SweepSpec(q_min=0.1, q_max=0.9, steps=5, targets=())
+    def test_spec_validation(self, capsys):
+        for flags, message in [
+            (["--steps", "1"], "--steps must be at least 2"),
+            (["--q-min", "0"], "--q-min must be a positive real number"),
+            (["--q-min", "nan"], "--q-min must be a positive real number"),
+            (["--q-max", "inf"], "--q-max must be finite and exceed --q-min"),
+            (["--q-min", "0.9", "--q-max", "0.1"], "--q-max must be finite and exceed --q-min"),
+        ]:
+            assert main(["sweep", "--target", "mixed:2", *flags]) == 4
+            assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestVerify:
@@ -367,6 +372,32 @@ class TestVerify:
         assert audit["passed"] is True
         assert audit["condition_holds"] is False
         assert audit["inequality_holds"] is True
+
+
+    @pytest.mark.parametrize(
+        "suite, attr, stub, failing",
+        [
+            (
+                "telescoping",
+                "decompose_induced_gqd",
+                lambda rho, phi, q: DecompositionLedger(0.0, (), 1.0),
+                "[FAIL] decomposition residual max 1.000e+00",
+            ),
+            (
+                "majorization",
+                "majorizes",
+                lambda x, y: False,
+                "[FAIL] all-z spectrum majorizes every measured spectrum: 0/2",
+            ),
+        ],
+    )
+    def test_one_failing_check_fails_the_suite(self, capsys, monkeypatch, suite, attr, stub, failing):
+        monkeypatch.setattr(cli, attr, stub)
+        code, lines, summary = self.run_suite(capsys, suite, 2)
+        assert code == 1
+        fails = [line for line in lines if line.startswith("[FAIL]")]
+        assert len(fails) == 1 and fails[0].startswith(failing)
+        assert summary["passed"] is False
 
 
 class TestConsoleEntry:

@@ -14,7 +14,11 @@ from qdiscord.linalg import (
     permute_qubits,
     state_spectrum,
 )
+from qdiscord.analytic import werner_ghz_gqd, werner_ghz_optimal_measured_spectrum
+from qdiscord.discord import induced_discord, q_qd_one_sided
+from qdiscord.entropy import schur_concavity_witness
 from qdiscord.measurement import ProductMeasurement, apply_full
+from qdiscord.states import pauli_diagonal_state, random_density_matrix, werner_ghz
 
 BELL = np.zeros((4, 4), dtype=complex)
 BELL[0, 0] = BELL[0, 3] = BELL[3, 0] = BELL[3, 3] = 0.5
@@ -223,3 +227,35 @@ class TestStateSpectrum:
         assert len(s) == 16
         assert abs(s.probs.sum() - 1.0) <= 1e-15
         assert np.all(s.probs >= 0.0)
+
+
+RHO3 = random_density_matrix(3, seed=3)
+PHI3 = ProductMeasurement.uniform_axis(3, (0.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: induced_discord(RHO3, PHI3, 0.5, cut=((0, 1), (2.7,))), "qubit index must be an integer"),
+        (lambda: induced_discord(RHO3, PHI3, 0.5, cut=((0,), (1,), (2,))), "bipartition is a pair"),
+        (lambda: partial_trace(RHO3, [0.9]), "qubit index must be an integer"),
+        (lambda: permute_qubits(RHO3, [0.0, 1.0, 2.0]), "qubit index must be an integer"),
+        (lambda: q_qd_one_sided(RHO3, [1.5], 0.5), "qubit index must be an integer"),
+        (lambda: werner_ghz(3.7, 0.5), "qubit count must be an integer"),
+        (lambda: werner_ghz_gqd(3.7, 0.5, 0.5), "qubit count must be an integer"),
+        (lambda: werner_ghz_optimal_measured_spectrum(2.5, 0.5), "qubit count must be an integer"),
+        (lambda: pauli_diagonal_state(2.9, 0.1, 0.1, 0.1), "qubit count must be an integer"),
+        (lambda: random_density_matrix(2.5), "qubit count must be an integer"),
+        (lambda: ProductMeasurement.uniform_axis(2.5, (0.0, 0.0, 1.0)), "qubit count must be an integer"),
+        (lambda: schur_concavity_witness(0.5, 2.5), "trials must be an integer"),
+    ],
+    ids=[
+        "cut-index", "three-sided-cut", "partial-trace", "permute", "one-sided",
+        "werner", "werner-closed-form", "werner-spectrum", "pauli", "random",
+        "uniform-axis", "schur-trials",
+    ],
+)
+def test_non_integer_indices_and_counts_are_rejected(call, message):
+    # A float index or count used to be truncated by int(); now it is an error.
+    with pytest.raises(ValueError, match=message):
+        call()
