@@ -65,7 +65,8 @@ class OptimizerConfig:
     starts counts starting points (the first eight are deterministic grid
     patterns, the rest are seeded sphere-uniform draws), max_evals caps the
     value-and-gradient evaluations per start, and seed fixes the random
-    starts so identical configs give identical results.
+    starts so identical configs give identical results. All three must be
+    integers; a float, even a whole or infinite one, raises ValueError.
     """
 
     starts: int = 16
@@ -73,6 +74,8 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("starts", "max_evals", "seed"):
+            _index(getattr(self, name), name)
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
         if self.max_evals < 1:
@@ -253,20 +256,15 @@ def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], gro
         .reshape(dim_m * dim_u * dim_u, dim_m)
     )
 
-    measured_groups = []
-    parties = []
-    for g in groups:
-        if all(i in measured for i in g):
-            parties.append(g)
-            positions = tuple(measured.index(i) for i in g)
-            # axis 0 of the outcome tensor is the batch
-            sum_axes = tuple(1 + ax for ax in range(m) if ax not in positions)
-            measured_groups.append(sum_axes)
-        elif any(i in measured for i in g):
-            raise ValueError("each party must be fully measured or fully unmeasured")
-        # fully unmeasured groups drop out: their marginal is untouched
+    # Every caller passes groups that are wholly measured or wholly
+    # unmeasured. The unmeasured ones drop out, their marginal untouched;
+    # a measured one sums the outcome axes of the other measured qubits
+    # (axis 0 of the outcome tensor is the batch).
+    parties = [g for g in groups if all(i in measured for i in g)]
+    measured_groups = tuple(
+        tuple(1 + ax for ax, i in enumerate(measured) if i not in g) for g in parties
+    )
     const = _mutual_information(rho, parties, q)
-    measured_groups = tuple(measured_groups)
 
     def objective(angles: np.ndarray, gradient: bool = False):
         w = product_basis(angles)
@@ -435,10 +433,15 @@ def _lockstep(objective, searches):
 def _minimize_discord(
     rho: DensityMatrix,
     q: float,
-    opt: OptimizerConfig,
+    opt: OptimizerConfig | None,
     measured: tuple[int, ...],
     groups,
 ) -> DiscordReport:
+    """Check q and the state's size, then run the multi-start search."""
+    q = _check_q(q)
+    if rho.num_qubits > DESK_SCALE_LIMIT:
+        raise ValueError(f"state exceeds desk-scale limit of {DESK_SCALE_LIMIT} qubits")
+    opt = opt if opt is not None else OptimizerConfig()
     objective = _make_objective(rho, q, measured, groups)
     starts = np.array(_start_points(len(measured), opt))
     searches = [_bfgs(x, opt.max_evals) for x in starts]
@@ -467,11 +470,6 @@ def _minimize_discord(
     )
 
 
-def _check_desk_scale(rho: DensityMatrix) -> None:
-    if rho.num_qubits > DESK_SCALE_LIMIT:
-        raise ValueError(f"state exceeds desk-scale limit of {DESK_SCALE_LIMIT} qubits")
-
-
 def q_gqd(rho: DensityMatrix, q: float, opt: OptimizerConfig | None = None, *, cut=None) -> DiscordReport:
     """Global q-discord: minimal induced discord over product measurements.
 
@@ -480,9 +478,6 @@ def q_gqd(rho: DensityMatrix, q: float, opt: OptimizerConfig | None = None, *, c
     two-party mutual information across that bipartition while still
     measuring every qubit with per-qubit projectors.
     """
-    q = _check_q(q)
-    _check_desk_scale(rho)
-    opt = opt if opt is not None else OptimizerConfig()
     n = rho.num_qubits
     return _minimize_discord(rho, q, opt, tuple(range(n)), _parties(n, cut))
 
@@ -504,9 +499,6 @@ def q_qd_one_sided(
     c3, q), since the measured spectrum is (1 +/- |c o m|)/16. At n = 2
     the Pauli-diagonal closed form is the value with either qubit measured.
     """
-    q = _check_q(q)
-    _check_desk_scale(rho)
-    opt = opt if opt is not None else OptimizerConfig()
     n = rho.num_qubits
     measured = tuple(sorted({_index(i, "qubit index") for i in measured}))
     if not measured or len(measured) >= n:

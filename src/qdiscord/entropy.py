@@ -166,10 +166,9 @@ def schur_concavity_witness(q: float, trials: int, seed: int = 0) -> bool:
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
-    eye_cache: dict[int, np.ndarray] = {}
     for _ in range(trials):
         d = int(rng.integers(2, 9))
-        eye = eye_cache.setdefault(d, np.eye(d))
+        eye = np.eye(d)
         y = rng.dirichlet(np.ones(d))
         mix = np.zeros((d, d))
         for w in rng.dirichlet(np.ones(4)):

@@ -50,14 +50,6 @@ def kron_all(*factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_hermitian(m: np.ndarray, name: str) -> None:
-    """Raise ValueError unless m is square and Hermitian to HERMITICITY_TOL."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square")
-    if np.abs(m - m.conj().T).max(initial=0.0) > HERMITICITY_TOL:
-        raise ValueError(f"{name} is not Hermitian")
-
-
 class DensityMatrix:
     """Hermitian, unit-trace, positive semidefinite operator on n qubits.
 
@@ -75,7 +67,10 @@ class DensityMatrix:
         m = np.array(matrix, dtype=complex)
         if not np.isfinite(m).all():
             raise ValueError("density matrix entries must be finite")
-        _check_hermitian(m, "density matrix")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("density matrix must be square")
+        if np.abs(m - m.conj().T).max(initial=0.0) > HERMITICITY_TOL:
+            raise ValueError("density matrix is not Hermitian")
         dim = m.shape[0]
         n = dim.bit_length() - 1
         if dim < 2 or 2**n != dim:

@@ -42,6 +42,11 @@ NONZERO_MIN = 1e-3
 WHOLE_MATCH_TOL = 1e-5
 
 
+def _holds(margin: float) -> bool:
+    """Whether an inequality between optimized values holds, up to INEQUALITY_TOL."""
+    return margin >= -INEQUALITY_TOL
+
+
 @dataclass(frozen=True)
 class DecompositionLedger:
     """Exact split of an induced discord into nested bipartite pieces.
@@ -68,8 +73,9 @@ class MonogamyReport:
     condition: the cut (first k)|(k+1 th) dominates the pair (0, k),
     nested[k-1] >= pairwise[k-1] - tol, for every k. It is not the
     condition CounterexampleAudit tests: on bros_counterexample() at
-    q = 0.9 this one holds and the audit's fails. The raw margins are kept
-    alongside the booleans.
+    q = 0.9 this one holds and the audit's fails. bounded_sum_holds is
+    bounded_sum_check's test, whole >= sum(nested) - tol, on these same
+    values. The raw margins are kept alongside the booleans.
     """
 
     whole: float
@@ -79,6 +85,7 @@ class MonogamyReport:
     condition_holds: bool
     inequality_margin: float
     condition_margins: tuple
+    bounded_sum_holds: bool
 
 
 @dataclass(frozen=True)
@@ -154,7 +161,7 @@ def bounded_sum_check(
     """
     whole = q_gqd(rho, q, opt).value
     nested = _nested_values(rho, q, opt)
-    return whole >= sum(nested) - INEQUALITY_TOL
+    return _holds(whole - sum(nested))
 
 
 def monogamy_report(
@@ -176,8 +183,8 @@ def monogamy_report(
     nested = pairwise[:1] + _nested_values(rho, q, opt, first=2)
     inequality_margin = whole - sum(pairwise)
     condition_margins = tuple(ns - pw for ns, pw in zip(nested, pairwise))
-    inequality_holds = inequality_margin >= -INEQUALITY_TOL
-    condition_holds = all(m >= -INEQUALITY_TOL for m in condition_margins)
+    inequality_holds = _holds(inequality_margin)
+    condition_holds = all(map(_holds, condition_margins))
     if condition_holds and not inequality_holds:
         raise RuntimeError(
             "nested domination holds but the monogamy inequality failed; "
@@ -191,6 +198,7 @@ def monogamy_report(
         condition_holds=condition_holds,
         inequality_margin=float(inequality_margin),
         condition_margins=condition_margins,
+        bounded_sum_holds=_holds(whole - sum(nested)),
     )
 
 
@@ -224,8 +232,8 @@ def bros_counterexample_audit(
         pair_01_nonzero=pair_01_nonzero,
         pair_02_vanishes=pair_02_vanishes,
         whole_matches_pair_01=whole_matches_pair_01,
-        condition_holds=first_vs_rest >= pair_01 - INEQUALITY_TOL,
-        inequality_holds=whole >= pair_01 + pair_02 - INEQUALITY_TOL,
+        condition_holds=_holds(first_vs_rest - pair_01),
+        inequality_holds=_holds(whole - (pair_01 + pair_02)),
         passed=(
             first_vs_rest_vanishes
             and pair_01_nonzero

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qdiscord import cli
-from qdiscord.analytic import werner_ghz_gqd
+from qdiscord.analytic import pauli_diagonal_gqd, werner_ghz_gqd
 from qdiscord.cli import DEFAULT_TARGETS, build_parser, main
 from qdiscord.discord import OptimizerConfig, q_gqd, q_qd_one_sided
 from qdiscord.linalg import DESK_SCALE_LIMIT, DensityMatrix
@@ -228,13 +228,27 @@ class TestExitCodes:
         assert "malformed target" in capsys.readouterr().err
 
     def test_mixed_target_beyond_desk_scale(self, capsys):
-        for target in ("mixed:0", f"mixed:{DESK_SCALE_LIMIT + 1}"):
+        # Every target that names a qubit count is checked before its state
+        # is built; werner:40 and pauli:40 would need 2^40 x 2^40 matrices.
+        too_many = DESK_SCALE_LIMIT + 1
+        for target in (
+            "mixed:0",
+            f"mixed:{too_many}",
+            "werner:0:0.5",
+            f"werner:{too_many}:0.5",
+            "werner:40:0.5",
+            f"pauli:{too_many}:0.1:0.1:0.1",
+            "pauli:40:0.1:0.1:0.1",
+        ):
+            kind = target.split(":")[0]
             assert main(["sweep", "--target", target]) == 4
-            assert "mixed target qubit count must be 1..4" in capsys.readouterr().err
+            assert f"{kind} target qubit count must be 1..4" in capsys.readouterr().err
 
     def test_target_outside_state_space(self, capsys):
         assert main(["sweep", "--target", "werner:2:1.5"]) == 3
         capsys.readouterr()
+        assert main(["sweep", "--target", "werner:1:0.5"]) == 3
+        assert "family requires at least two qubits" in capsys.readouterr().err
 
     def test_target_file_missing(self, capsys, tmp_path):
         assert main(["sweep", "--target", f"file:{tmp_path}/gone.json"]) == 2
@@ -295,6 +309,32 @@ class TestSweep:
             q, first, second, difference = (float(x) for x in line.split(","))
             assert_allclose(difference, first - second, atol=1e-12)
             assert_allclose(first, werner_ghz_gqd(2, 0.5, q).value, atol=1e-5)
+
+    def test_pauli_target_difference_column(self, capsys):
+        code = main(
+            [
+                "sweep",
+                "--target",
+                "pauli:2:0.2:0.1:0.3",
+                "--target",
+                "mixed:2",
+                "--steps",
+                "2",
+                "--q-min",
+                "0.4",
+                "--q-max",
+                "0.8",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == "q,pauli:2:0.2:0.1:0.3,mixed:2,difference"
+        for line in lines[1:]:
+            q, first, second, difference = (float(x) for x in line.split(","))
+            assert_allclose(first, pauli_diagonal_gqd(2, 0.2, 0.1, 0.3, q).value, atol=1e-5)
+            assert_allclose(second, 0.0, atol=1e-5)
+            assert_allclose(difference, first - second, atol=1e-12)
 
     def test_out_flag_writes_identical_file(self, capsys, tmp_path):
         argv = ["sweep", "--target", "mixed:2", "--steps", "2", "--q-min", "0.5", "--q-max", "0.7"] + LIGHT_FLAGS

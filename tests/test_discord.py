@@ -85,6 +85,22 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError, match="seed must be non-negative"):
             OptimizerConfig(seed=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_evals", 10.5),
+            ("max_evals", float("nan")),
+            ("starts", 2.5),
+            ("starts", np.float64(3.0)),
+            ("starts", float("inf")),
+            ("seed", 1.5),
+        ],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        # Construction only: a solve with starts=inf would never end.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            OptimizerConfig(**{field: value})
+
 
 class TestMutualInformation:
     def test_product_state_pseudo_additivity(self):

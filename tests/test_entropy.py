@@ -204,6 +204,10 @@ class TestMajorization:
         assert not majorizes(x, y)
         assert not majorizes(y, x)
 
+    def test_unequal_totals(self):
+        # y's partial sums dominate x's, but the totals differ by 0.1.
+        assert not majorizes(np.array([0.3, 0.3, 0.3]), np.array([0.8, 0.2, 0.0]))
+
     def test_entropy_respects_majorization(self):
         rng = np.random.default_rng(8)
         for q in (0.5, 1.0, 2.0):

@@ -170,6 +170,13 @@ class TestMonogamyReport:
         assert len(report.pairwise) == 2
         assert len(report.nested) == 2
 
+    def test_bounded_sum_matches_the_check(self):
+        # Same solves, same test: the report's flag is bounded_sum_check's answer.
+        for rho in (random_density_matrix(3, seed=40), DensityMatrix(np.eye(8) / 8.0)):
+            report = monogamy_report(rho, 0.5, LIGHT)
+            assert report.bounded_sum_holds
+            assert report.bounded_sum_holds == bounded_sum_check(rho, 0.5, LIGHT)
+
 
 class TestCounterexample:
     def test_audit_passes(self):
