@@ -47,7 +47,6 @@ CLAMP_SLACK = 1e-8
 BASIN_TOL = 1e-7
 
 __all__ = [
-    "DESK_SCALE_LIMIT",
     "BASIN_TOL",
     "OptimizerConfig",
     "DiscordReport",
@@ -192,15 +191,14 @@ def _start_points(m: int, opt: OptimizerConfig) -> list[np.ndarray]:
     return points
 
 
-@functools.lru_cache(maxsize=64)
-def _gradient_tables(m: int, measured_groups: tuple):
-    """Index tables of the objective's gradient, built once per shape.
+@functools.cache
+def _gradient_tables(m: int):
+    """Index tables of the objective's gradient, built once per m.
 
     flipped[i, j] is outcome j with measured qubit i's bit flipped (qubit 0
     is the high bit) and signs[i, j] is +1 where that bit of j is 0, else
-    -1; shapes holds each measured group's marginal as an outcome tensor
-    with its summed axes kept at length 1. Objectives of one shape share
-    the read-only arrays, and value-only objectives never build them.
+    -1. Objectives measuring m qubits share the read-only arrays, and
+    value-only objectives never build them.
     """
     outcomes = np.arange(2**m)
     bits = (1 << np.arange(m - 1, -1, -1))[:, None]
@@ -208,10 +206,7 @@ def _gradient_tables(m: int, measured_groups: tuple):
     signs = np.where(outcomes & bits, -1.0, 1.0)
     flipped.setflags(write=False)
     signs.setflags(write=False)
-    shapes = tuple(
-        tuple(1 if 1 + ax in sum_axes else 2 for ax in range(m)) for sum_axes in measured_groups
-    )
-    return flipped, signs, shapes
+    return flipped, signs
 
 
 def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], groups):
@@ -259,7 +254,7 @@ def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], gro
     # Every caller passes groups that are wholly measured or wholly
     # unmeasured. The unmeasured ones drop out, their marginal untouched;
     # a measured one sums the outcome axes of the other measured qubits
-    # (axis 0 of the outcome tensor is the batch).
+    # (axis 0 of the outcome tensor is the batch), keeping them at length 1.
     parties = [g for g in groups if all(i in measured for i in g)]
     measured_groups = tuple(
         tuple(1 + ax for ax, i in enumerate(measured) if i not in g) for g in parties
@@ -282,20 +277,19 @@ def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], gro
             eigenvalues, vectors = np.linalg.eigh(blocks)
             spectrum = eigenvalues.reshape(k, -1)
         ptensor = probs.reshape((k,) + (2,) * m)
-        marginals = [
-            (ptensor.sum(axis=ax) if ax else probs).reshape(k, -1) for ax in measured_groups
-        ]
+        marginals = [ptensor.sum(axis=ax, keepdims=True) for ax in measured_groups]
         # _hq is a plain sum over entries, so one call over the concatenated
         # marginals gives the sum of their entropies.
-        values = const + _hq(spectrum, q) - _hq(np.concatenate(marginals, axis=1), q)
+        flat = np.concatenate([marginal.reshape(k, -1) for marginal in marginals], axis=1)
+        values = const + _hq(spectrum, q) - _hq(flat, q)
         if not gradient:
             return values
 
-        flipped, signs, marginal_shapes = _gradient_tables(m, measured_groups)
+        flipped, signs = _gradient_tables(m)
         # sum_g h'(marginal_g), broadcast back to the outcomes
         shift = np.zeros_like(ptensor)
-        for shape, marginal in zip(marginal_shapes, marginals):
-            shift += _dhq(marginal, q).reshape((k,) + shape)
+        for marginal in marginals:
+            shift += _dhq(marginal, q)
         shift = shift.reshape(k, dim_m)
         if dim_u == 1:
             rho_w = rho_w.reshape(k, dim_m, 1, 1, dim_m)

@@ -165,6 +165,15 @@ def state_to_json_dict(rho: DensityMatrix) -> dict:
     return {"num_qubits": rho.num_qubits, "matrix": matrix}
 
 
+def _entry(pair) -> complex:
+    """A [re, im] list of two JSON numbers as a complex; TypeError otherwise."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise TypeError("not a pair")
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair):
+        raise TypeError("not a number")
+    return complex(*pair)  # OverflowError for an int beyond float range
+
+
 def state_from_json_dict(payload) -> DensityMatrix:
     """Rebuild a state from the JSON layout produced by state_to_json_dict.
 
@@ -180,14 +189,14 @@ def state_from_json_dict(payload) -> DensityMatrix:
         raise StateFormatError(f"state payload missing field {exc}") from exc
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise StateFormatError("num_qubits must be a positive integer")
-    d = 2**n
     try:
-        m = np.asarray(
-            [[complex(entry[0], entry[1]) for entry in row] for row in rows],
-            dtype=complex,
-        )
-    except (TypeError, ValueError, IndexError) as exc:
+        m = np.asarray([[_entry(pair) for pair in row] for row in rows], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise StateFormatError("matrix entries must be [re, im] pairs") from exc
+    # n is compared with the matrix's own size before 2**n is formed: no
+    # larger n can match, and 2**n of a huge n is slow to build and too
+    # long to print.
+    d = 2**n if n <= len(m).bit_length() + 1 else f"2**{n}"
     if m.shape != (d, d):
         raise StateFormatError(
             f"matrix must be {d}x{d} for num_qubits={n}, got {m.shape}"
@@ -207,6 +216,8 @@ def load_state(path) -> DensityMatrix:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # bad syntax or encoding, an integer past Python's digit limit,
+            # or nesting deeper than the decoder's recursion
             raise StateFormatError(f"not valid JSON: {exc}") from exc
     return state_from_json_dict(payload)

@@ -1,12 +1,13 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qdiscord import cli
+from qdiscord import cli, monogamy
 from qdiscord.analytic import pauli_diagonal_gqd, werner_ghz_gqd
 from qdiscord.cli import DEFAULT_TARGETS, build_parser, main
 from qdiscord.discord import OptimizerConfig, q_gqd, q_qd_one_sided
@@ -175,6 +176,29 @@ class TestExitCodes:
         code = main(["compute", "--state", str(path), "--quantity", "entropy", "--q", "1"])
         assert code == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b'{"num_qubits": 1, "matrix": [[{}, [0, 0]], [[0, 0], [1, 0]]]}',
+            b'{"num_qubits": 1, "matrix": [[[1' + b"0" * 400 + b', 0], [0, 0]], [[0, 0], [0, 0]]]}',
+            b'{"num_qubits": 1, "matrix": ' + b"[" * 10000 + b"]" * 10000 + b"}",
+            b'{"num_qubits": 1, "matrix": "\xff"}',
+            b'{"num_qubits": 1' + b"0" * 4400 + b', "matrix": []}',
+            b'{"num_qubits": 20000, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
+            b'{"num_qubits": 1, "matrix": [[[0.5, 0, 99], [0, 0]], [[0, 0], [0.5, 0]]]}',
+            b'{"num_qubits": 1, "matrix": [[[true, false], [0, 0]], [[0, 0], [false, false]]]}',
+        ],
+        ids=["object-entry", "int-overflow", "deep-nesting", "not-utf8", "long-int",
+             "huge-qubit-count", "three-numbers", "booleans"],
+    )
+    def test_malformed_state_file(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        code = main(["compute", "--state", str(path), "--quantity", "entropy", "--q", "0.5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_invalid_state_matrix(self, capsys, tmp_path):
         payload = {
@@ -437,6 +461,19 @@ class TestVerify:
         assert code == 1
         fails = [line for line in lines if line.startswith("[FAIL]")]
         assert len(fails) == 1 and fails[0].startswith(failing)
+        assert summary["passed"] is False
+
+    def test_implication_violation_fails_the_suite(self, capsys, monkeypatch):
+        # Whole 0.1, every other value 0.2: each report raises its
+        # condition-without-inequality fault and the suite counts it (the
+        # faked audit fails its own lines too).
+        def fake_q_gqd(rho, q, opt=None, *, cut=None):
+            return SimpleNamespace(value=0.1 if rho.num_qubits == 3 and cut is None else 0.2)
+
+        monkeypatch.setattr(monogamy, "q_gqd", fake_q_gqd)
+        code, lines, summary = self.run_suite(capsys, "monogamy", 2)
+        assert code == 1
+        assert "[FAIL] condition-implies-inequality violations: 2 over 2 random states" in lines
         assert summary["passed"] is False
 
 

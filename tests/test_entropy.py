@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qdiscord import entropy
 from qdiscord.entropy import (
     majorizes,
     q_log,
@@ -194,6 +195,9 @@ class TestMajorization:
         assert majorizes(spiked, pure)
         assert majorizes(uniform, pure)
         assert not majorizes(spiked, uniform)
+        # A Spectrum is read in its stored, already sorted order.
+        assert majorizes(Spectrum(uniform), Spectrum(spiked))
+        assert not majorizes(Spectrum(spiked), Spectrum(uniform))
 
     def test_unsorted_input_allowed(self):
         assert majorizes(np.array([0.25, 0.5, 0.25]), np.array([0.1, 0.8, 0.1]))
@@ -222,6 +226,12 @@ class TestMajorization:
     def test_witness_passes(self):
         assert schur_concavity_witness(0.5, trials=50, seed=0)
         assert schur_concavity_witness(2.0, trials=50, seed=1)
+
+    def test_witness_can_fail(self, monkeypatch):
+        # With the entropy negated, mixing lowers it and the witness says so.
+        negated = entropy.tsallis_entropy_probs
+        monkeypatch.setattr(entropy, "tsallis_entropy_probs", lambda p, q: -negated(p, q))
+        assert not schur_concavity_witness(0.5, trials=5, seed=0)
 
     def test_witness_needs_a_trial(self):
         for trials in (0, -3):

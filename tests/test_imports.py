@@ -43,3 +43,18 @@ def test_every_exported_name_resolves():
     for module in modules:
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.__all__ lists missing {name}"
+
+
+def test_package_reexports_every_module_name():
+    # Each module's __all__ is the one list of its public names; the package
+    # exports each of them as the same object, once.
+    names = ["__version__"]
+    for info in pkgutil.iter_modules(qdiscord.__path__):
+        if info.name in ("cli", "__main__"):
+            continue
+        module = importlib.import_module(f"qdiscord.{info.name}")
+        for name in module.__all__:
+            assert getattr(qdiscord, name) is getattr(module, name), f"{module.__name__}.{name}"
+        names += module.__all__
+    assert len(qdiscord.__all__) == len(set(qdiscord.__all__))
+    assert sorted(qdiscord.__all__) == sorted(names)

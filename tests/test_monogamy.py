@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -154,6 +156,16 @@ class TestMonogamyReport:
         assert solves == [3, 2, 2, 3]
         assert report.nested[0] == report.pairwise[0]
         assert report.condition_margins[0] == 0.0
+
+    def test_condition_without_inequality_raises(self, monkeypatch):
+        # Whole 0.1, every other value 0.2: nested domination holds, yet
+        # 0.1 < 0.2 + 0.2, which only a faulty solve can produce.
+        def fake_q_gqd(rho, q, opt=None, *, cut=None):
+            return SimpleNamespace(value=0.1 if rho.num_qubits == 3 and cut is None else 0.2)
+
+        monkeypatch.setattr(monogamy, "q_gqd", fake_q_gqd)
+        with pytest.raises(RuntimeError, match="monogamy inequality failed"):
+            monogamy_report(random_density_matrix(3, seed=40), 0.5, LIGHT)
 
     def test_margins_are_consistent(self):
         report = monogamy_report(random_density_matrix(3, seed=40), 0.5, LIGHT)
