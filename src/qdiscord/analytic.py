@@ -31,7 +31,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ClosedFormResult:
-    """A closed-form value, the formula branch taken, and the echoed inputs.
+    """A closed-form value and the formula branch taken.
 
     Branch labels ending in "q1-limit" mark q == 1.0 exactly, where every
     x^q ln_q x is x ln x; the other labels cover every other q.
@@ -39,7 +39,6 @@ class ClosedFormResult:
 
     value: float
     branch: str
-    inputs: dict
 
 
 def _xq_lnq(x: float, q: float) -> float:
@@ -71,9 +70,8 @@ def werner_ghz_gqd(n: int, mu: float, q: float) -> ClosedFormResult:
     a = (1.0 - mu) / d + mu
     b = (1.0 - mu) / d
     c = (1.0 - mu) / d + mu / 2.0
-    inputs = {"n": n, "mu": mu, "q": q}
     value = _xq_lnq(a, q) + _xq_lnq(b, q) - 2.0 * _xq_lnq(c, q)
-    return ClosedFormResult(value, "q1-limit" if q == 1.0 else "generic", inputs)
+    return ClosedFormResult(value, "q1-limit" if q == 1.0 else "generic")
 
 
 def _pauli_lambdas(n: int, c1: float, c2: float, c3: float) -> list[float]:
@@ -110,15 +108,14 @@ def pauli_diagonal_gqd(
     q = _check_q(q)
     n, c1, c2, c3 = _pauli_params(n, c1, c2, c3)
     dim = 2**n
-    inputs = {"n": n, "c1": c1, "c2": c2, "c3": c3, "q": q}
     suffix = "-q1-limit" if q == 1.0 else ""
     measured = _measured_entropy(n, c1, c2, c3, q)
     if n % 2 == 1:
         d = math.sqrt(c1 * c1 + c2 * c2 + c3 * c3)
         state = _xq_lnq((1.0 + d) / dim, q) + _xq_lnq((1.0 - d) / dim, q)
-        return ClosedFormResult(2 ** (n - 1) * state + measured, "odd-n" + suffix, inputs)
+        return ClosedFormResult(2 ** (n - 1) * state + measured, "odd-n" + suffix)
     state = sum(_xq_lnq(lam / dim, q) for lam in _pauli_lambdas(n, c1, c2, c3))
-    return ClosedFormResult(2 ** (n - 2) * state + measured, "even-n" + suffix, inputs)
+    return ClosedFormResult(2 ** (n - 2) * state + measured, "even-n" + suffix)
 
 
 def _pauli_params(n, c1, c2, c3) -> tuple[int, float, float, float]:

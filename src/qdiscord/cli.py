@@ -18,17 +18,20 @@ import numpy as np
 
 from .analytic import (
     pauli_diagonal_gqd,
+    pauli_diagonal_measured_spectrum,
     werner_ghz_gqd,
     werner_ghz_measured_spectrum,
     werner_ghz_optimal_measured_spectrum,
 )
 from .discord import (
+    CLAMP_SLACK,
     OptimizerConfig,
     mutual_information_q,
     q_gqd,
     q_qd_one_sided,
 )
 from .entropy import (
+    _check_q,
     majorizes,
     schur_concavity_witness,
     tsallis_entropy,
@@ -63,10 +66,10 @@ class ParameterError(ValueError):
 
 
 def _positive_q(q: float, flag: str = "--q") -> float:
-    q = float(q)
-    if not math.isfinite(q) or q <= 0.0:
-        raise ParameterError(f"{flag} must be a positive real number")
-    return q
+    try:
+        return _check_q(q)
+    except ValueError:
+        raise ParameterError(f"{flag} must be a positive real number") from None
 
 
 def _optimizer_from(args) -> OptimizerConfig:
@@ -118,14 +121,14 @@ def cmd_compute(args) -> int:
                 for k in range(rho.num_qubits)
             ],
         }
-    elif args.quantity == "qqd":
-        report = q_qd_one_sided(rho, (rho.num_qubits - 1,), q, opt)
-        value = report.value
-        diagnostics = _report_diagnostics(report)
     else:
-        report = q_gqd(rho, q, opt)
-        value = report.value
-        diagnostics = _report_diagnostics(report)
+        if args.quantity == "qgqd":
+            report = q_gqd(rho, q, opt)
+        elif rho.num_qubits < 2:
+            raise ValueError("qqd measures the last qubit and needs at least two qubits")
+        else:
+            report = q_qd_one_sided(rho, (rho.num_qubits - 1,), q, opt)
+        value, diagnostics = report.value, _report_diagnostics(report)
     print(
         json.dumps(
             {
@@ -149,6 +152,7 @@ def _random_axis_pairs(rng, n):
 def _suite_nonnegativity(seed, trials, opt):
     rng = np.random.default_rng(seed)
     q_grid = (0.25, 0.5, 0.75, 1.0)
+    floor = -CLAMP_SLACK
     min_gqd = math.inf
     min_one_sided = math.inf
     failures = 0
@@ -160,13 +164,13 @@ def _suite_nonnegativity(seed, trials, opt):
             s = q_qd_one_sided(rho, (n - 1,), q, opt).raw_value
             min_gqd = min(min_gqd, g)
             min_one_sided = min(min_one_sided, s)
-            failures += int(g < -1e-8) + int(s < -1e-8)
+            failures += int(g < floor) + int(s < floor)
     checks = [
         (
-            min_gqd >= -1e-8,
-            f"q_gqd raw minimum {min_gqd:.3e} over {trials} states x {len(q_grid)} q values (floor -1e-08)",
+            min_gqd >= floor,
+            f"q_gqd raw minimum {min_gqd:.3e} over {trials} states x {len(q_grid)} q values (floor {floor:g})",
         ),
-        (min_one_sided >= -1e-8, f"one-sided q-QD raw minimum {min_one_sided:.3e} (floor -1e-08)"),
+        (min_one_sided >= floor, f"one-sided q-QD raw minimum {min_one_sided:.3e} (floor {floor:g})"),
     ]
     details = {
         "min_qgqd": float(min_gqd),
@@ -286,11 +290,10 @@ def _suite_majorization(seed, trials, opt):
             if tsallis_entropy_probs(seen, q) < tsallis_entropy_probs(optimal, q) - 1e-9:
                 order_failures += 1
         c1, c2, c3 = random_pauli_diagonal_coefficients(3, rng)
-        prods = np.ones(3)
-        for m in ProductMeasurement.from_angles(_random_axis_pairs(rng, 3)):
-            prods *= m.axis
-        total = c1 * prods[0] + c2 * prods[1] + c3 * prods[2]
-        if abs(total) > max(abs(c1), abs(c2), abs(c3)) + 1e-12:
+        axes = ProductMeasurement.from_angles(_random_axis_pairs(rng, 3))
+        # the spectrum's first entry is (1 + t)/8, t the correlation product
+        t = 8.0 * pauli_diagonal_measured_spectrum(3, c1, c2, c3, axes)[0] - 1.0
+        if abs(t) > max(abs(c1), abs(c2), abs(c3)) + 1e-12:
             bound_failures += 1
     schur_ok = all(schur_concavity_witness(q, trials, seed) for q in (0.5, 2.0))
     checks = [
@@ -485,10 +488,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
-    except StateFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (StateFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:

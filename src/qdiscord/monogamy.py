@@ -28,7 +28,6 @@ __all__ = [
     "MonogamyReport",
     "CounterexampleAudit",
     "decompose_induced_gqd",
-    "bounded_sum_check",
     "monogamy_report",
     "bros_counterexample_audit",
 ]
@@ -73,9 +72,11 @@ class MonogamyReport:
     condition: the cut (first k)|(k+1 th) dominates the pair (0, k),
     nested[k-1] >= pairwise[k-1] - tol, for every k. It is not the
     condition CounterexampleAudit tests: on bros_counterexample() at
-    q = 0.9 this one holds and the audit's fails. bounded_sum_holds is
-    bounded_sum_check's test, whole >= sum(nested) - tol, on these same
-    values. The raw margins are kept alongside the booleans.
+    q = 0.9 this one holds and the audit's fails. bounded_sum_holds tracks
+    whole >= sum(nested) - tol on these same values; that inequality is a
+    theorem (minimize the exact decomposition term by term), so False
+    signals optimizer failure rather than physics. The raw margins are kept
+    alongside the booleans.
     """
 
     whole: float
@@ -143,27 +144,6 @@ def _first_vs_last(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(range(k)), (k,)
 
 
-def _nested_values(rho, q, opt, first=1):
-    return tuple(
-        q_gqd(partial_trace(rho, range(k + 1)), q, opt, cut=_first_vs_last(k)).value
-        for k in range(first, rho.num_qubits)
-    )
-
-
-def bounded_sum_check(
-    rho: DensityMatrix, q: float, opt: OptimizerConfig | None = None
-) -> bool:
-    """Whether whole-state discord dominates the sum of nested bipartite ones.
-
-    Both sides come from independent optimizations; the inequality is a
-    theorem (minimize the exact decomposition term by term), so a False
-    return signals optimizer failure rather than physics.
-    """
-    whole = q_gqd(rho, q, opt).value
-    nested = _nested_values(rho, q, opt)
-    return _holds(whole - sum(nested))
-
-
 def monogamy_report(
     rho: DensityMatrix, q: float, opt: OptimizerConfig | None = None
 ) -> MonogamyReport:
@@ -180,7 +160,10 @@ def monogamy_report(
     pairwise = tuple(
         q_gqd(partial_trace(rho, (0, k)), q, opt).value for k in range(1, n)
     )
-    nested = pairwise[:1] + _nested_values(rho, q, opt, first=2)
+    nested = pairwise[:1] + tuple(
+        q_gqd(partial_trace(rho, range(k + 1)), q, opt, cut=_first_vs_last(k)).value
+        for k in range(2, n)
+    )
     inequality_margin = whole - sum(pairwise)
     condition_margins = tuple(ns - pw for ns, pw in zip(nested, pairwise))
     inequality_holds = _holds(inequality_margin)
@@ -191,12 +174,12 @@ def monogamy_report(
             "this indicates an optimizer or implementation fault"
         )
     return MonogamyReport(
-        whole=float(whole),
+        whole=whole,
         pairwise=pairwise,
         nested=nested,
         inequality_holds=inequality_holds,
         condition_holds=condition_holds,
-        inequality_margin=float(inequality_margin),
+        inequality_margin=inequality_margin,
         condition_margins=condition_margins,
         bounded_sum_holds=_holds(whole - sum(nested)),
     )
@@ -224,10 +207,10 @@ def bros_counterexample_audit(
     whole_matches_pair_01 = abs(whole - pair_01) <= WHOLE_MATCH_TOL
     return CounterexampleAudit(
         q=q,
-        whole=float(whole),
-        first_vs_rest=float(first_vs_rest),
-        pair_01=float(pair_01),
-        pair_02=float(pair_02),
+        whole=whole,
+        first_vs_rest=first_vs_rest,
+        pair_01=pair_01,
+        pair_02=pair_02,
         first_vs_rest_vanishes=first_vs_rest_vanishes,
         pair_01_nonzero=pair_01_nonzero,
         pair_02_vanishes=pair_02_vanishes,

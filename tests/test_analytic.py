@@ -42,7 +42,6 @@ class TestWernerGhzClosedForm:
         result = werner_ghz_gqd(2, 0.5, 0.5)
         assert_allclose(result.value, 0.16124413151244065, atol=1e-12)
         assert result.branch == "generic"
-        assert result.inputs == {"n": 2, "mu": 0.5, "q": 0.5}
 
     def test_q_one_limit_hand_value(self):
         a, b, c = 0.625, 0.125, 0.375

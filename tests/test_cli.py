@@ -164,6 +164,16 @@ class TestExitCodes:
             assert code == 4
             assert "seed must be non-negative" in capsys.readouterr().err
 
+    def test_qqd_needs_two_qubits(self, capsys, tmp_path):
+        # qqd measures the last qubit, so a one-qubit state leaves nothing unmeasured.
+        path = tmp_path / "one.json"
+        save_state(path, random_density_matrix(1, seed=3))
+        code = main(["compute", "--state", str(path), "--quantity", "qqd", "--q", "0.5"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: qqd measures the last qubit and needs at least two qubits\n"
+        )
+
     def test_missing_file(self, capsys, tmp_path):
         code = main(
             ["compute", "--state", str(tmp_path / "nope.json"), "--quantity", "entropy", "--q", "1"]
@@ -452,6 +462,18 @@ class TestVerify:
                 "majorizes",
                 lambda x, y: False,
                 "[FAIL] all-z spectrum majorizes every measured spectrum: 0/2",
+            ),
+            (
+                "majorization",
+                "tsallis_entropy_probs",
+                lambda p, q: float(np.max(p)),
+                "[FAIL] entropy ordering failures: 4 (q in 0.5, 2)",
+            ),
+            (
+                "majorization",
+                "pauli_diagonal_measured_spectrum",
+                lambda n, c1, c2, c3, phi: np.ones(2**n),
+                "[FAIL] correlation product bound failures: 2",
             ),
         ],
     )

@@ -385,6 +385,30 @@ class TestLockstepBFGS:
             assert nfev[0] == budget and not success[0]
             assert fun[0] == objective(x)[0] <= f0
 
+    def test_lost_positive_definiteness_restarts_from_steepest_descent(self):
+        # A frozen script: each trial point is sent a value and gradient that
+        # meet strong-Wolfe at once, the new gradient lying mostly across the
+        # step, at magnitudes from 1e-6 to 1e4. After the second update the
+        # rounded h gives g.p >= 0, so the search drops h and steps along -g
+        # with length min(1, 1 / |g|), as on its first step.
+        script = [
+            (0.0, [-8.002047953567316e-06, 8.487234883999388e-06]),
+            (-6.803296371368349e-11, [-2.539258899126327e-06, 4.1465258424843474e-08]),
+            (-7.250827084654688e-11, [851.4432039655692, 17704.870485308915]),
+        ]
+        search = discord._bfgs(np.zeros(2), 50)
+        points = [search.send(None)]
+        for f, g in script:
+            points.append(search.send((f, np.array(g))))
+
+        def steepest(x, g):
+            return x - min(1.0, 1.0 / np.sqrt(g @ g)) * g
+
+        grads = [np.array(g) for _, g in script]
+        assert np.array_equal(points[1], steepest(points[0], grads[0]))
+        assert not np.allclose(points[2], steepest(points[1], grads[1]))  # h in use
+        assert np.array_equal(points[3], steepest(points[2], grads[2]))
+
 
 XATOL = 1e-4  # scipy's default
 FATOL = 1e-8
