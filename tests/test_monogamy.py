@@ -181,10 +181,16 @@ class TestMonogamyReport:
         )
         assert len(report.pairwise) == 2
         assert len(report.nested) == 2
-        assert report.bounded_sum_holds
-        assert report.bounded_sum_holds == (
-            report.whole - sum(report.nested) >= -monogamy.INEQUALITY_TOL
-        )
+
+    def test_bounded_sum_matches_the_check(self):
+        # Same solves, same test: the report's flag is the bounded-sum rule
+        # whole - sum(nested) >= -INEQUALITY_TOL applied to its own values.
+        for rho in (random_density_matrix(3, seed=40), DensityMatrix(np.eye(8) / 8.0)):
+            report = monogamy_report(rho, 0.5, LIGHT)
+            assert report.bounded_sum_holds
+            assert report.bounded_sum_holds == (
+                report.whole - sum(report.nested) >= -monogamy.INEQUALITY_TOL
+            )
 
 
 class TestCounterexample:
