@@ -28,7 +28,9 @@ from .discord import (
     OptimizerConfig,
     mutual_information_q,
     q_gqd,
+    q_gqd_many,
     q_qd_one_sided,
+    q_qd_one_sided_many,
 )
 from .entropy import (
     _check_q,
@@ -153,18 +155,15 @@ def _suite_nonnegativity(seed, trials, opt):
     rng = np.random.default_rng(seed)
     q_grid = (0.25, 0.5, 0.75, 1.0)
     floor = -CLAMP_SLACK
-    min_gqd = math.inf
-    min_one_sided = math.inf
-    failures = 0
-    for i in range(trials):
-        n = 3 if i % 3 == 2 else 2
-        rho = random_density_matrix(n, rng)
-        for q in q_grid:
-            g = q_gqd(rho, q, opt).raw_value
-            s = q_qd_one_sided(rho, (n - 1,), q, opt).raw_value
-            min_gqd = min(min_gqd, g)
-            min_one_sided = min(min_one_sided, s)
-            failures += int(g < floor) + int(s < floor)
+    rhos = [random_density_matrix(3 if i % 3 == 2 else 2, rng) for i in range(trials)]
+    global_raw = [r.raw_value for r in q_gqd_many([(rho, q) for rho in rhos for q in q_grid], opt)]
+    one_sided_raw = []
+    for n in (2, 3):  # the last qubit is measured, so one call per qubit count
+        jobs = [(rho, q) for rho in rhos if rho.num_qubits == n for q in q_grid]
+        one_sided_raw += [r.raw_value for r in q_qd_one_sided_many(jobs, (n - 1,), opt)]
+    min_gqd = min(global_raw)
+    min_one_sided = min(one_sided_raw)
+    failures = sum(v < floor for v in global_raw + one_sided_raw)
     checks = [
         (
             min_gqd >= floor,
@@ -250,19 +249,21 @@ def _suite_monogamy(seed, trials, opt):
 
 def _suite_oracle_agreement(seed, trials, opt):
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    closed, jobs = [], []
     for i in range(trials):
         q = (0.3, 0.5, 0.8, 0.99)[i % 4]
         n = 2 + (i // 2) % 2
         if i % 2 == 0:
             mu = rng.uniform()
-            closed = werner_ghz_gqd(n, mu, q).value
-            numeric = q_gqd(werner_ghz(n, mu), q, opt).value
+            closed.append(werner_ghz_gqd(n, mu, q).value)
+            jobs.append((werner_ghz(n, mu), q))
         else:
             c1, c2, c3 = random_pauli_diagonal_coefficients(n, rng)
-            closed = pauli_diagonal_gqd(n, c1, c2, c3, q).value
-            numeric = q_gqd(pauli_diagonal_state(n, c1, c2, c3), q, opt).value
-        worst = max(worst, abs(closed - numeric))
+            closed.append(pauli_diagonal_gqd(n, c1, c2, c3, q).value)
+            jobs.append((pauli_diagonal_state(n, c1, c2, c3), q))
+    worst = 0.0
+    for value, report in zip(closed, q_gqd_many(jobs, opt)):
+        worst = max(worst, abs(value - report.value))
     checks = [
         (worst <= 1e-5, f"closed form vs optimizer worst gap {worst:.3e} over {trials} states (limit 1e-05)")
     ]
@@ -412,8 +413,10 @@ def cmd_sweep(args) -> int:
 def _render_sweep(qs, targets, opt: OptimizerConfig) -> str:
     header = "q," + ",".join(name for name, _ in targets) + ",difference"
     rows = [header]
-    for q in map(float, qs):
-        row_values = [q_gqd(state, q, opt).value for _, state in targets]
+    qs = [float(q) for q in qs]
+    values = [r.value for r in q_gqd_many([(state, q) for q in qs for _, state in targets], opt)]
+    for i, q in enumerate(qs):
+        row_values = values[i * len(targets) : (i + 1) * len(targets)]
         difference = row_values[0] - row_values[1] if len(row_values) >= 2 else 0.0
         rows.append(
             ",".join([_fmt(q)] + [_fmt(v) for v in row_values] + [_fmt(difference)])

@@ -16,11 +16,18 @@ gradient.
 The starts run in lockstep: each is a BFGS loop written as a generator
 that yields the point it needs, and each round evaluates the points of
 every running start in a single value-and-gradient call of the batched
-objective, angles (K, 2m) to values (K,) and gradients (K, 2m). A row of
-the batch is the same float as that row evaluated alone, so a start's
-result does not depend on how many starts share a round. The report
-keeps every start's minimum, evaluations and convergence, and how many
-starts reached the best basin.
+objective, angles (K, 2m) to values (K,) and gradients (K, 2m). A round
+spans problems: q_gqd_many and q_qd_one_sided_many run the starts of the
+jobs of one shape (qubit count, measured qubits, parties) in one
+lockstep, one objective call per round, and each row carries its own
+state and q. A lockstep takes at most _MAX_ROWS // starts jobs (at least
+one), so a call has at most max(_MAX_ROWS, starts) rows however many
+jobs there are. q_gqd and q_qd_one_sided are one-job calls of the same
+code. A row of the batch is the same float as that row evaluated alone,
+so a start's result does not depend on which starts, of which problems,
+share its rounds, and each report of a _many call equals the solo
+call's. The report keeps every start's minimum, evaluations and
+convergence, and how many starts reached the best basin.
 
 The objective gets the measured spectrum from W^dagger (rho W), one
 batched matmul per call that its gradient reuses; with every qubit
@@ -38,13 +45,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _check_q, _dhq, _hq, tsallis_entropy
+from .entropy import _check_q, _terms, tsallis_entropy
 from .linalg import DESK_SCALE_LIMIT, DensityMatrix, _index, partial_trace
 from .measurement import ProductMeasurement, _angles, _diagonal, product_basis
 
 CLAMP_SLACK = 1e-8
 # Starts whose minimum lies within this of the best one share its basin.
 BASIN_TOL = 1e-7
+# Most rows per objective call, unless one problem has more starts: enough
+# for the default sweep's 608 starts in one lockstep, and a bound on the
+# arrays of one lockstep (rho W is 4 kB a row at n = 4) however many
+# problems one call is given.
+_MAX_ROWS = 1024
 
 __all__ = [
     "BASIN_TOL",
@@ -53,7 +65,9 @@ __all__ = [
     "mutual_information_q",
     "induced_discord",
     "q_gqd",
+    "q_gqd_many",
     "q_qd_one_sided",
+    "q_qd_one_sided_many",
 ]
 
 
@@ -132,11 +146,14 @@ def _parties(n: int, cut) -> tuple[tuple[int, ...], ...]:
     return (left, right)
 
 
-def _mutual_information(rho: DensityMatrix, groups, q: float) -> float:
-    """-S_q(rho) + sum_g S_q(rho_g), summed in that order over the groups."""
+def _mutual_information(rho: DensityMatrix, groups, q: float, marginal_of=partial_trace) -> float:
+    """-S_q(rho) + sum_g S_q(rho_g), summed in that order over the groups.
+
+    marginal_of(rho, g) builds rho_g.
+    """
     total = -tsallis_entropy(rho, q)
     for g in groups:
-        total += tsallis_entropy(partial_trace(rho, g), q)
+        total += tsallis_entropy(marginal_of(rho, g), q)
     return total
 
 
@@ -156,11 +173,15 @@ def induced_discord(
     measurement acts on every qubit of rho either way. The value is one row
     of the objective q_gqd minimizes, evaluated at phi's angles.
     """
-    q = _check_q(q)
+    return _induced(rho, phi, _check_q(q), cut)
+
+
+def _induced(rho: DensityMatrix, phi: ProductMeasurement, q: float, cut, marginal_of=partial_trace) -> float:
+    """induced_discord for a checked q, with marginal_of(rho, g) building the parties' marginals."""
     n = rho.num_qubits
     angles = _angles(phi, n)
-    objective = _make_objective(rho, q, tuple(range(n)), _parties(n, cut))
-    return float(objective(np.array([angles]))[0])
+    objective = _make_objective([rho], [q], tuple(range(n)), _parties(n, cut), marginal_of)
+    return float(objective(np.array([angles]), np.zeros(1, dtype=np.intp))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +230,14 @@ def _gradient_tables(m: int):
     return flipped, signs
 
 
-def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], groups):
-    """Batched I_q(rho) - I_q(Phi(rho)): angles of shape (K, 2m) to K values.
+def _make_objective(states, qs, measured: tuple[int, ...], groups, marginal_of=partial_trace):
+    """Batched I_q(rho) - I_q(Phi(rho)) over problems of one shape.
+
+    The problems are the pairs of states (all of one qubit count) and qs,
+    with the same measured qubits and groups. objective(angles, owner)
+    maps angles of shape (K, 2m) to K values, row k evaluated on problem
+    owner[k]: its state and its q. marginal_of(rho, g) builds each
+    problem's marginals once, here.
 
     Phi(rho) is diagonal in the product measurement basis (block diagonal
     when some qubits stay unmeasured), so the measured-state entropies come
@@ -221,34 +248,39 @@ def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], gro
     some qubits unmeasured, block j is sum_ab W*[a, j] rho[(a, u), (b, v)]
     W[b, j], rho W then a 2-operand contraction over a with W*, and eigh
     gives its spectrum. Group terms whose qubits are unmeasured cancel
-    exactly and are skipped. Every row is computed on its own: a row's
-    value does not depend on the other rows of the batch, and
-    induced_discord is the single row at one measurement.
+    exactly and are skipped. The entropies of the spectrum and of every
+    measured marginal come from one entropy._terms call over their
+    concatenation, with q a column of one q per row. Every row is computed
+    on its own: a row's value does not depend on the other rows of the
+    batch or on their problems, and induced_discord is the single row at
+    one measurement.
 
-    objective(angles, gradient=True) returns (values (K,), gradients
+    objective(angles, owner, gradient=True) returns (values (K,), gradients
     (K, 2m)) instead, the gradient exact. Differentiating qubit k's factor
     gives dW = W (I x G x I), with G_theta = [[0, -1/2], [1/2, 0]] and
     G_phi = i [[sin^2(theta/2), sin(theta)/2], [sin(theta)/2, cos^2(theta/2)]].
     With C_ji the (j, i) block of (W x I)^dagger rho (W x I) and
-    E_j = h'(B_j) - sum_g h'(marginal_g)[j] I (h' from entropy._dhq, and
+    E_j = h'(B_j) - sum_g h'(marginal_g)[j] I (h' the slopes of _terms, and
     h'(B_j) = V h'(Lambda) V^dagger from the block's eigh), the derivatives
     are sum_j +-Re tr(E_j C_{j, j^k}) in theta_k, + where qubit k's bit of
     j is 0, and -sin(theta_k) sum_j Im tr(E_j C_{j, j^k}) in phi_k, with
     the C_ji read from the same rho W. The values do not change.
     """
-    n = rho.num_qubits
+    n = states[0].num_qubits
     m = len(measured)
     unmeasured = tuple(i for i in range(n) if i not in measured)
     dim_m = 2**m
     dim_u = 2 ** len(unmeasured)
+    dim = dim_m * dim_u  # entries of the measured spectrum
 
-    # rho with rows (a, u, v) and columns b; with dim_u == 1 it is rho itself
-    # with its qubits in measured order.
+    # Each rho with rows (a, u, v) and columns b; with dim_u == 1 it is rho
+    # itself with its qubits in measured order.
     axes = measured + unmeasured + tuple(n + i for i in unmeasured + measured)
-    stacked = (
-        rho.matrix.reshape((2,) * (2 * n))
-        .transpose(axes)
-        .reshape(dim_m * dim_u * dim_u, dim_m)
+    stacked = np.array(
+        [
+            rho.matrix.reshape((2,) * (2 * n)).transpose(axes).reshape(dim * dim_u, dim_m)
+            for rho in states
+        ]
     )
 
     # Every caller passes groups that are wholly measured or wholly
@@ -259,12 +291,13 @@ def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], gro
     measured_groups = tuple(
         tuple(1 + ax for ax, i in enumerate(measured) if i not in g) for g in parties
     )
-    const = _mutual_information(rho, parties, q)
+    consts = np.array([_mutual_information(rho, parties, q, marginal_of) for rho, q in zip(states, qs)])
+    qs = np.array(qs, dtype=float)
 
-    def objective(angles: np.ndarray, gradient: bool = False):
+    def objective(angles: np.ndarray, owner: np.ndarray, gradient: bool = False):
         w = product_basis(angles)
         k = w.shape[0]
-        rho_w = stacked @ w
+        rho_w = stacked[owner] @ w
         if dim_u == 1:
             probs = _diagonal(w, rho_w).real
             np.maximum(probs, 0.0, out=probs)
@@ -278,24 +311,36 @@ def _make_objective(rho: DensityMatrix, q: float, measured: tuple[int, ...], gro
             spectrum = eigenvalues.reshape(k, -1)
         ptensor = probs.reshape((k,) + (2,) * m)
         marginals = [ptensor.sum(axis=ax, keepdims=True) for ax in measured_groups]
-        # _hq is a plain sum over entries, so one call over the concatenated
-        # marginals gives the sum of their entropies.
-        flat = np.concatenate([marginal.reshape(k, -1) for marginal in marginals], axis=1)
-        values = const + _hq(spectrum, q) - _hq(flat, q)
+        # The entropy is a plain sum over entries, so the marginals' part of
+        # the concatenation sums to the sum of their entropies.
+        q = qs[owner][:, None]
+        p, x, s = _terms(
+            np.concatenate([spectrum] + [marginal.reshape(k, -1) for marginal in marginals], axis=1),
+            q,
+        )
+        px = p * x
+        h_spectrum = -px[:, :dim].sum(axis=-1) / s[:, 0]
+        h_marginals = -px[:, dim:].sum(axis=-1) / s[:, 0]
+        values = consts[owner] + h_spectrum - h_marginals
         if not gradient:
             return values
 
         flipped, signs = _gradient_tables(m)
+        slopes = -q * x / s
         # sum_g h'(marginal_g), broadcast back to the outcomes
         shift = np.zeros_like(ptensor)
+        start = dim
         for marginal in marginals:
-            shift += _dhq(marginal, q)
+            stop = start + marginal[0].size
+            shift += slopes[:, start:stop].reshape(marginal.shape)
+            start = stop
         shift = shift.reshape(k, dim_m)
         if dim_u == 1:
             rho_w = rho_w.reshape(k, dim_m, 1, 1, dim_m)
-            e = (_dhq(probs, q) - shift)[:, :, None, None]
+            e = (slopes[:, :dim] - shift)[:, :, None, None]
         else:
-            e = (vectors * _dhq(eigenvalues, q)[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
+            h = slopes[:, :dim].reshape(eigenvalues.shape)
+            e = (vectors * h[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
             e -= shift[:, :, None, None] * np.eye(dim_u)
         # traces[k, i, j] = tr(E_j C_{j, j^i}) for measured qubit i
         traces = np.einsum("kaj,kjvu,kauvij->kij", w.conj(), e, rho_w[..., flipped])
@@ -401,45 +446,69 @@ def _bfgs(x0: np.ndarray, max_evals: int):
 def _lockstep(objective, searches):
     """Run generator searches such as _bfgs with one objective call per round.
 
-    Each round stacks the point every running search yields, evaluates
-    values and gradients in a single batched call and sends each search its
-    own (f, g). Rows are computed independently, so a search takes the same
-    steps whichever searches share its rounds. Each search returns
-    (x, f, evaluations, success); the result is those four stacked over the
-    searches: (K, N), (K,), (K,) and (K,).
+    searches is a list of (owner, search) pairs, owner the index of the
+    search's problem in the objective. Each round stacks the point every
+    running search yields, evaluates values and gradients in a single
+    batched call, each row tagged with its owner, and sends each search
+    its own (f, g). Rows are computed independently, so a search takes the
+    same steps whichever searches share its rounds. Each search returns
+    (x, f, evaluations, success); the result is those four stacked over
+    the searches in order: (K, N), (K,), (K,) and (K,).
     """
-    results = [None] * len(searches)
-    running = list(enumerate(searches))
-    points = [search.send(None) for search in searches]
+    running = [(index, search) for index, (_, search) in enumerate(searches)]
+    owners = np.array([owner for owner, _ in searches], dtype=np.intp)
+    points = [search.send(None) for _, search in running]
+    results = [None] * len(running)
     while running:
-        values, grads = objective(np.array(points), gradient=True)
-        asked, running, points = zip(running, values.tolist(), grads), [], []
-        for (k, search), f, g in asked:
+        values, grads = objective(np.array(points), owners, gradient=True)
+        kept, points = [], []
+        for row, ((index, search), f, g) in enumerate(zip(running, values.tolist(), grads)):
             try:
                 points.append(search.send((f, g)))
-                running.append((k, search))
+                kept.append(row)
             except StopIteration as done:
-                results[k] = done.value
+                results[index] = done.value
+        if len(kept) < len(running):
+            running = [running[row] for row in kept]
+            owners = owners[kept]
     xs, fun, nfev, success = zip(*results)
     return np.array(xs), np.array(fun), np.array(nfev), np.array(success)
 
 
-def _minimize_discord(
-    rho: DensityMatrix,
-    q: float,
-    opt: OptimizerConfig | None,
-    measured: tuple[int, ...],
-    groups,
-) -> DiscordReport:
-    """Check q and the state's size, then run the multi-start search."""
-    q = _check_q(q)
-    if rho.num_qubits > DESK_SCALE_LIMIT:
+def _minimize_many(problems, opt: OptimizerConfig | None) -> tuple[DiscordReport, ...]:
+    """Reports for problems (rho, q, measured, groups), in order.
+
+    Every q and state size is checked before the first solve. The problems
+    of one shape, (qubit count, measured, groups), are solved in blocks of
+    max(1, _MAX_ROWS // starts), in problem order; a block shares one
+    objective and one lockstep, which runs each problem's starts in order.
+    """
+    problems = [(rho, _check_q(q), measured, groups) for rho, q, measured, groups in problems]
+    if any(rho.num_qubits > DESK_SCALE_LIMIT for rho, *_ in problems):
         raise ValueError(f"state exceeds desk-scale limit of {DESK_SCALE_LIMIT} qubits")
     opt = opt if opt is not None else OptimizerConfig()
-    objective = _make_objective(rho, q, measured, groups)
-    starts = np.array(_start_points(len(measured), opt))
-    searches = [_bfgs(x, opt.max_evals) for x in starts]
-    xs, fun, nfev, success = _lockstep(objective, searches)
+    shapes = {}
+    for j, (rho, _, measured, groups) in enumerate(problems):
+        shapes.setdefault((rho.num_qubits, measured, groups), []).append(j)
+    per_block = max(1, _MAX_ROWS // opt.starts)
+    reports = [None] * len(problems)
+    for (_, measured, groups), members in shapes.items():
+        starts = _start_points(len(measured), opt)
+        for first in range(0, len(members), per_block):
+            block = members[first : first + per_block]
+            objective = _make_objective(
+                [problems[j][0] for j in block], [problems[j][1] for j in block], measured, groups
+            )
+            searches = [(i, _bfgs(x, opt.max_evals)) for i in range(len(block)) for x in starts]
+            xs, fun, nfev, success = _lockstep(objective, searches)
+            for i, j in enumerate(block):
+                rows = slice(i * opt.starts, (i + 1) * opt.starts)
+                reports[j] = _report(problems[j][1], measured, xs[rows], fun[rows], nfev[rows], success[rows])
+    return tuple(reports)
+
+
+def _report(q: float, measured: tuple[int, ...], xs, fun, nfev, success) -> DiscordReport:
+    """One problem's report from its starts' (x, f, evaluations, success)."""
     minima = tuple(float(f) for f in fun)
     best = min(range(len(minima)), key=minima.__getitem__)  # the first lowest start
     raw = minima[best]
@@ -452,7 +521,7 @@ def _minimize_discord(
         q=q,
         optimal_measurement=ProductMeasurement.from_angles(xs[best].reshape(-1, 2)),
         measured_qubits=measured,
-        starts_used=len(starts),
+        starts_used=len(minima),
         converged=bool(success[best]),
         objective_evals=int(nfev.sum()),
         raw_value=raw,
@@ -472,8 +541,24 @@ def q_gqd(rho: DensityMatrix, q: float, opt: OptimizerConfig | None = None, *, c
     two-party mutual information across that bipartition while still
     measuring every qubit with per-qubit projectors.
     """
-    n = rho.num_qubits
-    return _minimize_discord(rho, q, opt, tuple(range(n)), _parties(n, cut))
+    (report,) = q_gqd_many([(rho, q)], opt, cut=cut)
+    return report
+
+
+def q_gqd_many(jobs, opt: OptimizerConfig | None = None, *, cut=None) -> tuple[DiscordReport, ...]:
+    """q_gqd of every (rho, q) in jobs, in job order, solved together.
+
+    Jobs of one qubit count share each round's objective call, up to
+    _MAX_ROWS // opt.starts jobs a lockstep, so a q grid or an ensemble
+    pays the call's fixed cost once per round, not once per job. Each
+    report equals q_gqd(rho, q, opt, cut=cut) field for field, and every q
+    is checked before the first solve.
+    """
+    problems = []
+    for rho, q in jobs:
+        n = rho.num_qubits
+        problems.append((rho, q, tuple(range(n)), _parties(n, cut)))
+    return _minimize_many(problems, opt)
 
 
 def q_qd_one_sided(
@@ -493,11 +578,24 @@ def q_qd_one_sided(
     c3, q), since the measured spectrum is (1 +/- |c o m|)/16. At n = 2
     the Pauli-diagonal closed form is the value with either qubit measured.
     """
-    n = rho.num_qubits
+    (report,) = q_qd_one_sided_many([(rho, q)], measured, opt)
+    return report
+
+
+def q_qd_one_sided_many(jobs, measured, opt: OptimizerConfig | None = None) -> tuple[DiscordReport, ...]:
+    """q_qd_one_sided of every (rho, q) in jobs with the same measured qubits, in job order.
+
+    Solved together as q_gqd_many solves its jobs; each report equals
+    q_qd_one_sided(rho, measured, q, opt) field for field.
+    """
     measured = tuple(sorted({_index(i, "qubit index") for i in measured}))
-    if not measured or len(measured) >= n:
-        raise ValueError("measured subset must be nonempty and proper")
-    if measured[0] < 0 or measured[-1] >= n:
-        raise ValueError("measured qubit index out of range")
-    complement = tuple(i for i in range(n) if i not in measured)
-    return _minimize_discord(rho, q, opt, measured, (complement, measured))
+    problems = []
+    for rho, q in jobs:
+        n = rho.num_qubits
+        if not measured or len(measured) >= n:
+            raise ValueError("measured subset must be nonempty and proper")
+        if measured[0] < 0 or measured[-1] >= n:
+            raise ValueError("measured qubit index out of range")
+        complement = tuple(i for i in range(n) if i not in measured)
+        problems.append((rho, q, measured, (complement, measured)))
+    return _minimize_many(problems, opt)

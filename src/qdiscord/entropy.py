@@ -59,17 +59,26 @@ def q_log(x: float, q: float) -> float:
         raise ValueError(f"q-log overflows a float at x={x!r}, q={q!r}") from None
 
 
-def _terms(p: np.ndarray, q: float):
+def _terms(p: np.ndarray, q):
     """(p', x, s) with -p' x / s the entropy terms and -q x / s their slopes.
 
     p' is p with entries at or below ZERO_PROB_CUTOFF set to 1, where x = 0;
-    x = expm1((q - 1) ln p') and s = q - 1, or x = ln p' and s = 1 at q == 1.
+    x = expm1((q - 1) ln p') and s = q - 1, or x = ln p' and s = 1 where
+    q == 1. q is a float or an array that broadcasts against p, such as a
+    column of one q per row, and s has q's shape; a row's x and s are the
+    floats that row would get with its q alone. The slopes are the
+    entrywise derivatives of the terms less the constant -1 they share,
+    which multiplies the change of a total probability, and that is zero
+    along any trace-preserving path; entries at or below the cutoff have
+    slope 0.
     """
     p = np.where(p > ZERO_PROB_CUTOFF, p, 1.0)
     ln_p = np.log(p)
-    if q == 1.0:
-        return p, ln_p, 1.0
-    return p, np.expm1((q - 1.0) * ln_p), q - 1.0
+    shannon = q == 1.0
+    s = q - 1.0 + shannon  # 1 where q == 1, else exactly q - 1
+    x = np.expm1(s * ln_p)
+    np.copyto(x, ln_p, where=shannon)
+    return p, x, s
 
 
 def _hq(p: np.ndarray, q: float):
@@ -86,18 +95,6 @@ def _hq(p: np.ndarray, q: float):
     """
     p, x, s = _terms(p, q)
     return -(p * x).sum(axis=-1) / s
-
-
-def _dhq(p: np.ndarray, q: float) -> np.ndarray:
-    """Entrywise derivative of _hq's terms, less the constant -1 they share.
-
-    -q expm1((q - 1) ln p) / (q - 1), or -ln p at q == 1, and 0 for
-    entries at or below ZERO_PROB_CUTOFF, which _hq counts as exact zeros.
-    The dropped constant multiplies the change of a total probability, and
-    that is zero along any trace-preserving path.
-    """
-    _, x, s = _terms(p, q)
-    return -q * x / s
 
 
 def tsallis_entropy_probs(p, q: float) -> float:

@@ -8,15 +8,16 @@ whole >= sum of pairwise follows. A known rank-2 three-qubit mixture shows
 the domination condition is not automatic; its audit lives here too.
 Nested pieces are induced_discord and q_gqd with cut=(first k)|(k+1 th);
 the cut (0)|(1) is the (0, 1) pairwise problem, so it is solved once.
-Every ledger value is an induced_discord call, a row of the objective
-q_gqd minimizes, so this module builds no measured state of its own.
+Every ledger value is a row of the objective q_gqd minimizes, as
+induced_discord evaluates it, so this module builds no measured state of
+its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .discord import OptimizerConfig, induced_discord, q_gqd
+from .discord import OptimizerConfig, _induced, q_gqd
 from .entropy import _check_q
 from .linalg import DensityMatrix, partial_trace
 from .measurement import ProductMeasurement
@@ -124,17 +125,32 @@ def decompose_induced_gqd(
 
     Every value is induced_discord: the total on rho, and terms[k-1] on
     the first k+1 qubits across the cut (first k)|(k+1 th), measured by
-    phi's first k+1 axes.
+    phi's first k+1 axes. Each marginal is built once per call, from rho:
+    partial_trace traces out qubits in descending order, so a marginal of
+    a prefix marginal is bit for bit the same marginal of rho, and a
+    4-qubit ledger makes 6 partial traces.
     """
-    total = induced_discord(rho, phi, q)
+    q = _check_q(q)
+    n = rho.num_qubits
+    built = {tuple(range(n)): rho}
+
+    def marginal_of(state, keep):
+        # state is rho or a prefix marginal holding keep, so keep indexes rho too
+        keep = tuple(keep)
+        if keep not in built:
+            built[keep] = partial_trace(rho, keep)
+        return built[keep]
+
+    total = _induced(rho, phi, q, None, marginal_of)
     terms = tuple(
-        induced_discord(
-            partial_trace(rho, range(k + 1)),
+        _induced(
+            marginal_of(rho, range(k + 1)),
             ProductMeasurement(phi.per_qubit[: k + 1]),
             q,
-            cut=_first_vs_last(k),
+            _first_vs_last(k),
+            marginal_of,
         )
-        for k in range(1, rho.num_qubits)
+        for k in range(1, n)
     )
     return DecompositionLedger(total, terms, total - sum(terms))
 

@@ -16,7 +16,7 @@ from qdiscord.analytic import (
     werner_ghz_optimal_measured_spectrum,
 )
 from qdiscord.cli import main
-from qdiscord.discord import OptimizerConfig, q_gqd, q_qd_one_sided
+from qdiscord.discord import OptimizerConfig, q_gqd, q_gqd_many, q_qd_one_sided_many
 from qdiscord.entropy import majorizes, tsallis_entropy_probs
 from qdiscord.linalg import DensityMatrix, permute_qubits
 from qdiscord.measurement import BlochMeasurement, ProductMeasurement
@@ -94,13 +94,12 @@ def test_criterion_03_discord_nonnegative_for_q_at_most_one():
     min_gqd = math.inf
     min_one_sided = math.inf
     for count, n in ((200, 2), (100, 3)):
-        for _ in range(count):
-            rho = random_density_matrix(n, rng)
-            for q in q_grid:
-                min_gqd = min(min_gqd, q_gqd(rho, q, LIGHT).raw_value)
-                min_one_sided = min(
-                    min_one_sided, q_qd_one_sided(rho, (n - 1,), q, LIGHT).raw_value
-                )
+        rhos = [random_density_matrix(n, rng) for _ in range(count)]
+        jobs = [(rho, q) for rho in rhos for q in q_grid]
+        for report in q_gqd_many(jobs, LIGHT):
+            min_gqd = min(min_gqd, report.raw_value)
+        for report in q_qd_one_sided_many(jobs, (n - 1,), LIGHT):
+            min_one_sided = min(min_one_sided, report.raw_value)
     ok = min_gqd >= -1e-8 and min_one_sided >= -1e-8
     _criterion(
         3,

@@ -381,6 +381,31 @@ class TestSweep:
     def test_default_targets(self):
         assert DEFAULT_TARGETS == ("alpha:0.58", "alpha:0.3")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            [],
+            # 200 starts allow 5 jobs per lockstep, so each target's 6
+            # cells take two
+            ["--target", "werner:3:0.4", "--target", "alpha:0.3", "--steps", "6",
+             "--starts", "200", "--max-evals", "5"],
+        ],
+    )
+    def test_csv_equals_a_per_cell_loop(self, capsys, flags):
+        # The sweep solves its cells together; the CSV must be the one a
+        # q_gqd call per cell gives, byte for byte.
+        assert main(["sweep", *flags]) == 0
+        text = capsys.readouterr().out
+        args = build_parser().parse_args(["sweep", *flags])
+        opt = OptimizerConfig(starts=args.starts, max_evals=args.max_evals, seed=args.seed)
+        targets = [cli._parse_target(t) for t in (args.target or DEFAULT_TARGETS)]
+        rows = ["q," + ",".join(name for name, _ in targets) + ",difference"]
+        for q in np.linspace(args.q_min, args.q_max, args.steps):
+            values = [q_gqd(state, float(q), opt).value for _, state in targets]
+            cells = [float(q)] + values + [values[0] - values[1]]
+            rows.append(",".join(f"{v:.12g}" for v in cells))
+        assert text == "\n".join(rows) + "\n"
+
     def test_spec_validation(self, capsys):
         for flags, message in [
             (["--steps", "1"], "--steps must be at least 2"),

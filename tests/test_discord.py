@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,7 +13,9 @@ from qdiscord.discord import (
     induced_discord,
     mutual_information_q,
     q_gqd,
+    q_gqd_many,
     q_qd_one_sided,
+    q_qd_one_sided_many,
 )
 from qdiscord.entropy import _hq, tsallis_entropy
 from qdiscord.linalg import DensityMatrix, partial_trace, permute_qubits
@@ -38,6 +42,18 @@ BELL = DensityMatrix(
         dtype=complex,
     )
 )
+
+
+def single(rho, q, measured, groups):
+    """The objective of one problem, whose rows default to that problem."""
+    objective = _make_objective([rho], [q], measured, groups)
+
+    def call(angles, owner=None, gradient=False):
+        if owner is None:
+            owner = np.zeros(len(angles), dtype=np.intp)
+        return objective(angles, owner, gradient)
+
+    return call
 
 
 def random_angles(rng, m):
@@ -146,7 +162,7 @@ class TestFastObjective:
             rho = random_density_matrix(n, seed=100 + n)
             groups = discord._parties(n, cut)
             for q in (0.5, 1.0, 2.0):
-                objective = _make_objective(rho, q, tuple(range(n)), groups)
+                objective = single(rho, q, tuple(range(n)), groups)
                 angles = np.array([random_angles(rng, n) for _ in range(5)])
                 direct, induced = [], []
                 for a in angles:
@@ -167,7 +183,7 @@ class TestFastObjective:
         rho = random_density_matrix(3, seed=7)
         q = 0.7
         cut = ((0, 1), (2,))
-        objective = _make_objective(rho, q, (2,), cut)
+        objective = single(rho, q, (2,), cut)
         angles = np.array([random_angles(rng, 1) for _ in range(5)])
         drops = []
         for a in angles:
@@ -222,7 +238,7 @@ class TestFastObjective:
         angles = rng.uniform(-8.0, 8.0, size=(9, 2 * len(measured)))
         angles[0, 0::2] = 0.0
         for q in (0.5, 1.0, 2.0):
-            objective = _make_objective(rho, q, measured, groups)
+            objective = single(rho, q, measured, groups)
             batch = objective(angles)
             alone = [objective(angles[k : k + 1])[0] for k in range(len(angles))]
             assert batch.shape == (len(angles),)
@@ -232,6 +248,18 @@ class TestFastObjective:
             assert grads.shape == angles.shape
             assert np.array_equal(values, [f[0] for f, _ in alone])
             assert np.array_equal(grads, [g[0] for _, g in alone])
+        # Rows of several problems, each with its own state and q (q = 1
+        # takes the Shannon branch beside q != 1 rows), interleaved.
+        rhos = [rho, random_density_matrix(n, seed=95 + n), random_density_matrix(n, seed=98 + n)]
+        qs = [0.5, 1.0, 2.0]
+        owner = np.arange(len(angles)) % 3
+        objective = _make_objective(rhos, qs, measured, groups)
+        values, grads = objective(angles, owner, gradient=True)
+        assert np.array_equal(values, objective(angles, owner))
+        for k in range(len(angles)):
+            f, g = single(rhos[owner[k]], qs[owner[k]], measured, groups)(angles[k : k + 1], gradient=True)
+            assert values[k] == f[0]
+            assert np.array_equal(grads[k], g[0])
 
     @pytest.mark.parametrize(
         "n, measured, groups, state",
@@ -253,7 +281,7 @@ class TestFastObjective:
         angles[0, 0::2] = 0.0
         step = 1e-6
         for q in (0.5, 1.0, 2.0):
-            objective = _make_objective(rho, q, measured, groups)
+            objective = single(rho, q, measured, groups)
             values, grads = objective(angles, gradient=True)
             assert np.array_equal(values, objective(angles))
             central = np.empty_like(grads)
@@ -323,7 +351,7 @@ class TestMatmulKernel:
         angles = rng.uniform(-8.0, 8.0, size=(9, 2 * len(measured)))
         angles[0, 0::2] = 0.0
         for q in (0.5, 1.0, 2.0):
-            fast = _make_objective(rho, q, measured, groups)(angles)
+            fast = single(rho, q, measured, groups)(angles)
             reference = einsum_objective(rho, q, measured, groups)(angles)
             assert_allclose(fast, reference, rtol=0, atol=1e-13)
 
@@ -337,7 +365,7 @@ KERNELS = {
 
 
 def lockstep_bfgs(objective, starts, max_evals):
-    return discord._lockstep(objective, [discord._bfgs(x, max_evals) for x in starts])
+    return discord._lockstep(objective, [(0, discord._bfgs(x, max_evals)) for x in starts])
 
 
 class TestLockstepBFGS:
@@ -349,7 +377,7 @@ class TestLockstepBFGS:
         dim = 2 * len(measured)
         max_evals = {"1": 1, "N": dim, "N+1": dim + 1, "N+2": dim + 2, "400": 400}[extra]
         rho = random_density_matrix(n, seed=200 + n)
-        objective = _make_objective(rho, 0.5, measured, groups)
+        objective = single(rho, 0.5, measured, groups)
         starts = np.array(discord._start_points(len(measured), OptimizerConfig(starts=16)))
         x, fun, nfev, success = lockstep_bfgs(objective, starts, max_evals)
         for k in range(len(starts)):
@@ -365,7 +393,7 @@ class TestLockstepBFGS:
         # stops, converged, after its first evaluation.
         n, measured, groups = KERNELS[kernel]
         rho = DensityMatrix(np.eye(2**n) / 2**n)
-        objective = _make_objective(rho, 1.0, measured, groups)
+        objective = single(rho, 1.0, measured, groups)
         starts = np.array(discord._start_points(len(measured), OptimizerConfig(starts=4)))
         x, fun, nfev, success = lockstep_bfgs(objective, starts, 400)
         assert np.array_equal(x, starts)
@@ -377,7 +405,7 @@ class TestLockstepBFGS:
         # evaluated, with that point's value, no higher than where it began.
         n, measured, groups = KERNELS["global-n3"]
         rho = random_density_matrix(n, seed=200 + n)
-        objective = _make_objective(rho, 0.5, measured, groups)
+        objective = single(rho, 0.5, measured, groups)
         x0 = np.array(discord._start_points(len(measured), OptimizerConfig(starts=1)))
         f0 = objective(x0)[0]
         for budget in range(2, 16):
@@ -527,7 +555,7 @@ def scipy_starts(objective, starts, max_evals):
 
 
 def assert_matches_scipy(objective, starts, max_evals):
-    searches = [nelder_mead(x, max_evals) for x in starts]
+    searches = [(0, nelder_mead(x, max_evals)) for x in starts]
     x, fun, nfev, success = discord._lockstep(objective, searches)
     reference = scipy_starts(objective, starts, max_evals)
     for k, (res, _) in enumerate(reference):
@@ -549,7 +577,7 @@ class TestLockstepNelderMead:
         dim = 2 * len(measured)
         max_evals = {"1": 1, "N": dim, "N+1": dim + 1, "N+2": dim + 2, "400": 400}[extra]
         rho = random_density_matrix(n, seed=200 + n)
-        objective = _make_objective(rho, 0.5, measured, groups)
+        objective = single(rho, 0.5, measured, groups)
         starts = np.array(discord._start_points(len(measured), OptimizerConfig(starts=5)))
         assert_matches_scipy(objective, starts, max_evals)
 
@@ -559,7 +587,7 @@ class TestLockstepNelderMead:
         # so contractions fail and the simplices shrink.
         n, measured, groups = KERNELS[kernel]
         rho = DensityMatrix(np.eye(2**n) / 2**n)
-        objective = _make_objective(rho, 1.0, measured, groups)
+        objective = single(rho, 1.0, measured, groups)
         starts = np.array(discord._start_points(len(measured), OptimizerConfig(starts=4)))
         reference = assert_matches_scipy(objective, starts, 400)
         assert any((steps > 2).any() for _, steps in reference)
@@ -568,7 +596,7 @@ class TestLockstepNelderMead:
         n, measured, groups = KERNELS["global-n3"]
         dim = 2 * len(measured)
         rho = DensityMatrix(np.eye(2**n) / 2**n)
-        objective = _make_objective(rho, 1.0, measured, groups)
+        objective = single(rho, 1.0, measured, groups)
         starts = np.array(discord._start_points(len(measured), OptimizerConfig(starts=4)))
         (_, steps), *_ = scipy_starts(objective, starts, 400)
         first = int(np.flatnonzero(steps > 2)[0])
@@ -672,6 +700,117 @@ class TestGlobalDiscord:
             q_gqd(rho, 0.5)
         with pytest.raises(ValueError, match="desk-scale limit"):
             q_qd_one_sided(rho, (0,), 0.5)
+
+
+def report_fields(report):
+    """Every field of a DiscordReport, the measurement as its axes."""
+    out = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    out["optimal_measurement"] = [m.axis.tolist() for m in report.optimal_measurement]
+    return out
+
+
+def count_rows(monkeypatch):
+    """A list that gets the row count of every objective call from now on."""
+    calls = []
+    make = discord._make_objective
+
+    def counting(*args, **kwargs):
+        objective = make(*args, **kwargs)
+
+        def counted(angles, owner, gradient=False):
+            calls.append(len(angles))
+            return objective(angles, owner, gradient)
+
+        return counted
+
+    monkeypatch.setattr(discord, "_make_objective", counting)
+    return calls
+
+
+def count_objectives(monkeypatch):
+    """A list that gets the problem count of every objective built from now on."""
+    built = []
+    make = discord._make_objective
+
+    def counting(states, *args, **kwargs):
+        built.append(len(states))
+        return make(states, *args, **kwargs)
+
+    monkeypatch.setattr(discord, "_make_objective", counting)
+    return built
+
+
+class TestManyProblems:
+    # The _many entries run many problems of one shape in one lockstep;
+    # each report must be the solo call's, field for field.
+    def test_global_reports_equal_solo_calls(self):
+        jobs = [
+            (random_density_matrix(n, seed=120 + n + 10 * k), q)
+            for k, q in enumerate((0.25, 1.0, 2.0, 0.7))
+            for n in (2, 3, 4)
+        ]
+        reports = q_gqd_many(jobs, LIGHT)
+        assert len(reports) == len(jobs)
+        for (rho, q), report in zip(jobs, reports):
+            assert report_fields(report) == report_fields(q_gqd(rho, q, LIGHT))
+
+    def test_cut_reports_equal_solo_calls(self):
+        cut = ((1,), (0, 2))
+        jobs = [(random_density_matrix(3, seed=130 + k), q) for k, q in enumerate((0.5, 1.0, 1.5))]
+        for (rho, q), report in zip(jobs, q_gqd_many(jobs, LIGHT, cut=cut)):
+            assert report_fields(report) == report_fields(q_gqd(rho, q, LIGHT, cut=cut))
+
+    def test_one_sided_reports_equal_solo_calls(self):
+        jobs = [
+            (random_density_matrix(n, seed=140 + n + 10 * k), q)
+            for k, q in enumerate((0.25, 1.0, 2.0))
+            for n in (2, 3, 4)
+        ]
+        for (rho, q), report in zip(jobs, q_qd_one_sided_many(jobs, (0,), LIGHT)):
+            assert report_fields(report) == report_fields(q_qd_one_sided(rho, (0,), q, LIGHT))
+
+    def test_no_jobs(self):
+        assert q_gqd_many([]) == ()
+        assert q_qd_one_sided_many([], (0,)) == ()
+
+    def test_bad_q_in_last_job_raises_before_any_objective_call(self, monkeypatch):
+        calls = count_rows(monkeypatch)
+        jobs = [(random_density_matrix(2, seed=150), 0.5), (random_density_matrix(3, seed=151), 0.0)]
+        with pytest.raises(ValueError, match="q must be a positive real number"):
+            q_gqd_many(jobs, LIGHT)
+        with pytest.raises(ValueError, match="q must be a positive real number"):
+            q_qd_one_sided_many(jobs, (0,), LIGHT)
+        assert calls == []
+
+    def test_one_call_per_round(self, monkeypatch):
+        # A q grid of one shape shares every round: the calls number the
+        # rounds, which is the most evaluations any start made.
+        calls = count_rows(monkeypatch)
+        rho = random_density_matrix(3, seed=160)
+        reports = q_gqd_many([(rho, q) for q in (0.3, 0.6, 1.0, 1.4)], LIGHT)
+        assert len(calls) == max(max(r.start_evals) for r in reports)
+        assert calls[0] == 4 * LIGHT.starts
+        assert sum(calls) == sum(r.objective_evals for r in reports)
+
+    def test_jobs_run_in_blocks_of_bounded_rows(self, monkeypatch):
+        # A lockstep takes at most _MAX_ROWS // starts jobs, and at least
+        # one, so one call builds an objective per block of jobs, no call
+        # has more than max(_MAX_ROWS, starts) rows, and every report stays
+        # the same.
+        jobs = [(random_density_matrix(3, seed=170 + k), q) for k, q in enumerate((0.5, 1.0, 2.0))]
+        free = [report_fields(r) for r in q_gqd_many(jobs, LIGHT)]
+        one_sided_free = [report_fields(r) for r in q_qd_one_sided_many(jobs, (1,), LIGHT)]
+        for max_rows, blocks, most_rows in ((9, [2, 1], 8), (3, [1, 1, 1], 4)):
+            with monkeypatch.context() as patch:
+                patch.setattr(discord, "_MAX_ROWS", max_rows)
+                calls = count_rows(patch)
+                built = count_objectives(patch)
+                bounded = q_gqd_many(jobs, LIGHT)
+                assert built == blocks
+                assert max(calls) == most_rows
+                one_sided = q_qd_one_sided_many(jobs, (1,), LIGHT)
+            assert [report_fields(r) for r in bounded] == free
+            assert [report_fields(r) for r in one_sided] == one_sided_free
 
 
 class TestOneSided:

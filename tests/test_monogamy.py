@@ -60,8 +60,10 @@ class TestDecomposition:
 
     def test_builds_no_full_size_matrix(self, monkeypatch):
         # Every value is a row of the discord objective, which works from
-        # outcome probabilities, so no measured 16 x 16 state is built; the
-        # values must equal the term-by-term route bit for bit.
+        # outcome probabilities, so no measured 16 x 16 state is built, and
+        # each marginal is built once: the four qubits, the first two and
+        # the first three. The values must equal the term-by-term route bit
+        # for bit.
         rng = np.random.default_rng(2)
         rho = random_density_matrix(4, seed=21)
         phi = random_product_measurement(rng, 4)
@@ -86,7 +88,7 @@ class TestDecomposition:
             with monkeypatch.context() as patch:
                 patch.setattr(DensityMatrix, "__init__", counting)
                 ledger = decompose_induced_gqd(rho, phi, q)
-            assert built and 16 not in built
+            assert sorted(built) == [2, 2, 2, 2, 4, 8]
             built.clear()
             assert ledger.total == total
             assert ledger.terms == terms
