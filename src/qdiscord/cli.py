@@ -26,6 +26,7 @@ from .analytic import (
 from .discord import (
     CLAMP_SLACK,
     OptimizerConfig,
+    _gqd_reports,
     mutual_information_q,
     q_gqd,
     q_gqd_many,
@@ -414,7 +415,10 @@ def _render_sweep(qs, targets, opt: OptimizerConfig) -> str:
     header = "q," + ",".join(name for name, _ in targets) + ",difference"
     rows = [header]
     qs = [float(q) for q in qs]
-    values = [r.value for r in q_gqd_many([(state, q) for q in qs for _, state in targets], opt)]
+    # Keep each block's values as it finishes, not every cell's report.
+    values = [0.0] * (len(qs) * len(targets))
+    for j, report in _gqd_reports([(state, q) for q in qs for _, state in targets], opt, None):
+        values[j] = report.value
     for i, q in enumerate(qs):
         row_values = values[i * len(targets) : (i + 1) * len(targets)]
         difference = row_values[0] - row_values[1] if len(row_values) >= 2 else 0.0

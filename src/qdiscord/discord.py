@@ -27,14 +27,19 @@ code. A row of the batch is the same float as that row evaluated alone,
 so a start's result does not depend on which starts, of which problems,
 share its rounds, and each report of a _many call equals the solo
 call's. The report keeps every start's minimum, evaluations and
-convergence, and how many starts reached the best basin.
+convergence, and how many starts reached the best basin. Each block's
+reports are handed over as the block finishes, so the sweep keeps only
+their values.
 
 The objective gets the measured spectrum from W^dagger (rho W), one
 batched matmul per call that its gradient reuses; with every qubit
 measured it takes the diagonal apply_full uses, else eigh's block spectra,
-so value calls and gradient calls agree bit for bit. It is the only code
-that evaluates I_q(Phi(rho)): induced_discord, the fixed-measurement drop,
-is its row at the measurement's angles, so no measured state is built.
+so value calls and gradient calls agree bit for bit. The measured
+parties' marginals come from one stacked matmul with a 0/1 table built
+once per shape, and with every qubit measured the gradient's traces are
+one gather from C = W^dagger (rho W). It is the only code that evaluates
+I_q(Phi(rho)): induced_discord, the fixed-measurement drop, is its row at
+the measurement's angles, so no measured state is built.
 """
 
 from __future__ import annotations
@@ -216,18 +221,45 @@ def _start_points(m: int, opt: OptimizerConfig) -> list[np.ndarray]:
 def _gradient_tables(m: int):
     """Index tables of the objective's gradient, built once per m.
 
-    flipped[i, j] is outcome j with measured qubit i's bit flipped (qubit 0
-    is the high bit) and signs[i, j] is +1 where that bit of j is 0, else
-    -1. Objectives measuring m qubits share the read-only arrays, and
-    value-only objectives never build them.
+    outcomes is arange(2^m), flipped[i, j] is outcome j with measured qubit
+    i's bit flipped (qubit 0 is the high bit) and signs[i, j] is +1 where
+    that bit of j is 0, else -1. Objectives measuring m qubits share the
+    read-only arrays, and value-only objectives never build them.
     """
     outcomes = np.arange(2**m)
     bits = (1 << np.arange(m - 1, -1, -1))[:, None]
     flipped = outcomes ^ bits
     signs = np.where(outcomes & bits, -1.0, 1.0)
-    flipped.setflags(write=False)
-    signs.setflags(write=False)
-    return flipped, signs
+    for table in (outcomes, flipped, signs):
+        table.setflags(write=False)
+    return outcomes, flipped, signs
+
+
+@functools.cache
+def _marginal_table(measured: tuple[int, ...], parties: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """0/1 table M taking outcome probabilities to the parties' marginals.
+
+    Every party's qubits are measured. M has one row per outcome of the
+    measured qubits (qubit measured[0] is the high bit) and one column per
+    entry of the concatenated marginals, in party order, each indexed by
+    its qubits' bits in measured order: M[j, c] is 1 where outcome j adds
+    to marginal entry c. So probs @ M is the marginals and slopes @ M.T
+    sums each outcome's marginal slopes. Built once per shape and
+    read-only.
+    """
+    m = len(measured)
+    outcomes = np.arange(2**m)
+    table = np.zeros((2**m, sum(2 ** len(g) for g in parties)))
+    start = 0
+    for g in parties:
+        entry = np.zeros_like(outcomes)
+        for pos, i in enumerate(measured):
+            if i in g:
+                entry = 2 * entry + ((outcomes >> (m - 1 - pos)) & 1)
+        table[outcomes, start + entry] = 1.0
+        start += 2 ** len(g)
+    table.setflags(write=False)
+    return table
 
 
 def _make_objective(states, qs, measured: tuple[int, ...], groups, marginal_of=partial_trace):
@@ -248,12 +280,16 @@ def _make_objective(states, qs, measured: tuple[int, ...], groups, marginal_of=p
     some qubits unmeasured, block j is sum_ab W*[a, j] rho[(a, u), (b, v)]
     W[b, j], rho W then a 2-operand contraction over a with W*, and eigh
     gives its spectrum. Group terms whose qubits are unmeasured cancel
-    exactly and are skipped. The entropies of the spectrum and of every
-    measured marginal come from one entropy._terms call over their
-    concatenation, with q a column of one q per row. Every row is computed
-    on its own: a row's value does not depend on the other rows of the
-    batch or on their problems, and induced_discord is the single row at
-    one measurement.
+    exactly and are skipped. The measured groups' marginals are
+    (probs[:, None, :] @ M)[:, 0], M the read-only 0/1 table of
+    _marginal_table, built once per shape: a stack of one-row products,
+    so each row's sums are its own, where a 2-D probs @ M goes through a
+    BLAS kernel whose rows change with the batch size. The entropies of
+    the spectrum and of every measured marginal come from one
+    entropy._terms call over their concatenation, with q a column of one
+    q per row. Every row is computed on its own: a row's value does not
+    depend on the other rows of the batch or on their problems, and
+    induced_discord is the single row at one measurement.
 
     objective(angles, owner, gradient=True) returns (values (K,), gradients
     (K, 2m)) instead, the gradient exact. Differentiating qubit k's factor
@@ -263,8 +299,13 @@ def _make_objective(states, qs, measured: tuple[int, ...], groups, marginal_of=p
     E_j = h'(B_j) - sum_g h'(marginal_g)[j] I (h' the slopes of _terms, and
     h'(B_j) = V h'(Lambda) V^dagger from the block's eigh), the derivatives
     are sum_j +-Re tr(E_j C_{j, j^k}) in theta_k, + where qubit k's bit of
-    j is 0, and -sin(theta_k) sum_j Im tr(E_j C_{j, j^k}) in phi_k, with
-    the C_ji read from the same rho W. The values do not change.
+    j is 0, and -sin(theta_k) sum_j Im tr(E_j C_{j, j^k}) in phi_k. The
+    shift sum_g h'(marginal_g)[j] is (slopes[:, None, marginals] @ M.T)[:, 0],
+    the same table. With every qubit measured the blocks are numbers and
+    C = W^dagger (rho W) is one more batched matmul, so the traces are
+    E_j times one gather of C at (j, j^k); otherwise they are one einsum
+    over W*, E and rho W indexed at the flipped outcomes. The values do
+    not change.
     """
     n = states[0].num_qubits
     m = len(measured)
@@ -285,12 +326,9 @@ def _make_objective(states, qs, measured: tuple[int, ...], groups, marginal_of=p
 
     # Every caller passes groups that are wholly measured or wholly
     # unmeasured. The unmeasured ones drop out, their marginal untouched;
-    # a measured one sums the outcome axes of the other measured qubits
-    # (axis 0 of the outcome tensor is the batch), keeping them at length 1.
-    parties = [g for g in groups if all(i in measured for i in g)]
-    measured_groups = tuple(
-        tuple(1 + ax for ax, i in enumerate(measured) if i not in g) for g in parties
-    )
+    # the table sums the outcomes into each measured one's marginal.
+    parties = tuple(g for g in groups if all(i in measured for i in g))
+    table = _marginal_table(measured, parties)
     consts = np.array([_mutual_information(rho, parties, q, marginal_of) for rho, q in zip(states, qs)])
     qs = np.array(qs, dtype=float)
 
@@ -309,15 +347,12 @@ def _make_objective(states, qs, measured: tuple[int, ...], groups, marginal_of=p
             np.maximum(probs, 0.0, out=probs)
             eigenvalues, vectors = np.linalg.eigh(blocks)
             spectrum = eigenvalues.reshape(k, -1)
-        ptensor = probs.reshape((k,) + (2,) * m)
-        marginals = [ptensor.sum(axis=ax, keepdims=True) for ax in measured_groups]
+        # A stack of one-row products, so each row's sums are its own.
+        marginals = (probs[:, None, :] @ table)[:, 0]
         # The entropy is a plain sum over entries, so the marginals' part of
         # the concatenation sums to the sum of their entropies.
         q = qs[owner][:, None]
-        p, x, s = _terms(
-            np.concatenate([spectrum] + [marginal.reshape(k, -1) for marginal in marginals], axis=1),
-            q,
-        )
+        p, x, s = _terms(np.concatenate([spectrum, marginals], axis=1), q)
         px = p * x
         h_spectrum = -px[:, :dim].sum(axis=-1) / s[:, 0]
         h_marginals = -px[:, dim:].sum(axis=-1) / s[:, 0]
@@ -325,25 +360,20 @@ def _make_objective(states, qs, measured: tuple[int, ...], groups, marginal_of=p
         if not gradient:
             return values
 
-        flipped, signs = _gradient_tables(m)
+        outcomes, flipped, signs = _gradient_tables(m)
         slopes = -q * x / s
-        # sum_g h'(marginal_g), broadcast back to the outcomes
-        shift = np.zeros_like(ptensor)
-        start = dim
-        for marginal in marginals:
-            stop = start + marginal[0].size
-            shift += slopes[:, start:stop].reshape(marginal.shape)
-            start = stop
-        shift = shift.reshape(k, dim_m)
+        # sum_g h'(marginal_g)[j] for each outcome j
+        shift = (slopes[:, None, dim:] @ table.T)[:, 0]
         if dim_u == 1:
-            rho_w = rho_w.reshape(k, dim_m, 1, 1, dim_m)
-            e = (slopes[:, :dim] - shift)[:, :, None, None]
+            # traces[k, i, j] = E_j C_{j, j^i}, C = W^dagger rho W
+            c = w.conj().swapaxes(-1, -2) @ rho_w
+            traces = (slopes[:, :dim] - shift)[:, None, :] * c[:, outcomes, flipped]
         else:
             h = slopes[:, :dim].reshape(eigenvalues.shape)
             e = (vectors * h[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
             e -= shift[:, :, None, None] * np.eye(dim_u)
-        # traces[k, i, j] = tr(E_j C_{j, j^i}) for measured qubit i
-        traces = np.einsum("kaj,kjvu,kauvij->kij", w.conj(), e, rho_w[..., flipped])
+            # traces[k, i, j] = tr(E_j C_{j, j^i}) for measured qubit i
+            traces = np.einsum("kaj,kjvu,kauvij->kij", w.conj(), e, rho_w[..., flipped])
         grad = np.empty((k, 2 * m))
         grad[:, 0::2] = (signs * traces.real).sum(axis=-1)
         grad[:, 1::2] = -np.sin(np.asarray(angles)[:, 0::2]) * traces.imag.sum(axis=-1)
@@ -475,13 +505,16 @@ def _lockstep(objective, searches):
     return np.array(xs), np.array(fun), np.array(nfev), np.array(success)
 
 
-def _minimize_many(problems, opt: OptimizerConfig | None) -> tuple[DiscordReport, ...]:
-    """Reports for problems (rho, q, measured, groups), in order.
+def _minimize_many(problems, opt: OptimizerConfig | None):
+    """Solve problems (rho, q, measured, groups), yielding (j, report) pairs.
 
     Every q and state size is checked before the first solve. The problems
     of one shape, (qubit count, measured, groups), are solved in blocks of
     max(1, _MAX_ROWS // starts), in problem order; a block shares one
     objective and one lockstep, which runs each problem's starts in order.
+    Each block's pairs are yielded as soon as it finishes, j the problem's
+    index, so a caller that keeps only some fields holds one block's
+    reports at a time.
     """
     problems = [(rho, _check_q(q), measured, groups) for rho, q, measured, groups in problems]
     if any(rho.num_qubits > DESK_SCALE_LIMIT for rho, *_ in problems):
@@ -491,7 +524,6 @@ def _minimize_many(problems, opt: OptimizerConfig | None) -> tuple[DiscordReport
     for j, (rho, _, measured, groups) in enumerate(problems):
         shapes.setdefault((rho.num_qubits, measured, groups), []).append(j)
     per_block = max(1, _MAX_ROWS // opt.starts)
-    reports = [None] * len(problems)
     for (_, measured, groups), members in shapes.items():
         starts = _start_points(len(measured), opt)
         for first in range(0, len(members), per_block):
@@ -503,8 +535,12 @@ def _minimize_many(problems, opt: OptimizerConfig | None) -> tuple[DiscordReport
             xs, fun, nfev, success = _lockstep(objective, searches)
             for i, j in enumerate(block):
                 rows = slice(i * opt.starts, (i + 1) * opt.starts)
-                reports[j] = _report(problems[j][1], measured, xs[rows], fun[rows], nfev[rows], success[rows])
-    return tuple(reports)
+                yield j, _report(problems[j][1], measured, xs[rows], fun[rows], nfev[rows], success[rows])
+
+
+def _in_order(pairs) -> tuple[DiscordReport, ...]:
+    """The reports of _minimize_many's (j, report) pairs, in problem order."""
+    return tuple(report for _, report in sorted(pairs, key=lambda pair: pair[0]))
 
 
 def _report(q: float, measured: tuple[int, ...], xs, fun, nfev, success) -> DiscordReport:
@@ -554,6 +590,15 @@ def q_gqd_many(jobs, opt: OptimizerConfig | None = None, *, cut=None) -> tuple[D
     report equals q_gqd(rho, q, opt, cut=cut) field for field, and every q
     is checked before the first solve.
     """
+    return _in_order(_gqd_reports(jobs, opt, cut))
+
+
+def _gqd_reports(jobs, opt: OptimizerConfig | None, cut):
+    """q_gqd_many's (j, report) pairs, block by block as _minimize_many yields them.
+
+    The jobs' cuts are checked at the call, the rest when the first pair
+    is drawn.
+    """
     problems = []
     for rho, q in jobs:
         n = rho.num_qubits
@@ -598,4 +643,4 @@ def q_qd_one_sided_many(jobs, measured, opt: OptimizerConfig | None = None) -> t
             raise ValueError("measured qubit index out of range")
         complement = tuple(i for i in range(n) if i not in measured)
         problems.append((rho, q, measured, (complement, measured)))
-    return _minimize_many(problems, opt)
+    return _in_order(_minimize_many(problems, opt))

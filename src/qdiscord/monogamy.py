@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .discord import OptimizerConfig, _induced, q_gqd
+from .discord import OptimizerConfig, _induced, q_gqd_many
 from .entropy import _check_q
 from .linalg import DensityMatrix, partial_trace
 from .measurement import ProductMeasurement
@@ -168,16 +168,16 @@ def monogamy_report(
     Every value is a fresh independent optimization (the full-state argmin
     is never reused for marginals, which would bias nested values upward);
     nested[0], the cut (0)|(1), is the pairwise[0] problem and reuses it.
-    condition_holds implies inequality_holds mathematically; that
-    implication is enforced as a hard check.
+    The whole state and its n - 1 pairs are solved in one q_gqd_many call,
+    each value the solo q_gqd's. condition_holds implies inequality_holds
+    mathematically; that implication is enforced as a hard check.
     """
     n = rho.num_qubits
-    whole = q_gqd(rho, q, opt).value
-    pairwise = tuple(
-        q_gqd(partial_trace(rho, (0, k)), q, opt).value for k in range(1, n)
-    )
+    jobs = [(rho, q)] + [(partial_trace(rho, (0, k)), q) for k in range(1, n)]
+    whole, *pairwise = (report.value for report in q_gqd_many(jobs, opt))
+    pairwise = tuple(pairwise)
     nested = pairwise[:1] + tuple(
-        q_gqd(partial_trace(rho, range(k + 1)), q, opt, cut=_first_vs_last(k)).value
+        q_gqd_many([(partial_trace(rho, range(k + 1)), q)], opt, cut=_first_vs_last(k))[0].value
         for k in range(2, n)
     )
     inequality_margin = whole - sum(pairwise)
@@ -209,14 +209,15 @@ def bros_counterexample_audit(
     Checks the four facts that make it a counterexample to the domination
     condition without violating monogamy: vanishing discord across {0}|{1,2}
     and on the (0,2) marginal, nonvanishing (0,1) pairwise discord, and
-    whole-state discord equal to that pairwise value.
+    whole-state discord equal to that pairwise value. The whole state and
+    both pairs are solved in one q_gqd_many call, each value the solo
+    q_gqd's.
     """
     q = _check_q(q)
     rho = bros_counterexample()
-    whole = q_gqd(rho, q, opt).value
-    first_vs_rest = q_gqd(rho, q, opt, cut=((0,), (1, 2))).value
-    pair_01 = q_gqd(partial_trace(rho, (0, 1)), q, opt).value
-    pair_02 = q_gqd(partial_trace(rho, (0, 2)), q, opt).value
+    jobs = [(rho, q), (partial_trace(rho, (0, 1)), q), (partial_trace(rho, (0, 2)), q)]
+    whole, pair_01, pair_02 = (report.value for report in q_gqd_many(jobs, opt))
+    first_vs_rest = q_gqd_many([(rho, q)], opt, cut=((0,), (1, 2)))[0].value
     first_vs_rest_vanishes = first_vs_rest <= VANISH_TOL
     pair_01_nonzero = pair_01 >= NONZERO_MIN
     pair_02_vanishes = pair_02 <= VANISH_TOL

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qdiscord import cli, monogamy
+from qdiscord import cli, discord, monogamy
 from qdiscord.analytic import pauli_diagonal_gqd, werner_ghz_gqd
 from qdiscord.cli import DEFAULT_TARGETS, build_parser, main
-from qdiscord.discord import OptimizerConfig, q_gqd, q_qd_one_sided
+from qdiscord.discord import OptimizerConfig, q_gqd, q_gqd_many, q_qd_one_sided
 from qdiscord.linalg import DESK_SCALE_LIMIT, DensityMatrix
 from qdiscord.monogamy import DecompositionLedger
 from qdiscord.states import random_density_matrix, save_state, werner_ghz
@@ -303,6 +303,18 @@ class TestExitCodes:
 
 
 class TestSweep:
+    def test_streamed_values_match_collected_reports(self, monkeypatch):
+        # The sweep keeps each block's values as the block finishes. With
+        # two jobs a block and targets of two shapes, blocks finish out of
+        # job order; the CSV is still the one built from the full tuple.
+        targets = [cli._parse_target(t) for t in ("alpha:0.58", "werner:3:0.4")]
+        qs = np.linspace(0.3, 1.5, 5)
+        opt = OptimizerConfig(starts=4, max_evals=400)
+        monkeypatch.setattr(discord, "_MAX_ROWS", 8)
+        streamed = cli._render_sweep(qs, targets, opt)
+        monkeypatch.setattr(cli, "_gqd_reports", lambda jobs, opt, cut: enumerate(q_gqd_many(jobs, opt, cut=cut)))
+        assert streamed == cli._render_sweep(qs, targets, opt)
+
     def test_mixed_target_is_all_zero(self, capsys):
         code = main(
             ["sweep", "--target", "mixed:2", "--steps", "3", "--q-min", "0.5", "--q-max", "0.7"]
@@ -514,10 +526,12 @@ class TestVerify:
         # Whole 0.1, every other value 0.2: each report raises its
         # condition-without-inequality fault and the suite counts it (the
         # faked audit fails its own lines too).
-        def fake_q_gqd(rho, q, opt=None, *, cut=None):
-            return SimpleNamespace(value=0.1 if rho.num_qubits == 3 and cut is None else 0.2)
+        def fake_q_gqd_many(jobs, opt=None, *, cut=None):
+            return tuple(
+                SimpleNamespace(value=0.1 if rho.num_qubits == 3 and cut is None else 0.2) for rho, _ in jobs
+            )
 
-        monkeypatch.setattr(monogamy, "q_gqd", fake_q_gqd)
+        monkeypatch.setattr(monogamy, "q_gqd_many", fake_q_gqd_many)
         code, lines, summary = self.run_suite(capsys, "monogamy", 2)
         assert code == 1
         assert "[FAIL] condition-implies-inequality violations: 2 over 2 random states" in lines

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -17,12 +18,13 @@ from qdiscord.discord import (
     q_qd_one_sided,
     q_qd_one_sided_many,
 )
-from qdiscord.entropy import _hq, tsallis_entropy
+from qdiscord.entropy import _hq, _terms, tsallis_entropy
 from qdiscord.linalg import DensityMatrix, partial_trace, permute_qubits
 from qdiscord.measurement import (
     BlochMeasurement,
     ProductMeasurement,
     _basis_columns,
+    _diagonal,
     apply_full,
     product_basis,
     projectors,
@@ -362,6 +364,120 @@ KERNELS = {
     "global-n3": (3, (0, 1, 2), ((0,), (1,), (2,))),
     "global-n4": (4, (0, 1, 2, 3), ((0,), (1,), (2,), (3,))),
 }
+
+
+def axis_sum_objective(rho, q, measured, groups):
+    """The value-and-gradient objective as it stood before the marginal table.
+
+    Each measured party's marginal is a sum over the other measured
+    qubits' outcome axes, the gradient's shift adds those marginals'
+    slopes back party by party, and the traces come from one einsum over
+    rho W indexed at the flipped outcomes; the reference for the table
+    and the all-measured gather.
+    """
+    n = rho.num_qubits
+    m = len(measured)
+    unmeasured = tuple(i for i in range(n) if i not in measured)
+    dim_m, dim_u = 2**m, 2 ** len(unmeasured)
+    dim = dim_m * dim_u
+    axes = measured + unmeasured + tuple(n + i for i in unmeasured + measured)
+    rho_t = rho.matrix.reshape((2,) * (2 * n)).transpose(axes).reshape(dim * dim_u, dim_m)
+    parties = [g for g in groups if all(i in measured for i in g)]
+    summed = [tuple(1 + ax for ax, i in enumerate(measured) if i not in g) for g in parties]
+    const = _mutual_information(rho, parties, q)
+    outcomes = np.arange(dim_m)
+    bits = (1 << np.arange(m - 1, -1, -1))[:, None]
+    flipped = outcomes ^ bits
+    signs = np.where(outcomes & bits, -1.0, 1.0)
+
+    def objective(angles):
+        w = product_basis(angles)
+        k = len(w)
+        rho_w = rho_t @ w
+        if dim_u == 1:
+            probs = np.maximum(_diagonal(w, rho_w).real, 0.0)
+            spectrum = probs
+        else:
+            rho_w = rho_w.reshape(k, dim_m, dim_u, dim_u, dim_m)
+            blocks = np.einsum("kaj,kauvj->kjuv", w.conj(), rho_w)
+            probs = np.maximum(np.einsum("kjuu->kj", blocks).real, 0.0)
+            eigenvalues, vectors = np.linalg.eigh(blocks)
+            spectrum = eigenvalues.reshape(k, -1)
+        ptensor = probs.reshape((k,) + (2,) * m)
+        marginals = [ptensor.sum(axis=ax, keepdims=True) for ax in summed]
+        p, x, s = _terms(np.concatenate([spectrum] + [g.reshape(k, -1) for g in marginals], axis=1), q)
+        values = const - (p * x)[:, :dim].sum(axis=-1) / s + (p * x)[:, dim:].sum(axis=-1) / s
+        slopes = -q * x / s
+        shift = np.zeros_like(ptensor)
+        start = dim
+        for g in marginals:
+            shift += slopes[:, start : start + g[0].size].reshape(g.shape)
+            start += g[0].size
+        shift = shift.reshape(k, dim_m)
+        if dim_u == 1:
+            rho_w = rho_w.reshape(k, dim_m, 1, 1, dim_m)
+            e = (slopes[:, :dim] - shift)[:, :, None, None]
+        else:
+            h = slopes[:, :dim].reshape(eigenvalues.shape)
+            e = (vectors * h[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
+            e -= shift[:, :, None, None] * np.eye(dim_u)
+        traces = np.einsum("kaj,kjvu,kauvij->kij", w.conj(), e, rho_w[..., flipped])
+        grad = np.empty((k, 2 * m))
+        grad[:, 0::2] = (signs * traces.real).sum(axis=-1)
+        grad[:, 1::2] = -np.sin(angles[:, 0::2]) * traces.imag.sum(axis=-1)
+        return values, grad
+
+    return objective
+
+
+# Every shape of KERNELS, a one-sided one measuring the last of three qubits,
+# and a four-qubit cut whose measured party is not a prefix.
+TABLE_SHAPES = sorted(KERNELS.values()) + [(3, (2,), ((0, 1), (2,))), (4, (1, 3), ((0, 2), (1, 3)))]
+
+
+class TestMarginalTable:
+    @pytest.mark.parametrize("n, measured, groups", TABLE_SHAPES)
+    def test_marginals_match_axis_sums(self, n, measured, groups):
+        m = len(measured)
+        rng = np.random.default_rng(n + m)
+        probs = rng.dirichlet(np.ones(2**m), size=9)
+        ptensor = probs.reshape((9,) + (2,) * m)
+        parties = tuple(g for g in groups if g[0] in measured)
+        summed = [
+            ptensor.sum(axis=tuple(1 + ax for ax, i in enumerate(measured) if i not in g)).reshape(9, -1)
+            for g in parties
+        ]
+        table = discord._marginal_table(measured, parties)
+        assert set(np.unique(table)) == {0.0, 1.0}
+        assert_allclose(probs @ table, np.concatenate(summed, axis=1), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n, measured, groups", TABLE_SHAPES)
+    def test_read_only_and_built_once_per_shape(self, n, measured, groups, monkeypatch):
+        # A fresh cache: two objectives of the shape, on different states,
+        # value and gradient calls alike, build the table once.
+        monkeypatch.setattr(discord, "_marginal_table", functools.cache(discord._marginal_table.__wrapped__))
+        angles = np.random.default_rng(n).uniform(-8.0, 8.0, size=(3, 2 * len(measured)))
+        for seed in (180, 181):
+            objective = single(random_density_matrix(n, seed=seed), 0.5, measured, groups)
+            objective(angles)
+            objective(angles, gradient=True)
+        assert discord._marginal_table.cache_info().misses == 1
+        table = discord._marginal_table(measured, tuple(g for g in groups if g[0] in measured))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.5
+
+    @pytest.mark.parametrize("n, measured, groups", TABLE_SHAPES)
+    def test_matches_axis_sum_reference(self, n, measured, groups):
+        rng = np.random.default_rng(20 * n + len(measured))
+        rho = random_density_matrix(n, seed=190 + n)
+        angles = rng.uniform(-8.0, 8.0, size=(9, 2 * len(measured)))
+        angles[0, 0::2] = 0.0
+        for q in (0.5, 1.0, 2.0):
+            values, grads = single(rho, q, measured, groups)(angles, gradient=True)
+            ref_values, ref_grads = axis_sum_objective(rho, q, measured, groups)(angles)
+            assert_allclose(values, ref_values, rtol=0, atol=1e-13)
+            assert_allclose(grads, ref_grads, rtol=0, atol=1e-13)
 
 
 def lockstep_bfgs(objective, starts, max_evals):

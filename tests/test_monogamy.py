@@ -8,6 +8,7 @@ from qdiscord import discord, monogamy
 from qdiscord.discord import (
     OptimizerConfig,
     induced_discord,
+    q_gqd,
 )
 from qdiscord.linalg import DensityMatrix, partial_trace, permute_qubits
 from qdiscord.measurement import BlochMeasurement, ProductMeasurement
@@ -149,11 +150,11 @@ class TestMonogamyReport:
         # 3-qubit report makes 4 solves: the whole, two pairs, one nested cut.
         solves = []
 
-        def counting(*args, **kwargs):
-            solves.append(args[0].num_qubits)
-            return discord.q_gqd(*args, **kwargs)
+        def counting(jobs, *args, **kwargs):
+            solves.extend(rho.num_qubits for rho, _ in jobs)
+            return discord.q_gqd_many(jobs, *args, **kwargs)
 
-        monkeypatch.setattr(monogamy, "q_gqd", counting)
+        monkeypatch.setattr(monogamy, "q_gqd_many", counting)
         report = monogamy_report(random_density_matrix(3, seed=40), 0.5, LIGHT)
         assert solves == [3, 2, 2, 3]
         assert report.nested[0] == report.pairwise[0]
@@ -162,10 +163,12 @@ class TestMonogamyReport:
     def test_condition_without_inequality_raises(self, monkeypatch):
         # Whole 0.1, every other value 0.2: nested domination holds, yet
         # 0.1 < 0.2 + 0.2, which only a faulty solve can produce.
-        def fake_q_gqd(rho, q, opt=None, *, cut=None):
-            return SimpleNamespace(value=0.1 if rho.num_qubits == 3 and cut is None else 0.2)
+        def fake_q_gqd_many(jobs, opt=None, *, cut=None):
+            return tuple(
+                SimpleNamespace(value=0.1 if rho.num_qubits == 3 and cut is None else 0.2) for rho, _ in jobs
+            )
 
-        monkeypatch.setattr(monogamy, "q_gqd", fake_q_gqd)
+        monkeypatch.setattr(monogamy, "q_gqd_many", fake_q_gqd_many)
         with pytest.raises(RuntimeError, match="monogamy inequality failed"):
             monogamy_report(random_density_matrix(3, seed=40), 0.5, LIGHT)
 
@@ -194,8 +197,27 @@ class TestMonogamyReport:
                 report.whole - sum(report.nested) >= -monogamy.INEQUALITY_TOL
             )
 
+    def test_values_are_the_solo_solves(self):
+        # The whole state and its pairs share one batched call; each value
+        # is still the solo q_gqd of its problem, bit for bit.
+        rho = random_density_matrix(4, seed=42)
+        report = monogamy_report(rho, 0.5, LIGHT)
+        assert report.whole == q_gqd(rho, 0.5, LIGHT).value
+        assert report.pairwise == tuple(q_gqd(partial_trace(rho, (0, k)), 0.5, LIGHT).value for k in (1, 2, 3))
+        assert report.nested[1:] == tuple(
+            q_gqd(partial_trace(rho, range(k + 1)), 0.5, LIGHT, cut=(tuple(range(k)), (k,))).value for k in (2, 3)
+        )
+
 
 class TestCounterexample:
+    def test_values_are_the_solo_solves(self):
+        rho = bros_counterexample()
+        audit = bros_counterexample_audit(0.9, LIGHT)
+        assert audit.whole == q_gqd(rho, 0.9, LIGHT).value
+        assert audit.first_vs_rest == q_gqd(rho, 0.9, LIGHT, cut=((0,), (1, 2))).value
+        assert audit.pair_01 == q_gqd(partial_trace(rho, (0, 1)), 0.9, LIGHT).value
+        assert audit.pair_02 == q_gqd(partial_trace(rho, (0, 2)), 0.9, LIGHT).value
+
     def test_audit_passes(self):
         audit = bros_counterexample_audit(0.9, LIGHT)
         assert isinstance(audit, CounterexampleAudit)
