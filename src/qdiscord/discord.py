@@ -13,9 +13,8 @@ search (Nocedal & Wright, Numerical Optimization, ch. 3 and 6) over the
 Bloch angles (theta, phi) of each measured qubit, on the objective's exact
 gradient.
 
-The starts run in lockstep: each is a BFGS loop written as a generator
-that yields the point it needs, and each round evaluates the points of
-every running start in a single value-and-gradient call of the batched
+The starts run in lockstep: each round evaluates the points of every
+running start in a single value-and-gradient call of the batched
 objective, angles (K, 2m) to values (K,) and gradients (K, 2m). A round
 spans problems: q_gqd_many and q_qd_one_sided_many run the starts of the
 jobs of one shape (qubit count, measured qubits, parties) in one
@@ -30,6 +29,21 @@ call's. The report keeps every start's minimum, evaluations and
 convergence, and how many starts reached the best basin. Each block's
 reports are handed over as the block finishes, so the sweep keeps only
 their values.
+
+Two drivers run a lockstep, and its row count picks one. Below
+_ARRAY_ROWS rows each start is a _bfgs generator that yields the point
+it needs, and _lockstep sends it the point's value and gradient. From
+_ARRAY_ROWS rows on, _bfgs_rows runs the same BFGS as one set of array
+operations per round over all rows. Its Python costs at least 0.1 ms a
+round however few rows run (0.24 ms at 608), the generators' about 5 us
+a start a round. Its time over the generators' (n = 2/3/4, 400
+evaluations a start; 2-core x86-64 VM, one OpenBLAS thread, best of 5):
+
+    rows per lockstep   4              16             32             64             256
+    _bfgs_rows / _bfgs  1.76/1.74/1.83 1.33/0.99/1.02 0.88/0.65/0.78 0.56/0.45/0.67 0.26/0.35/0.51
+
+Both drivers take each row through the same floats, so they return the
+same results bit for bit.
 
 The objective gets the measured spectrum from W^dagger (rho W), one
 batched matmul per call that its gradient reuses; with every qubit
@@ -62,6 +76,11 @@ BASIN_TOL = 1e-7
 # arrays of one lockstep (rho W is 4 kB a row at n = 4) however many
 # problems one call is given.
 _MAX_ROWS = 1024
+# Fewest rows per lockstep that _bfgs_rows runs; smaller locksteps run the
+# _bfgs generators, which are faster there (the crossover table in the
+# module docstring: _bfgs_rows is slower at 4 rows, even at 16, and faster
+# from 32 rows on).
+_ARRAY_ROWS = 32
 
 __all__ = [
     "BASIN_TOL",
@@ -505,13 +524,134 @@ def _lockstep(objective, searches):
     return np.array(xs), np.array(fun), np.array(nfev), np.array(success)
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[k] @ b[k] for each row k, as stacked one-row matmuls.
+
+    These round as _bfgs's 1-D products do; einsum or (a * b).sum(-1) can
+    differ in the last bit.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _bfgs_rows(objective, x0: np.ndarray, owner: np.ndarray, max_evals: int):
+    """_lockstep over the searches _bfgs(x0[k], max_evals), run as array operations.
+
+    Row k searches problem owner[k] from x0[k]. Every row keeps its BFGS
+    and line-search state in (K, ...) arrays, and each round evaluates the
+    trial points of the rows still searching in one objective call, so a
+    round costs one set of array operations, not one generator step per
+    start. Each scalar expression of _bfgs and _line_search is kept in
+    their order, and each product is one row's own (_dots, stacked
+    matmuls), so every row takes the same floats as its generator. The
+    result is _lockstep's: (x, f, evaluations, success) stacked over the
+    rows, equal bit for bit.
+    """
+    x = np.array(x0, dtype=float)
+    k, n = x.shape
+    f, g = objective(x, owner, gradient=True)
+    nfev = np.ones(k, dtype=np.intp)
+    h = np.zeros((k, n, n))
+    has_h = np.zeros(k, dtype=bool)
+    # _line_search's state: the direction p with its slope d0 and length,
+    # the step alpha to try next, the bracket's low end (lo, f_lo, g_lo,
+    # d_lo) and, once bracketed, its high end (hi, f_hi). A row's f and g
+    # stay its f0 and g0 until the search ends.
+    p = np.zeros((k, n))
+    g_lo = np.zeros((k, n))
+    d0, p_norm, alpha, lo, f_lo, d_lo, hi, f_hi = np.zeros((8, k))
+    bracketed = np.zeros(k, dtype=bool)
+    searching = np.zeros(k, dtype=bool)
+
+    def begin(rows):
+        """_bfgs's loop test, then the head of its loop body, for rows whose x was just set."""
+        rows = rows[(nfev[rows] < max_evals) & (np.abs(g[rows]).max(axis=1) > _GTOL)]
+        g_r = g[rows]
+        p_r = np.where(has_h[rows, None], -(h[rows] @ g_r[:, :, None])[:, :, 0], -g_r)
+        lost = _dots(g_r, p_r) >= 0.0  # rounding cost h its positive definiteness
+        has_h[rows[lost]] = False
+        p_r[lost] = -g_r[lost]
+        pp = _dots(p_r, p_r)
+        alpha[rows] = np.where(has_h[rows], 1.0, np.minimum(1.0, 1.0 / np.sqrt(pp)))
+        p[rows] = p_r
+        d0[rows] = d_lo[rows] = _dots(g_r, p_r)
+        p_norm[rows] = np.sqrt(pp)
+        lo[rows] = 0.0
+        f_lo[rows] = f[rows]
+        g_lo[rows] = g_r
+        bracketed[rows] = False
+        searching[rows] = True
+
+    begin(np.arange(k))
+    while searching.any():
+        rows = np.flatnonzero(searching)
+        a, p_r = alpha[rows], p[rows]
+        f_t, g_t = objective(x[rows] + a[:, None] * p_r, owner[rows], gradient=True)
+        nfev[rows] += 1
+        d = _dots(g_t, p_r)
+        high = (f_t > f[rows] + _C1 * a * d0[rows]) | (f_t >= f_lo[rows])
+        wolfe = ~high & (np.abs(d) <= -_C2 * d0[rows])
+        lower = ~(high | wolfe)
+        flip = lower & (d * np.where(bracketed[rows], hi[rows] - lo[rows], 1.0) >= 0.0)
+        cut = rows[high]
+        hi[cut], f_hi[cut] = a[high], f_t[high]
+        cut = rows[flip]
+        hi[cut], f_hi[cut] = lo[cut], f_lo[cut]
+        bracketed[rows[high | flip]] = True
+        moved = rows[lower]
+        lo[moved], f_lo[moved], g_lo[moved], d_lo[moved] = a[lower], f_t[lower], g_t[lower], d[lower]
+
+        # The next trial of the rows that met no strong-Wolfe point.
+        trying = rows[~wolfe]
+        alpha[trying] = 4.0 * lo[trying]
+        width = hi[trying] - lo[trying]
+        collapsed = bracketed[trying] & (np.abs(width) * p_norm[trying] <= _STEP_TOL)
+        zoom = bracketed[trying] & ~collapsed
+        width, zooming = width[zoom], trying[zoom]
+        curvature = (f_hi[zooming] - f_lo[zooming] - d_lo[zooming] * width) / (width * width)
+        t = np.full(zooming.size, 0.5)
+        convex = curvature > 0.0
+        t[convex] = -d_lo[zooming[convex]] / (2.0 * curvature[convex]) / width[convex]
+        t = np.where((0.1 <= t) & (t <= 0.9), t, 0.5)
+        alpha[zooming] = lo[zooming] + t * width
+        stopped = trying[collapsed | (nfev[trying] >= max_evals)]
+
+        # Rows whose line search ended: at the strong-Wolfe trial, or at lo.
+        ended = np.concatenate([rows[wolfe], stopped])
+        searching[ended] = False
+        step = np.concatenate([a[wolfe], lo[stopped]])
+        f_new = np.concatenate([f_t[wolfe], f_lo[stopped]])
+        g_new = np.concatenate([g_t[wolfe], g_lo[stopped]])
+        keep = step != 0.0
+        ended, step, f_new, g_new = ended[keep], step[keep], f_new[keep], g_new[keep]
+        s, y = step[:, None] * p[ended], g_new - g[ended]
+        progress = f[ended] - f_new
+        x[ended], f[ended], g[ended] = x[ended] + s, f_new, g_new
+        keep = ~(progress <= _FTOL * np.maximum(1.0, np.abs(f_new)))
+        ended, s, y = ended[keep], s[keep], y[keep]
+        sy, yy = _dots(s, y), _dots(y, y)
+        keep = sy > _CURVATURE_TOL * np.sqrt(_dots(s, s) * yy)
+        update, s, y, sy = ended[keep], s[keep], y[keep], sy[keep]
+        fresh = ~has_h[update]
+        h[update[fresh]] = (sy[fresh] / yy[keep][fresh])[:, None, None] * np.eye(n)
+        has_h[update] = True
+        h_u = h[update]
+        hy = (h_u @ y[:, :, None])[:, :, 0]
+        # (I - s y^T / sy) h (I - y s^T / sy) + s s^T / sy, multiplied out
+        outer = s[:, :, None] * ((1.0 + _dots(y, hy) / sy)[:, None] * s - hy)[:, None, :]
+        h[update] = h_u + (outer - hy[:, :, None] * s[:, None, :]) / sy[:, None, None]
+        begin(ended)
+    return x, f, nfev, nfev < max_evals
+
+
 def _minimize_many(problems, opt: OptimizerConfig | None):
     """Solve problems (rho, q, measured, groups), yielding (j, report) pairs.
 
     Every q and state size is checked before the first solve. The problems
     of one shape, (qubit count, measured, groups), are solved in blocks of
     max(1, _MAX_ROWS // starts), in problem order; a block shares one
-    objective and one lockstep, which runs each problem's starts in order.
+    objective and one lockstep, which runs each problem's starts in order:
+    _bfgs_rows when the block has at least _ARRAY_ROWS rows, else
+    _lockstep over _bfgs generators.
     Each block's pairs are yielded as soon as it finishes, j the problem's
     index, so a caller that keeps only some fields holds one block's
     reports at a time.
@@ -531,8 +671,13 @@ def _minimize_many(problems, opt: OptimizerConfig | None):
             objective = _make_objective(
                 [problems[j][0] for j in block], [problems[j][1] for j in block], measured, groups
             )
-            searches = [(i, _bfgs(x, opt.max_evals)) for i in range(len(block)) for x in starts]
-            xs, fun, nfev, success = _lockstep(objective, searches)
+            if len(block) * opt.starts >= _ARRAY_ROWS:
+                x0 = np.tile(starts, (len(block), 1))
+                owner = np.repeat(np.arange(len(block)), opt.starts)
+                xs, fun, nfev, success = _bfgs_rows(objective, x0, owner, opt.max_evals)
+            else:
+                searches = [(i, _bfgs(x, opt.max_evals)) for i in range(len(block)) for x in starts]
+                xs, fun, nfev, success = _lockstep(objective, searches)
             for i, j in enumerate(block):
                 rows = slice(i * opt.starts, (i + 1) * opt.starts)
                 yield j, _report(problems[j][1], measured, xs[rows], fun[rows], nfev[rows], success[rows])
@@ -596,13 +741,17 @@ def q_gqd_many(jobs, opt: OptimizerConfig | None = None, *, cut=None) -> tuple[D
 def _gqd_reports(jobs, opt: OptimizerConfig | None, cut):
     """q_gqd_many's (j, report) pairs, block by block as _minimize_many yields them.
 
-    The jobs' cuts are checked at the call, the rest when the first pair
-    is drawn.
+    The jobs' cuts are checked at the call, once per qubit count, and the
+    rest when the first pair is drawn. Jobs of one qubit count share one
+    (measured, parties) pair.
     """
+    shapes = {}
     problems = []
     for rho, q in jobs:
         n = rho.num_qubits
-        problems.append((rho, q, tuple(range(n)), _parties(n, cut)))
+        if n not in shapes:
+            shapes[n] = (tuple(range(n)), _parties(n, cut))
+        problems.append((rho, q, *shapes[n]))
     return _minimize_many(problems, opt)
 
 
@@ -634,13 +783,15 @@ def q_qd_one_sided_many(jobs, measured, opt: OptimizerConfig | None = None) -> t
     q_qd_one_sided(rho, measured, q, opt) field for field.
     """
     measured = tuple(sorted({_index(i, "qubit index") for i in measured}))
+    parties = {}
     problems = []
     for rho, q in jobs:
         n = rho.num_qubits
-        if not measured or len(measured) >= n:
-            raise ValueError("measured subset must be nonempty and proper")
-        if measured[0] < 0 or measured[-1] >= n:
-            raise ValueError("measured qubit index out of range")
-        complement = tuple(i for i in range(n) if i not in measured)
-        problems.append((rho, q, measured, (complement, measured)))
+        if n not in parties:
+            if not measured or len(measured) >= n:
+                raise ValueError("measured subset must be nonempty and proper")
+            if measured[0] < 0 or measured[-1] >= n:
+                raise ValueError("measured qubit index out of range")
+            parties[n] = (tuple(i for i in range(n) if i not in measured), measured)
+        problems.append((rho, q, measured, parties[n]))
     return _in_order(_minimize_many(problems, opt))

@@ -538,6 +538,27 @@ class TestVerify:
         assert summary["passed"] is False
 
 
+class TestLocksteps:
+    # Every lockstep run by _bfgs_rows (_ARRAY_ROWS = 1) or by the _bfgs
+    # generators (_ARRAY_ROWS = 10**9) prints the same bytes.
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep"]]
+        + [
+            ["verify", "--suite", suite, "--trials", "2"]
+            for suite in ("telescoping", "majorization", "nonnegativity", "oracle_agreement", "monogamy")
+        ],
+    )
+    def test_output_does_not_depend_on_the_driver(self, capsys, monkeypatch, argv):
+        outputs = []
+        for rows in (1, 10**9):
+            monkeypatch.setattr(discord, "_ARRAY_ROWS", rows)
+            code = main(argv)
+            outputs.append((code, capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
+
+
 class TestConsoleEntry:
     def test_module_execution(self):
         result = subprocess.run(

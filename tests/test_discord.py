@@ -480,8 +480,40 @@ class TestMarginalTable:
             assert_allclose(grads, ref_grads, rtol=0, atol=1e-13)
 
 
-def lockstep_bfgs(objective, starts, max_evals):
-    return discord._lockstep(objective, [(0, discord._bfgs(x, max_evals)) for x in starts])
+def lockstep_bfgs(objective, starts, max_evals, owner=None):
+    """The _bfgs searches from starts run by _lockstep, checked against _bfgs_rows.
+
+    Both drivers must return the same x, f, evaluations and success for
+    every start, bit for bit. owner defaults to problem 0 for every row.
+    """
+    if owner is None:
+        owner = np.zeros(len(starts), dtype=np.intp)
+    result = discord._lockstep(objective, [(o, discord._bfgs(x, max_evals)) for o, x in zip(owner, starts)])
+    rows = discord._bfgs_rows(objective, np.array(starts), owner, max_evals)
+    for generated, arrayed in zip(result, rows):
+        assert np.array_equal(generated, arrayed)
+    return result
+
+
+def rank_two(n, seed):
+    """A random n-qubit state of rank 2."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(2**n, 2)) + 1j * rng.normal(size=(2**n, 2))
+    m = v @ v.conj().T
+    return DensityMatrix(m / m.trace().real)
+
+
+def scripted(replies):
+    """A one-row objective that answers its calls with replies in order and keeps the points asked for."""
+    replies = iter(replies)
+    points = []
+
+    def objective(angles, owner, gradient=False):
+        points.append(np.array(angles[0]))
+        f, g = next(replies)
+        return np.array([f]), np.array([g], dtype=float)
+
+    return objective, points
 
 
 class TestLockstepBFGS:
@@ -529,21 +561,39 @@ class TestLockstepBFGS:
             assert nfev[0] == budget and not success[0]
             assert fun[0] == objective(x)[0] <= f0
 
+    def test_problems_with_their_own_q(self):
+        # Rows of three problems interleaved in one call, each with its own
+        # state and q: a rank-2 state at q = 0.25, whose minima sit on the
+        # p^q cusp, and random states at q = 2 and q = 1.
+        for n, measured, groups in KERNELS.values():
+            states = [rank_two(n, seed=210 + n)]
+            states += [random_density_matrix(n, seed=seed + n) for seed in (220, 230)]
+            objective = _make_objective(states, [0.25, 2.0, 1.0], measured, groups)
+            starts = np.array(discord._start_points(len(measured), OptimizerConfig(starts=12)))
+            owner = np.arange(len(starts)) % 3
+            x, fun, nfev, success = lockstep_bfgs(objective, starts, 400, owner)
+            assert success.any()
+
     def test_lost_positive_definiteness_restarts_from_steepest_descent(self):
         # A frozen script: each trial point is sent a value and gradient that
         # meet strong-Wolfe at once, the new gradient lying mostly across the
         # step, at magnitudes from 1e-6 to 1e4. After the second update the
         # rounded h gives g.p >= 0, so the search drops h and steps along -g
-        # with length min(1, 1 / |g|), as on its first step.
+        # with length min(1, 1 / |g|), as on its first step. The fourth
+        # reply only spends the budget. Both drivers ask for the same points.
         script = [
             (0.0, [-8.002047953567316e-06, 8.487234883999388e-06]),
             (-6.803296371368349e-11, [-2.539258899126327e-06, 4.1465258424843474e-08]),
             (-7.250827084654688e-11, [851.4432039655692, 17704.870485308915]),
+            (0.0, [0.0, 0.0]),
         ]
-        search = discord._bfgs(np.zeros(2), 50)
-        points = [search.send(None)]
-        for f, g in script:
-            points.append(search.send((f, np.array(g))))
+        objective, points = scripted(script)
+        result = discord._lockstep(objective, [(0, discord._bfgs(np.zeros(2), 4))])
+        objective, rows_points = scripted(script)
+        rows = discord._bfgs_rows(objective, np.zeros((1, 2)), np.zeros(1, dtype=np.intp), 4)
+        assert np.array_equal(points, rows_points)
+        for generated, arrayed in zip(result, rows):
+            assert np.array_equal(generated, arrayed)
 
         def steepest(x, g):
             return x - min(1.0, 1.0 / np.sqrt(g @ g)) * g
@@ -907,6 +957,31 @@ class TestManyProblems:
         assert len(calls) == max(max(r.start_evals) for r in reports)
         assert calls[0] == 4 * LIGHT.starts
         assert sum(calls) == sum(r.objective_evals for r in reports)
+
+    def test_large_locksteps_run_as_arrays(self, monkeypatch):
+        # A lockstep of at least _ARRAY_ROWS rows runs _bfgs_rows, a smaller
+        # one the _bfgs generators. With the threshold at 16 rows, the n = 2
+        # block (3 jobs, 12 rows) sits one job below it and the n = 3 block
+        # (4 jobs, 16 rows) at it; every report is still the solo call's.
+        jobs = [(random_density_matrix(2, seed=180 + k), q) for k, q in enumerate((0.25, 1.0, 2.0))]
+        jobs += [(rank_two(3, seed=190), 0.25)]
+        jobs += [(random_density_matrix(3, seed=190 + k), q) for k, q in enumerate((0.5, 1.0, 2.0))]
+        drivers = []
+        for name in ("_lockstep", "_bfgs_rows"):
+
+            def counted(objective, rows, *args, name=name, run=getattr(discord, name)):
+                drivers.append((name, len(rows)))
+                return run(objective, rows, *args)
+
+            monkeypatch.setattr(discord, name, counted)
+        monkeypatch.setattr(discord, "_ARRAY_ROWS", 16)
+        reports = q_gqd_many(jobs, LIGHT)
+        one_sided = q_qd_one_sided_many(jobs, (1,), LIGHT)
+        assert drivers == [("_lockstep", 12), ("_bfgs_rows", 16)] * 2
+        for (rho, q), report, one_sided_report in zip(jobs, reports, one_sided):
+            assert report_fields(report) == report_fields(q_gqd(rho, q, LIGHT))
+            assert report_fields(one_sided_report) == report_fields(q_qd_one_sided(rho, (1,), q, LIGHT))
+        assert drivers[4:] == [("_lockstep", 4)] * 2 * len(jobs)
 
     def test_jobs_run_in_blocks_of_bounded_rows(self, monkeypatch):
         # A lockstep takes at most _MAX_ROWS // starts jobs, and at least
