@@ -42,7 +42,7 @@ from .entropy import (
 )
 from .linalg import DESK_SCALE_LIMIT, DensityMatrix, partial_trace, state_spectrum
 from .measurement import ProductMeasurement, apply_full
-from .monogamy import bros_counterexample_audit, decompose_induced_gqd, monogamy_report
+from .monogamy import _audit_and_reports, decompose_induced_gqd
 from .states import (
     StateFormatError,
     alpha_state,
@@ -199,7 +199,10 @@ def _suite_telescoping(seed, trials, opt):
 
 
 def _suite_monogamy(seed, trials, opt):
-    audit = bros_counterexample_audit(0.9, opt)
+    # Every trial state is drawn first, so the audit and all trials are solved in one call.
+    rng = np.random.default_rng(seed)
+    rhos = [random_density_matrix(3, rng) for _ in range(trials)]
+    audit, reports = _audit_and_reports(0.9, rhos, 0.5, opt)
     checks = [
         (
             audit.passed,
@@ -213,13 +216,11 @@ def _suite_monogamy(seed, trials, opt):
             f" inequality_holds={str(audit.inequality_holds).lower()}",
         ),
     ]
-    rng = np.random.default_rng(seed)
     implication_violations = 0
     bounded_failures = 0
-    for _ in range(trials):
-        rho = random_density_matrix(3, rng)
+    for assemble in reports:
         try:
-            report = monogamy_report(rho, 0.5, opt)
+            report = assemble()
         except RuntimeError:  # raised exactly when the condition holds and the inequality fails
             implication_violations += 1
             continue
@@ -417,7 +418,7 @@ def _render_sweep(qs, targets, opt: OptimizerConfig) -> str:
     qs = [float(q) for q in qs]
     # Keep each block's values as it finishes, not every cell's report.
     values = [0.0] * (len(qs) * len(targets))
-    for j, report in _gqd_reports([(state, q) for q in qs for _, state in targets], opt, None):
+    for j, report in _gqd_reports([(state, q, None) for q in qs for _, state in targets], opt):
         values[j] = report.value
     for i, q in enumerate(qs):
         row_values = values[i * len(targets) : (i + 1) * len(targets)]

@@ -735,23 +735,26 @@ def q_gqd_many(jobs, opt: OptimizerConfig | None = None, *, cut=None) -> tuple[D
     report equals q_gqd(rho, q, opt, cut=cut) field for field, and every q
     is checked before the first solve.
     """
-    return _in_order(_gqd_reports(jobs, opt, cut))
+    return _in_order(_gqd_reports([(rho, q, cut) for rho, q in jobs], opt))
 
 
-def _gqd_reports(jobs, opt: OptimizerConfig | None, cut):
-    """q_gqd_many's (j, report) pairs, block by block as _minimize_many yields them.
+def _gqd_reports(jobs, opt: OptimizerConfig | None):
+    """(j, report) pairs of the q_gqd of (rho, q, cut) jobs, as _minimize_many yields them.
 
-    The jobs' cuts are checked at the call, once per qubit count, and the
-    rest when the first pair is drawn. Jobs of one qubit count share one
-    (measured, parties) pair.
+    Each job carries its own cut, so jobs of different cuts go in one
+    _minimize_many call and it runs each shape in its own locksteps. The
+    cuts are checked at the call, once per (qubit count, cut), and the
+    rest when the first pair is drawn. Jobs of one (qubit count, cut)
+    share one (measured, parties) pair, so a call costs what it cost with
+    one cut for all jobs.
     """
     shapes = {}
     problems = []
-    for rho, q in jobs:
-        n = rho.num_qubits
-        if n not in shapes:
-            shapes[n] = (tuple(range(n)), _parties(n, cut))
-        problems.append((rho, q, *shapes[n]))
+    for rho, q, cut in jobs:
+        key = rho.num_qubits, (cut if cut is None else tuple(map(tuple, cut)))
+        if key not in shapes:
+            shapes[key] = (tuple(range(key[0])), _parties(*key))
+        problems.append((rho, q, *shapes[key]))
     return _minimize_many(problems, opt)
 
 

@@ -11,13 +11,21 @@ the cut (0)|(1) is the (0, 1) pairwise problem, so it is solved once.
 Every ledger value is a row of the objective q_gqd minimizes, as
 induced_discord evaluates it, so this module builds no measured state of
 its own.
+
+monogamy_report and bros_counterexample_audit are each a list of
+(rho, q, cut) jobs, solved in one _values call (one _minimize_many call)
+and then assembled from the values. _audit_and_reports solves
+the audit's list and the lists of many reports in one such call, so the
+monogamy verify suite runs one lockstep per shape, not one per report.
+Each value is the solo q_gqd's, whichever jobs share its lockstep.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .discord import OptimizerConfig, _induced, q_gqd_many
+from .discord import OptimizerConfig, _gqd_reports, _induced
 from .entropy import _check_q
 from .linalg import DensityMatrix, partial_trace
 from .measurement import ProductMeasurement
@@ -160,26 +168,32 @@ def _first_vs_last(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(range(k)), (k,)
 
 
-def monogamy_report(
-    rho: DensityMatrix, q: float, opt: OptimizerConfig | None = None
-) -> MonogamyReport:
-    """Evaluate the monogamy inequality and its sufficient condition.
+def _values(jobs, opt: OptimizerConfig | None) -> list[float]:
+    """The q_gqd value of each (rho, q, cut) job, in job order, from one _gqd_reports call.
 
-    Every value is a fresh independent optimization (the full-state argmin
-    is never reused for marginals, which would bias nested values upward);
-    nested[0], the cut (0)|(1), is the pairwise[0] problem and reuses it.
-    The whole state and its n - 1 pairs are solved in one q_gqd_many call,
-    each value the solo q_gqd's. condition_holds implies inequality_holds
-    mathematically; that implication is enforced as a hard check.
+    This is the module's one solve: jobs of one shape share a lockstep,
+    whichever report they belong to, and each value is the solo q_gqd's.
     """
+    values = [0.0] * len(jobs)
+    for j, report in _gqd_reports(jobs, opt):
+        values[j] = report.value
+    return values
+
+
+def _report_jobs(rho: DensityMatrix, q: float) -> list:
+    """monogamy_report's jobs: the whole state, the pairs (0, k), then the nested cuts from k = 2."""
     n = rho.num_qubits
-    jobs = [(rho, q)] + [(partial_trace(rho, (0, k)), q) for k in range(1, n)]
-    whole, *pairwise = (report.value for report in q_gqd_many(jobs, opt))
-    pairwise = tuple(pairwise)
-    nested = pairwise[:1] + tuple(
-        q_gqd_many([(partial_trace(rho, range(k + 1)), q)], opt, cut=_first_vs_last(k))[0].value
-        for k in range(2, n)
+    return (
+        [(rho, q, None)]
+        + [(partial_trace(rho, (0, k)), q, None) for k in range(1, n)]
+        + [(partial_trace(rho, range(k + 1)), q, _first_vs_last(k)) for k in range(2, n)]
     )
+
+
+def _report_from(n: int, values) -> MonogamyReport:
+    """The MonogamyReport of an n-qubit state from the values of its _report_jobs."""
+    whole, pairwise = values[0], tuple(values[1:n])
+    nested = pairwise[:1] + tuple(values[n:])
     inequality_margin = whole - sum(pairwise)
     condition_margins = tuple(ns - pw for ns, pw in zip(nested, pairwise))
     inequality_holds = _holds(inequality_margin)
@@ -201,23 +215,37 @@ def monogamy_report(
     )
 
 
-def bros_counterexample_audit(
-    q: float, opt: OptimizerConfig | None = None
-) -> CounterexampleAudit:
-    """Audit the counterexample state's discord pattern at one q.
+def monogamy_report(
+    rho: DensityMatrix, q: float, opt: OptimizerConfig | None = None
+) -> MonogamyReport:
+    """Evaluate the monogamy inequality and its sufficient condition.
 
-    Checks the four facts that make it a counterexample to the domination
-    condition without violating monogamy: vanishing discord across {0}|{1,2}
-    and on the (0,2) marginal, nonvanishing (0,1) pairwise discord, and
-    whole-state discord equal to that pairwise value. The whole state and
-    both pairs are solved in one q_gqd_many call, each value the solo
-    q_gqd's.
+    Every value is a fresh independent optimization (the full-state argmin
+    is never reused for marginals, which would bias nested values upward);
+    nested[0], the cut (0)|(1), is the pairwise[0] problem and reuses it.
+    The whole state, its n - 1 pairs and its n - 2 other nested cuts are
+    one job list, solved in one _values call, each value the solo
+    q_gqd's; a loop then sets each pair against its nested cut.
+    condition_holds implies inequality_holds mathematically; that
+    implication is enforced as a hard check.
     """
-    q = _check_q(q)
+    return _report_from(rho.num_qubits, _values(_report_jobs(rho, q), opt))
+
+
+def _audit_jobs(q: float) -> list:
+    """bros_counterexample_audit's jobs: the whole state, the cut {0}|{1,2}, the pairs (0, 1) and (0, 2)."""
     rho = bros_counterexample()
-    jobs = [(rho, q), (partial_trace(rho, (0, 1)), q), (partial_trace(rho, (0, 2)), q)]
-    whole, pair_01, pair_02 = (report.value for report in q_gqd_many(jobs, opt))
-    first_vs_rest = q_gqd_many([(rho, q)], opt, cut=((0,), (1, 2)))[0].value
+    return [
+        (rho, q, None),
+        (rho, q, ((0,), (1, 2))),
+        (partial_trace(rho, (0, 1)), q, None),
+        (partial_trace(rho, (0, 2)), q, None),
+    ]
+
+
+def _audit_from(q: float, values) -> CounterexampleAudit:
+    """The CounterexampleAudit at a checked q from the values of its _audit_jobs."""
+    whole, first_vs_rest, pair_01, pair_02 = values
     first_vs_rest_vanishes = first_vs_rest <= VANISH_TOL
     pair_01_nonzero = pair_01 >= NONZERO_MIN
     pair_02_vanishes = pair_02 <= VANISH_TOL
@@ -241,3 +269,37 @@ def bros_counterexample_audit(
             and whole_matches_pair_01
         ),
     )
+
+
+def bros_counterexample_audit(
+    q: float, opt: OptimizerConfig | None = None
+) -> CounterexampleAudit:
+    """Audit the counterexample state's discord pattern at one q.
+
+    Checks the four facts that make it a counterexample to the domination
+    condition without violating monogamy: vanishing discord across {0}|{1,2}
+    and on the (0,2) marginal, nonvanishing (0,1) pairwise discord, and
+    whole-state discord equal to that pairwise value. The whole state, the
+    cut and both pairs are one job list, solved in one _values call, each
+    value the solo q_gqd's.
+    """
+    q = _check_q(q)
+    return _audit_from(q, _values(_audit_jobs(q), opt))
+
+
+def _audit_and_reports(audit_q: float, rhos, q: float, opt: OptimizerConfig | None):
+    """bros_counterexample_audit(audit_q, opt) and each rho's monogamy_report(rho, q, opt), solved together.
+
+    The jobs of the audit and of every report go to one _values call, so
+    each shape runs one lockstep (up to the lockstep's row bound), not one
+    per report. The reports come back unassembled, one function of no
+    arguments per rho in rhos' order, so a caller can assemble each in its
+    own try: one report's RuntimeError does not lose the others, while a
+    solver error raises here. Every value is the solo call's.
+    """
+    audit_q = _check_q(audit_q)
+    lists = [_audit_jobs(audit_q)] + [_report_jobs(rho, q) for rho in rhos]
+    values = iter(_values([job for jobs in lists for job in jobs], opt))
+    audit_values, *report_values = ([next(values) for _ in jobs] for jobs in lists)
+    reports = [functools.partial(_report_from, rho.num_qubits, v) for rho, v in zip(rhos, report_values)]
+    return _audit_from(audit_q, audit_values), reports

@@ -1,7 +1,6 @@
 import json
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -312,7 +311,9 @@ class TestSweep:
         opt = OptimizerConfig(starts=4, max_evals=400)
         monkeypatch.setattr(discord, "_MAX_ROWS", 8)
         streamed = cli._render_sweep(qs, targets, opt)
-        monkeypatch.setattr(cli, "_gqd_reports", lambda jobs, opt, cut: enumerate(q_gqd_many(jobs, opt, cut=cut)))
+        monkeypatch.setattr(
+            cli, "_gqd_reports", lambda jobs, opt: enumerate(q_gqd_many([(rho, q) for rho, q, _ in jobs], opt))
+        )
         assert streamed == cli._render_sweep(qs, targets, opt)
 
     def test_mixed_target_is_all_zero(self, capsys):
@@ -526,16 +527,50 @@ class TestVerify:
         # Whole 0.1, every other value 0.2: each report raises its
         # condition-without-inequality fault and the suite counts it (the
         # faked audit fails its own lines too).
-        def fake_q_gqd_many(jobs, opt=None, *, cut=None):
-            return tuple(
-                SimpleNamespace(value=0.1 if rho.num_qubits == 3 and cut is None else 0.2) for rho, _ in jobs
-            )
+        def fake_values(jobs, opt=None):
+            return [0.1 if rho.num_qubits == 3 and cut is None else 0.2 for rho, _, cut in jobs]
 
-        monkeypatch.setattr(monogamy, "q_gqd_many", fake_q_gqd_many)
+        monkeypatch.setattr(monogamy, "_values", fake_values)
         code, lines, summary = self.run_suite(capsys, "monogamy", 2)
         assert code == 1
         assert "[FAIL] condition-implies-inequality violations: 2 over 2 random states" in lines
         assert summary["passed"] is False
+
+    def test_one_faulty_trial_is_counted_alone(self, capsys, monkeypatch):
+        # The audit and both trials are solved in one call; faking the first
+        # trial's values (whole 0.1, the rest 0.2) faults its report alone,
+        # and the second trial's report still counts.
+        solve = monogamy._values
+
+        def first_trial_faulty(jobs, opt=None):
+            values = solve(jobs, opt)
+            first = next(j for j, (_, q, _) in enumerate(jobs) if q == 0.5)  # the audit's q is 0.9
+            values[first : first + 4] = [0.1, 0.2, 0.2, 0.2]  # whole, two pairs, the nested cut
+            return values
+
+        monkeypatch.setattr(monogamy, "_values", first_trial_faulty)
+        code, lines, summary = self.run_suite(capsys, "monogamy", 2, LIGHT_FLAGS)
+        assert code == 1
+        assert "[FAIL] condition-implies-inequality violations: 1 over 2 random states" in lines
+        assert "[PASS] bounded-sum failures: 0 over 2 random states" in lines
+        assert summary["details"]["audit"]["passed"] is True
+
+    @pytest.mark.parametrize("trials", [1, 3, 6])
+    def test_monogamy_suite_builds_one_objective_per_shape(self, capsys, monkeypatch, trials):
+        # The audit and every trial share one lockstep per shape: the whole
+        # states, the pairs, the nested cut (01)|(2) and the audit's cut
+        # (0)|(12), so 4 objectives at any trial count up to 31.
+        built = []
+        make = discord._make_objective
+
+        def counting(*args, **kwargs):
+            built.append(args[2:4])
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(discord, "_make_objective", counting)
+        code, lines, summary = self.run_suite(capsys, "monogamy", trials)
+        assert code == 0
+        assert len(built) == len(set(built)) == 4
 
 
 class TestLocksteps:

@@ -926,6 +926,19 @@ class TestManyProblems:
         for (rho, q), report in zip(jobs, q_gqd_many(jobs, LIGHT, cut=cut)):
             assert report_fields(report) == report_fields(q_gqd(rho, q, LIGHT, cut=cut))
 
+    def test_jobs_carry_their_own_cut(self, monkeypatch):
+        # One _gqd_reports call takes jobs of several cuts; a cut given as
+        # lists, a side unsorted, has the same parties as its tuple form, so
+        # the two share an objective: three shapes, three objectives, and
+        # every report is the solo call's.
+        rho3, rho2 = random_density_matrix(3, seed=135), random_density_matrix(2, seed=136)
+        jobs = [(rho3, 0.5, None), (rho3, 1.0, ((1,), (0, 2))), (rho2, 0.7, None), (rho3, 2.0, [[1], [2, 0]])]
+        built = count_objectives(monkeypatch)
+        reports = discord._in_order(discord._gqd_reports(jobs, LIGHT))
+        assert sorted(built) == [1, 1, 2]
+        for (rho, q, cut), report in zip(jobs, reports):
+            assert report_fields(report) == report_fields(q_gqd(rho, q, LIGHT, cut=cut))
+
     def test_one_sided_reports_equal_solo_calls(self):
         jobs = [
             (random_density_matrix(n, seed=140 + n + 10 * k), q)

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -149,12 +147,13 @@ class TestMonogamyReport:
         # The nested cut (0)|(1) is the (0, 1) pairwise problem itself, so a
         # 3-qubit report makes 4 solves: the whole, two pairs, one nested cut.
         solves = []
+        solve = monogamy._values
 
-        def counting(jobs, *args, **kwargs):
-            solves.extend(rho.num_qubits for rho, _ in jobs)
-            return discord.q_gqd_many(jobs, *args, **kwargs)
+        def counting(jobs, opt=None):
+            solves.extend(rho.num_qubits for rho, _, _ in jobs)
+            return solve(jobs, opt)
 
-        monkeypatch.setattr(monogamy, "q_gqd_many", counting)
+        monkeypatch.setattr(monogamy, "_values", counting)
         report = monogamy_report(random_density_matrix(3, seed=40), 0.5, LIGHT)
         assert solves == [3, 2, 2, 3]
         assert report.nested[0] == report.pairwise[0]
@@ -163,12 +162,10 @@ class TestMonogamyReport:
     def test_condition_without_inequality_raises(self, monkeypatch):
         # Whole 0.1, every other value 0.2: nested domination holds, yet
         # 0.1 < 0.2 + 0.2, which only a faulty solve can produce.
-        def fake_q_gqd_many(jobs, opt=None, *, cut=None):
-            return tuple(
-                SimpleNamespace(value=0.1 if rho.num_qubits == 3 and cut is None else 0.2) for rho, _ in jobs
-            )
+        def fake_values(jobs, opt=None):
+            return [0.1 if rho.num_qubits == 3 and cut is None else 0.2 for rho, _, cut in jobs]
 
-        monkeypatch.setattr(monogamy, "q_gqd_many", fake_q_gqd_many)
+        monkeypatch.setattr(monogamy, "_values", fake_values)
         with pytest.raises(RuntimeError, match="monogamy inequality failed"):
             monogamy_report(random_density_matrix(3, seed=40), 0.5, LIGHT)
 
@@ -207,6 +204,42 @@ class TestMonogamyReport:
         assert report.nested[1:] == tuple(
             q_gqd(partial_trace(rho, range(k + 1)), 0.5, LIGHT, cut=(tuple(range(k)), (k,))).value for k in (2, 3)
         )
+
+    def test_one_minimize_call(self, monkeypatch):
+        # The whole state, its three pairs and its two other nested cuts go
+        # to one _minimize_many call, in that order.
+        calls = []
+        minimize = discord._minimize_many
+
+        def counting(problems, opt):
+            calls.append([rho.num_qubits for rho, *_ in problems])
+            return minimize(problems, opt)
+
+        monkeypatch.setattr(discord, "_minimize_many", counting)
+        monogamy_report(random_density_matrix(4, seed=42), 0.5, LIGHT)
+        assert calls == [[4, 2, 2, 2, 3, 4]]
+
+
+class TestAuditAndReports:
+    def test_values_are_the_solo_solves(self):
+        # The audit at q = 0.9 and three reports at q = 0.5 share one call;
+        # every value is still the solo q_gqd of its job, bit for bit, and
+        # each report and the audit equal their own calls field for field.
+        rhos = [random_density_matrix(3, seed=50 + i) for i in range(3)]
+        audit, reports = monogamy._audit_and_reports(0.9, rhos, 0.5, LIGHT)
+        counterexample = bros_counterexample()
+        assert audit.whole == q_gqd(counterexample, 0.9, LIGHT).value
+        assert audit.first_vs_rest == q_gqd(counterexample, 0.9, LIGHT, cut=((0,), (1, 2))).value
+        assert audit.pair_01 == q_gqd(partial_trace(counterexample, (0, 1)), 0.9, LIGHT).value
+        assert audit.pair_02 == q_gqd(partial_trace(counterexample, (0, 2)), 0.9, LIGHT).value
+        assert audit == bros_counterexample_audit(0.9, LIGHT)
+        assert len(reports) == len(rhos)
+        for rho, assemble in zip(rhos, reports):
+            report = assemble()
+            assert report.whole == q_gqd(rho, 0.5, LIGHT).value
+            assert report.pairwise == tuple(q_gqd(partial_trace(rho, (0, k)), 0.5, LIGHT).value for k in (1, 2))
+            assert report.nested[1] == q_gqd(rho, 0.5, LIGHT, cut=((0, 1), (2,))).value
+            assert report == monogamy_report(rho, 0.5, LIGHT)
 
 
 class TestCounterexample:
