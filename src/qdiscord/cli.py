@@ -26,12 +26,13 @@ from .analytic import (
 from .discord import (
     CLAMP_SLACK,
     OptimizerConfig,
-    _gqd_reports,
+    _in_order,
+    _minimize_many,
+    _values,
     mutual_information_q,
     q_gqd,
     q_gqd_many,
     q_qd_one_sided,
-    q_qd_one_sided_many,
 )
 from .entropy import (
     _check_q,
@@ -157,11 +158,11 @@ def _suite_nonnegativity(seed, trials, opt):
     q_grid = (0.25, 0.5, 0.75, 1.0)
     floor = -CLAMP_SLACK
     rhos = [random_density_matrix(3 if i % 3 == 2 else 2, rng) for i in range(trials)]
-    global_raw = [r.raw_value for r in q_gqd_many([(rho, q) for rho in rhos for q in q_grid], opt)]
-    one_sided_raw = []
-    for n in (2, 3):  # the last qubit is measured, so one call per qubit count
-        jobs = [(rho, q) for rho in rhos if rho.num_qubits == n for q in q_grid]
-        one_sided_raw += [r.raw_value for r in q_qd_one_sided_many(jobs, (n - 1,), opt)]
+    # Every global job, then every one-sided job measuring the last qubit, in one call.
+    jobs = [(rho, q, None, None) for rho in rhos for q in q_grid]
+    jobs += [(rho, q, (rho.num_qubits - 1,), None) for rho in rhos for q in q_grid]
+    raw = [r.raw_value for r in _in_order(_minimize_many(jobs, opt))]
+    global_raw, one_sided_raw = raw[: len(raw) // 2], raw[len(raw) // 2 :]
     min_gqd = min(global_raw)
     min_one_sided = min(one_sided_raw)
     failures = sum(v < floor for v in global_raw + one_sided_raw)
@@ -416,10 +417,7 @@ def _render_sweep(qs, targets, opt: OptimizerConfig) -> str:
     header = "q," + ",".join(name for name, _ in targets) + ",difference"
     rows = [header]
     qs = [float(q) for q in qs]
-    # Keep each block's values as it finishes, not every cell's report.
-    values = [0.0] * (len(qs) * len(targets))
-    for j, report in _gqd_reports([(state, q, None) for q in qs for _, state in targets], opt):
-        values[j] = report.value
+    values = _values([(state, q, None, None) for q in qs for _, state in targets], opt)
     for i, q in enumerate(qs):
         row_values = values[i * len(targets) : (i + 1) * len(targets)]
         difference = row_values[0] - row_values[1] if len(row_values) >= 2 else 0.0

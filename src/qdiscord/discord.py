@@ -2,8 +2,8 @@
 
 Every quantity uses I_q = -S_q(rho) + sum_g S_q(rho_g) over parties g: the
 single qubits, or the two sides of a cut=(left, right), a plain pair that
-_parties alone checks. _parties and _mutual_information are the only code
-for each.
+_parties alone checks and orders, so either order gives the same floats.
+_parties and _mutual_information are the only code for each.
 
 The global quantity minimizes the q-mutual-information drop over product
 projective measurements of every qubit (at q = 1, the global discord of
@@ -16,19 +16,21 @@ gradient.
 The starts run in lockstep: each round evaluates the points of every
 running start in a single value-and-gradient call of the batched
 objective, angles (K, 2m) to values (K,) and gradients (K, 2m). A round
-spans problems: q_gqd_many and q_qd_one_sided_many run the starts of the
-jobs of one shape (qubit count, measured qubits, parties) in one
-lockstep, one objective call per round, and each row carries its own
-state and q. A lockstep takes at most _MAX_ROWS // starts jobs (at least
-one), so a call has at most max(_MAX_ROWS, starts) rows however many
-jobs there are. q_gqd and q_qd_one_sided are one-job calls of the same
-code. A row of the batch is the same float as that row evaluated alone,
-so a start's result does not depend on which starts, of which problems,
-share its rounds, and each report of a _many call equals the solo
-call's. The report keeps every start's minimum, evaluations and
-convergence, and how many starts reached the best basin. Each block's
-reports are handed over as the block finishes, so the sweep keeps only
-their values.
+spans problems: every solve is a job (rho, q, measured, cut) of one
+_minimize_many call, global or one-sided, which _shape alone turns into
+its (measured, parties), and the jobs of one shape (qubit count,
+measured qubits, parties) run in one lockstep, one objective call per
+round, each row with its own state and q. A lockstep takes at most
+_MAX_ROWS // starts jobs (at least one), so a call has at most
+max(_MAX_ROWS, starts) rows however many jobs there are. The public
+entries are job lists of one kind, a solo call a list of one. A row of
+the batch is the same float as that row evaluated alone, so a start's
+result does not depend on which starts, of which problems, share its
+rounds, and each report of a _many call equals the solo call's. The
+report keeps every start's minimum, evaluations and convergence, and how
+many starts reached the best basin. Each block's reports are handed over
+as the block finishes, so _values, the sweep's and monogamy's collector,
+keeps only their values.
 
 Two drivers run a lockstep, and its row count picks one. Below
 _ARRAY_ROWS rows each start is a _bfgs generator that yields the point
@@ -154,7 +156,7 @@ class DiscordReport:
 
 
 def _parties(n: int, cut) -> tuple[tuple[int, ...], ...]:
-    """Single qubits when cut is None, else cut's sides, sorted; they must split range(n)."""
+    """Single qubits when cut is None, else cut's sorted sides, qubit 0's first; they must split range(n)."""
     if cut is None:
         return tuple((i,) for i in range(n))
     sides = tuple(cut)
@@ -167,7 +169,22 @@ def _parties(n: int, cut) -> tuple[tuple[int, ...], ...]:
         raise ValueError("bipartition sides must be disjoint")
     if sorted(left + right) != list(range(n)):
         raise ValueError("bipartition must cover every qubit exactly once")
-    return (left, right)
+    return (left, right) if left < right else (right, left)
+
+
+def _shape(n: int, measured, cut) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The checked (measured, parties) of a job on n qubits, each party wholly measured or not.
+
+    measured None measures every qubit across _parties(n, cut); else it is
+    a sorted tuple, a one-sided job with cut None and parties (rest, measured).
+    """
+    if measured is None:
+        return tuple(range(n)), _parties(n, cut)
+    if not measured or len(measured) >= n:
+        raise ValueError("measured subset must be nonempty and proper")
+    if measured[0] < 0 or measured[-1] >= n:
+        raise ValueError("measured qubit index out of range")
+    return measured, (tuple(i for i in range(n) if i not in measured), measured)
 
 
 def _mutual_information(rho: DensityMatrix, groups, q: float, marginal_of=partial_trace) -> float:
@@ -343,9 +360,9 @@ def _make_objective(states, qs, measured: tuple[int, ...], groups, marginal_of=p
         ]
     )
 
-    # Every caller passes groups that are wholly measured or wholly
-    # unmeasured. The unmeasured ones drop out, their marginal untouched;
-    # the table sums the outcomes into each measured one's marginal.
+    # _shape and _parties give groups wholly measured or wholly unmeasured.
+    # The unmeasured ones drop out, their marginal untouched; the table
+    # sums the outcomes into each measured one's marginal.
     parties = tuple(g for g in groups if all(i in measured for i in g))
     table = _marginal_table(measured, parties)
     consts = np.array([_mutual_information(rho, parties, q, marginal_of) for rho, q in zip(states, qs)])
@@ -643,34 +660,36 @@ def _bfgs_rows(objective, x0: np.ndarray, owner: np.ndarray, max_evals: int):
     return x, f, nfev, nfev < max_evals
 
 
-def _minimize_many(problems, opt: OptimizerConfig | None):
-    """Solve problems (rho, q, measured, groups), yielding (j, report) pairs.
+def _minimize_many(jobs, opt: OptimizerConfig | None):
+    """Solve jobs (rho, q, measured, cut), yielding (j, report) pairs.
 
-    Every q and state size is checked before the first solve. The problems
-    of one shape, (qubit count, measured, groups), are solved in blocks of
-    max(1, _MAX_ROWS // starts), in problem order; a block shares one
-    objective and one lockstep, which runs each problem's starts in order:
+    _shape checks each distinct (qubit count, measured, cut) once, then
+    every q and state size, all before the first solve. The jobs of one
+    shape, (qubit count, measured, parties), are solved in blocks of
+    max(1, _MAX_ROWS // starts), in job order; a block shares one
+    objective and one lockstep, which runs each job's starts in order:
     _bfgs_rows when the block has at least _ARRAY_ROWS rows, else
     _lockstep over _bfgs generators.
-    Each block's pairs are yielded as soon as it finishes, j the problem's
+    Each block's pairs are yielded as soon as it finishes, j the job's
     index, so a caller that keeps only some fields holds one block's
     reports at a time.
     """
-    problems = [(rho, _check_q(q), measured, groups) for rho, q, measured, groups in problems]
-    if any(rho.num_qubits > DESK_SCALE_LIMIT for rho, *_ in problems):
+    resolved, shapes = {}, {}
+    for j, (rho, _, measured, cut) in enumerate(jobs):
+        key = rho.num_qubits, measured, (cut if cut is None else tuple(map(tuple, cut)))
+        if key not in resolved:
+            resolved[key] = (key[0], *_shape(*key))
+        shapes.setdefault(resolved[key], []).append(j)
+    qs = [_check_q(q) for _, q, _, _ in jobs]
+    if any(rho.num_qubits > DESK_SCALE_LIMIT for rho, *_ in jobs):
         raise ValueError(f"state exceeds desk-scale limit of {DESK_SCALE_LIMIT} qubits")
     opt = opt if opt is not None else OptimizerConfig()
-    shapes = {}
-    for j, (rho, _, measured, groups) in enumerate(problems):
-        shapes.setdefault((rho.num_qubits, measured, groups), []).append(j)
     per_block = max(1, _MAX_ROWS // opt.starts)
-    for (_, measured, groups), members in shapes.items():
+    for (_, measured, parties), members in shapes.items():
         starts = _start_points(len(measured), opt)
         for first in range(0, len(members), per_block):
             block = members[first : first + per_block]
-            objective = _make_objective(
-                [problems[j][0] for j in block], [problems[j][1] for j in block], measured, groups
-            )
+            objective = _make_objective([jobs[j][0] for j in block], [qs[j] for j in block], measured, parties)
             if len(block) * opt.starts >= _ARRAY_ROWS:
                 x0 = np.tile(starts, (len(block), 1))
                 owner = np.repeat(np.arange(len(block)), opt.starts)
@@ -680,12 +699,20 @@ def _minimize_many(problems, opt: OptimizerConfig | None):
                 xs, fun, nfev, success = _lockstep(objective, searches)
             for i, j in enumerate(block):
                 rows = slice(i * opt.starts, (i + 1) * opt.starts)
-                yield j, _report(problems[j][1], measured, xs[rows], fun[rows], nfev[rows], success[rows])
+                yield j, _report(qs[j], measured, xs[rows], fun[rows], nfev[rows], success[rows])
 
 
 def _in_order(pairs) -> tuple[DiscordReport, ...]:
-    """The reports of _minimize_many's (j, report) pairs, in problem order."""
+    """The reports of _minimize_many's (j, report) pairs, in job order."""
     return tuple(report for _, report in sorted(pairs, key=lambda pair: pair[0]))
+
+
+def _values(jobs, opt: OptimizerConfig | None) -> list[float]:
+    """Each job's report value, in job order, from one _minimize_many call; no report outlives its block."""
+    values = [0.0] * len(jobs)
+    for j, report in _minimize_many(jobs, opt):
+        values[j] = report.value
+    return values
 
 
 def _report(q: float, measured: tuple[int, ...], xs, fun, nfev, success) -> DiscordReport:
@@ -735,27 +762,7 @@ def q_gqd_many(jobs, opt: OptimizerConfig | None = None, *, cut=None) -> tuple[D
     report equals q_gqd(rho, q, opt, cut=cut) field for field, and every q
     is checked before the first solve.
     """
-    return _in_order(_gqd_reports([(rho, q, cut) for rho, q in jobs], opt))
-
-
-def _gqd_reports(jobs, opt: OptimizerConfig | None):
-    """(j, report) pairs of the q_gqd of (rho, q, cut) jobs, as _minimize_many yields them.
-
-    Each job carries its own cut, so jobs of different cuts go in one
-    _minimize_many call and it runs each shape in its own locksteps. The
-    cuts are checked at the call, once per (qubit count, cut), and the
-    rest when the first pair is drawn. Jobs of one (qubit count, cut)
-    share one (measured, parties) pair, so a call costs what it cost with
-    one cut for all jobs.
-    """
-    shapes = {}
-    problems = []
-    for rho, q, cut in jobs:
-        key = rho.num_qubits, (cut if cut is None else tuple(map(tuple, cut)))
-        if key not in shapes:
-            shapes[key] = (tuple(range(key[0])), _parties(*key))
-        problems.append((rho, q, *shapes[key]))
-    return _minimize_many(problems, opt)
+    return _in_order(_minimize_many([(rho, q, None, cut) for rho, q in jobs], opt))
 
 
 def q_qd_one_sided(
@@ -786,15 +793,4 @@ def q_qd_one_sided_many(jobs, measured, opt: OptimizerConfig | None = None) -> t
     q_qd_one_sided(rho, measured, q, opt) field for field.
     """
     measured = tuple(sorted({_index(i, "qubit index") for i in measured}))
-    parties = {}
-    problems = []
-    for rho, q in jobs:
-        n = rho.num_qubits
-        if n not in parties:
-            if not measured or len(measured) >= n:
-                raise ValueError("measured subset must be nonempty and proper")
-            if measured[0] < 0 or measured[-1] >= n:
-                raise ValueError("measured qubit index out of range")
-            parties[n] = (tuple(i for i in range(n) if i not in measured), measured)
-        problems.append((rho, q, measured, parties[n]))
-    return _in_order(_minimize_many(problems, opt))
+    return _in_order(_minimize_many([(rho, q, measured, None) for rho, q in jobs], opt))

@@ -12,12 +12,13 @@ Every ledger value is a row of the objective q_gqd minimizes, as
 induced_discord evaluates it, so this module builds no measured state of
 its own.
 
-monogamy_report and bros_counterexample_audit are each a list of
-(rho, q, cut) jobs, solved in one _values call (one _minimize_many call)
-and then assembled from the values. _audit_and_reports solves
-the audit's list and the lists of many reports in one such call, so the
-monogamy verify suite runs one lockstep per shape, not one per report.
-Each value is the solo q_gqd's, whichever jobs share its lockstep.
+monogamy_report and bros_counterexample_audit are each a list of the
+solver's (rho, q, measured, cut) jobs, every qubit measured (measured
+None), solved in one discord._values call (one _minimize_many call) and
+then assembled from the values. _audit_and_reports solves the audit's
+list and the lists of many reports in one such call, so the monogamy
+verify suite runs one lockstep per shape, not one per report. Each value
+is the solo q_gqd's, whichever jobs share its lockstep.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .discord import OptimizerConfig, _gqd_reports, _induced
+from .discord import OptimizerConfig, _induced, _values
 from .entropy import _check_q
 from .linalg import DensityMatrix, partial_trace
 from .measurement import ProductMeasurement
@@ -168,25 +169,13 @@ def _first_vs_last(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(range(k)), (k,)
 
 
-def _values(jobs, opt: OptimizerConfig | None) -> list[float]:
-    """The q_gqd value of each (rho, q, cut) job, in job order, from one _gqd_reports call.
-
-    This is the module's one solve: jobs of one shape share a lockstep,
-    whichever report they belong to, and each value is the solo q_gqd's.
-    """
-    values = [0.0] * len(jobs)
-    for j, report in _gqd_reports(jobs, opt):
-        values[j] = report.value
-    return values
-
-
 def _report_jobs(rho: DensityMatrix, q: float) -> list:
     """monogamy_report's jobs: the whole state, the pairs (0, k), then the nested cuts from k = 2."""
     n = rho.num_qubits
     return (
-        [(rho, q, None)]
-        + [(partial_trace(rho, (0, k)), q, None) for k in range(1, n)]
-        + [(partial_trace(rho, range(k + 1)), q, _first_vs_last(k)) for k in range(2, n)]
+        [(rho, q, None, None)]
+        + [(partial_trace(rho, (0, k)), q, None, None) for k in range(1, n)]
+        + [(partial_trace(rho, range(k + 1)), q, None, _first_vs_last(k)) for k in range(2, n)]
     )
 
 
@@ -236,10 +225,10 @@ def _audit_jobs(q: float) -> list:
     """bros_counterexample_audit's jobs: the whole state, the cut {0}|{1,2}, the pairs (0, 1) and (0, 2)."""
     rho = bros_counterexample()
     return [
-        (rho, q, None),
-        (rho, q, ((0,), (1, 2))),
-        (partial_trace(rho, (0, 1)), q, None),
-        (partial_trace(rho, (0, 2)), q, None),
+        (rho, q, None, None),
+        (rho, q, None, ((0,), (1, 2))),
+        (partial_trace(rho, (0, 1)), q, None, None),
+        (partial_trace(rho, (0, 2)), q, None, None),
     ]
 
 

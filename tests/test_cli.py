@@ -312,7 +312,7 @@ class TestSweep:
         monkeypatch.setattr(discord, "_MAX_ROWS", 8)
         streamed = cli._render_sweep(qs, targets, opt)
         monkeypatch.setattr(
-            cli, "_gqd_reports", lambda jobs, opt: enumerate(q_gqd_many([(rho, q) for rho, q, _ in jobs], opt))
+            cli, "_values", lambda jobs, opt: [r.value for r in q_gqd_many([(rho, q) for rho, q, _, _ in jobs], opt)]
         )
         assert streamed == cli._render_sweep(qs, targets, opt)
 
@@ -528,7 +528,7 @@ class TestVerify:
         # condition-without-inequality fault and the suite counts it (the
         # faked audit fails its own lines too).
         def fake_values(jobs, opt=None):
-            return [0.1 if rho.num_qubits == 3 and cut is None else 0.2 for rho, _, cut in jobs]
+            return [0.1 if rho.num_qubits == 3 and cut is None else 0.2 for rho, _, _, cut in jobs]
 
         monkeypatch.setattr(monogamy, "_values", fake_values)
         code, lines, summary = self.run_suite(capsys, "monogamy", 2)
@@ -544,7 +544,7 @@ class TestVerify:
 
         def first_trial_faulty(jobs, opt=None):
             values = solve(jobs, opt)
-            first = next(j for j, (_, q, _) in enumerate(jobs) if q == 0.5)  # the audit's q is 0.9
+            first = next(j for j, (_, q, _, _) in enumerate(jobs) if q == 0.5)  # the audit's q is 0.9
             values[first : first + 4] = [0.1, 0.2, 0.2, 0.2]  # whole, two pairs, the nested cut
             return values
 

@@ -73,6 +73,16 @@ class TestCut:
             unsorted = induced_discord(rho, phi, q, cut=((2, 0), (1,)))
             assert unsorted == induced_discord(rho, phi, q, cut=((0, 2), (1,)))
 
+    def test_side_order_does_not_matter(self):
+        # The side holding qubit 0 comes first whichever way the cut is
+        # written, so the two orders are one problem with the same floats.
+        rho = random_density_matrix(3, seed=7)
+        assert discord._parties(3, ((1,), (2, 0))) == ((0, 2), (1,))
+        reversed_cut = q_gqd(rho, 0.5, LIGHT, cut=((1,), (0, 2)))
+        assert report_fields(reversed_cut) == report_fields(q_gqd(rho, 0.5, LIGHT, cut=((0, 2), (1,))))
+        phi = ProductMeasurement.from_angles([(0.3, 1.1), (2.0, 0.4), (1.2, 5.0)])
+        assert induced_discord(rho, phi, 0.5, cut=((1,), (0, 2))) == induced_discord(rho, phi, 0.5, cut=((0, 2), (1,)))
+
     def test_rejects_empty_or_overlapping(self):
         rho = random_density_matrix(3, seed=61)
         phi = ProductMeasurement.uniform_axis(3, (0.0, 0.0, 1.0))
@@ -927,17 +937,69 @@ class TestManyProblems:
             assert report_fields(report) == report_fields(q_gqd(rho, q, LIGHT, cut=cut))
 
     def test_jobs_carry_their_own_cut(self, monkeypatch):
-        # One _gqd_reports call takes jobs of several cuts; a cut given as
-        # lists, a side unsorted, has the same parties as its tuple form, so
-        # the two share an objective: three shapes, three objectives, and
-        # every report is the solo call's.
+        # One _minimize_many call takes jobs of several cuts; a cut given as
+        # lists, a side unsorted, or with its sides reversed has the same
+        # parties as its tuple form, so all three share an objective: three
+        # shapes, three objectives, and every report is the solo call's.
         rho3, rho2 = random_density_matrix(3, seed=135), random_density_matrix(2, seed=136)
-        jobs = [(rho3, 0.5, None), (rho3, 1.0, ((1,), (0, 2))), (rho2, 0.7, None), (rho3, 2.0, [[1], [2, 0]])]
+        jobs = [
+            (rho3, 0.5, None, None),
+            (rho3, 1.0, None, ((1,), (0, 2))),
+            (rho2, 0.7, None, None),
+            (rho3, 2.0, None, [[1], [2, 0]]),
+            (rho3, 1.5, None, ((0, 2), (1,))),
+        ]
         built = count_objectives(monkeypatch)
-        reports = discord._in_order(discord._gqd_reports(jobs, LIGHT))
-        assert sorted(built) == [1, 1, 2]
-        for (rho, q, cut), report in zip(jobs, reports):
+        reports = discord._in_order(discord._minimize_many(jobs, LIGHT))
+        assert sorted(built) == [1, 1, 3]
+        for (rho, q, _, cut), report in zip(jobs, reports):
             assert report_fields(report) == report_fields(q_gqd(rho, q, LIGHT, cut=cut))
+
+    def test_mixed_job_list_builds_one_objective_per_shape(self, monkeypatch):
+        # Global, cut, reversed-cut and one-sided jobs on 2, 3 and 4 qubits
+        # in one job list: one objective per distinct shape, however the
+        # jobs of a shape are interleaved, and every report is the solo
+        # call's.
+        rho2, rho3, rho4 = (random_density_matrix(n, seed=200 + n) for n in (2, 3, 4))
+        jobs = [
+            (rho2, 0.5, None, None),
+            (rho3, 1.0, None, ((0,), (1, 2))),
+            (rho4, 0.7, None, None),
+            (rho2, 1.5, (1,), None),
+            (rho3, 2.0, None, ((1, 2), (0,))),
+            (rho4, 1.0, None, ((0, 1), (2, 3))),
+            (rho3, 0.5, (0, 2), None),
+            (rho4, 0.4, None, ((3, 2), (1, 0))),
+            (rho3, 0.3, None, None),
+            (rho4, 0.8, (3,), None),
+            (rho2, 0.9, None, ((1,), (0,))),
+            (rho4, 1.2, (3,), None),
+        ]
+        built = []
+        make = discord._make_objective
+
+        def counting(states, qs, measured, groups):
+            built.append((states[0].num_qubits, measured, groups, len(states)))
+            return make(states, qs, measured, groups)
+
+        monkeypatch.setattr(discord, "_make_objective", counting)
+        reports = discord._in_order(discord._minimize_many(jobs, LIGHT))
+        assert sorted(built) == [
+            (2, (0, 1), ((0,), (1,)), 2),
+            (2, (1,), ((0,), (1,)), 1),
+            (3, (0, 1, 2), ((0,), (1,), (2,)), 1),
+            (3, (0, 1, 2), ((0,), (1, 2)), 2),
+            (3, (0, 2), ((1,), (0, 2)), 1),
+            (4, (0, 1, 2, 3), ((0,), (1,), (2,), (3,)), 1),
+            (4, (0, 1, 2, 3), ((0, 1), (2, 3)), 2),
+            (4, (3,), ((0, 1, 2), (3,)), 2),
+        ]
+        for (rho, q, measured, cut), report in zip(jobs, reports):
+            if measured is None:
+                solo = q_gqd(rho, q, LIGHT, cut=cut)
+            else:
+                solo = q_qd_one_sided(rho, measured, q, LIGHT)
+            assert report_fields(report) == report_fields(solo)
 
     def test_one_sided_reports_equal_solo_calls(self):
         jobs = [
@@ -959,6 +1021,17 @@ class TestManyProblems:
             q_gqd_many(jobs, LIGHT)
         with pytest.raises(ValueError, match="q must be a positive real number"):
             q_qd_one_sided_many(jobs, (0,), LIGHT)
+        # A bad shape in the last job of a mixed list raises its message too.
+        first = [(random_density_matrix(2, seed=150), 0.5, None, None), (jobs[1][0], 0.5, (1,), None)]
+        for measured, cut, message in (
+            ((), None, "nonempty and proper"),
+            ((0, 1, 2), None, "nonempty and proper"),
+            ((3,), None, "out of range"),
+            ((-1,), None, "out of range"),
+            (None, ((0,), (1,)), "cover every qubit"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                next(discord._minimize_many(first + [(jobs[1][0], 0.5, measured, cut)], LIGHT))
         assert calls == []
 
     def test_one_call_per_round(self, monkeypatch):

@@ -150,7 +150,7 @@ class TestMonogamyReport:
         solve = monogamy._values
 
         def counting(jobs, opt=None):
-            solves.extend(rho.num_qubits for rho, _, _ in jobs)
+            solves.extend(rho.num_qubits for rho, _, _, _ in jobs)
             return solve(jobs, opt)
 
         monkeypatch.setattr(monogamy, "_values", counting)
@@ -163,7 +163,7 @@ class TestMonogamyReport:
         # Whole 0.1, every other value 0.2: nested domination holds, yet
         # 0.1 < 0.2 + 0.2, which only a faulty solve can produce.
         def fake_values(jobs, opt=None):
-            return [0.1 if rho.num_qubits == 3 and cut is None else 0.2 for rho, _, cut in jobs]
+            return [0.1 if rho.num_qubits == 3 and cut is None else 0.2 for rho, _, _, cut in jobs]
 
         monkeypatch.setattr(monogamy, "_values", fake_values)
         with pytest.raises(RuntimeError, match="monogamy inequality failed"):
