@@ -14,38 +14,33 @@ Bloch angles (theta, phi) of each measured qubit, on the objective's exact
 gradient.
 
 The starts run in lockstep: each round evaluates the points of every
-running start in a single value-and-gradient call of the batched
-objective, angles (K, 2m) to values (K,) and gradients (K, 2m). A round
-spans problems: every solve is a job (rho, q, measured, cut) of one
-_minimize_many call, global or one-sided, which _shape alone turns into
-its (measured, parties), and the jobs of one shape (qubit count,
-measured qubits, parties) run in one lockstep, one objective call per
-round, each row with its own state and q. A lockstep takes at most
-_MAX_ROWS // starts jobs (at least one), so a call has at most
-max(_MAX_ROWS, starts) rows however many jobs there are. The public
-entries are job lists of one kind, a solo call a list of one. A row of
-the batch is the same float as that row evaluated alone, so a start's
-result does not depend on which starts, of which problems, share its
-rounds, and each report of a _many call equals the solo call's. The
-report keeps every start's minimum, evaluations and convergence, and how
-many starts reached the best basin. Each block's reports are handed over
-as the block finishes, so _values, the sweep's and monogamy's collector,
-keeps only their values.
+running start in one value-and-gradient call of the batched objective,
+angles (K, 2m) to values (K,) and gradients (K, 2m). A round spans
+problems: every solve is a job (rho, q, measured, cut) of one
+_minimize_many call, which _shape alone turns into its (measured,
+parties), and the jobs of one shape (qubit count, measured qubits,
+parties) run in blocks of at most _MAX_ROWS // starts jobs (at least
+one), a block one lockstep with one objective call per round, each row
+with its own state and q. The public entries are job lists, a solo call
+a list of one. A row of the batch is the same float as that row alone,
+so a start's result does not depend on which starts share its rounds,
+and each report of a _many call equals the solo call's. Each block's
+reports are handed over as it finishes, so _values, the sweep's and
+monogamy's collector, keeps only their values.
 
-Two drivers run a lockstep, and its row count picks one. Below
-_ARRAY_ROWS rows each start is a _bfgs generator that yields the point
-it needs, and _lockstep sends it the point's value and gradient. From
-_ARRAY_ROWS rows on, _bfgs_rows runs the same BFGS as one set of array
-operations per round over all rows. Its Python costs at least 0.1 ms a
-round however few rows run (0.24 ms at 608), the generators' about 5 us
-a start a round. Its time over the generators' (n = 2/3/4, 400
-evaluations a start; 2-core x86-64 VM, one OpenBLAS thread, best of 5):
+Two drivers run a lockstep's rows, the start points x0 (K, 2m) and the
+problem owner (K,) of each, and return (x, f, evaluations, success) per
+row, through the same floats bit for bit. Below _ARRAY_ROWS rows
+_lockstep runs each row as a _bfgs generator that yields the point it
+needs and is sent its value and gradient; from _ARRAY_ROWS rows on,
+_bfgs_rows runs the same BFGS as one set of array operations per round.
+Its Python costs at least 0.1 ms a round however few rows run (0.21 ms
+at 608), the generators' 3.5-10 us a start a round. Its time over the
+generators' (n = 2/3/4, 400 evaluations a start; 2-core x86-64 VM, one
+OpenBLAS thread, best of 5):
 
     rows per lockstep   4              16             32             64             256
     _bfgs_rows / _bfgs  1.76/1.74/1.83 1.33/0.99/1.02 0.88/0.65/0.78 0.56/0.45/0.67 0.26/0.35/0.51
-
-Both drivers take each row through the same floats, so they return the
-same results bit for bit.
 
 The objective gets the measured spectrum from W^dagger (rho W), one
 batched matmul per call that its gradient reuses; with every qubit
@@ -78,10 +73,8 @@ BASIN_TOL = 1e-7
 # arrays of one lockstep (rho W is 4 kB a row at n = 4) however many
 # problems one call is given.
 _MAX_ROWS = 1024
-# Fewest rows per lockstep that _bfgs_rows runs; smaller locksteps run the
-# _bfgs generators, which are faster there (the crossover table in the
-# module docstring: _bfgs_rows is slower at 4 rows, even at 16, and faster
-# from 32 rows on).
+# Fewest rows per lockstep that _bfgs_rows runs; _lockstep, faster below
+# it, runs smaller ones (the module docstring has the crossover).
 _ARRAY_ROWS = 32
 
 __all__ = [
@@ -155,11 +148,19 @@ class DiscordReport:
     start_converged: tuple[bool, ...]
 
 
+def _cut_key(cut):
+    """cut as a tuple of tuples, None left as is, its sides not yet checked."""
+    try:
+        return cut if cut is None else tuple(tuple(side) for side in cut)
+    except TypeError:
+        raise ValueError("a bipartition is a pair of sides (left, right)") from None
+
+
 def _parties(n: int, cut) -> tuple[tuple[int, ...], ...]:
     """Single qubits when cut is None, else cut's sorted sides, qubit 0's first; they must split range(n)."""
     if cut is None:
         return tuple((i,) for i in range(n))
-    sides = tuple(cut)
+    sides = _cut_key(cut)
     if len(sides) != 2:
         raise ValueError("a bipartition is a pair of sides (left, right)")
     left, right = (tuple(sorted(_index(i, "qubit index") for i in side)) for side in sides)
@@ -509,24 +510,23 @@ def _bfgs(x0: np.ndarray, max_evals: int):
     return x, f, nfev, nfev < max_evals
 
 
-def _lockstep(objective, searches):
-    """Run generator searches such as _bfgs with one objective call per round.
+def _lockstep(objective, x0: np.ndarray, owner: np.ndarray, max_evals: int):
+    """Run the searches _bfgs(x0[k], max_evals) as generators, one objective call per round.
 
-    searches is a list of (owner, search) pairs, owner the index of the
-    search's problem in the objective. Each round stacks the point every
-    running search yields, evaluates values and gradients in a single
-    batched call, each row tagged with its owner, and sends each search
-    its own (f, g). Rows are computed independently, so a search takes the
-    same steps whichever searches share its rounds. Each search returns
-    (x, f, evaluations, success); the result is those four stacked over
-    the searches in order: (K, N), (K,), (K,) and (K,).
+    Row k searches problem owner[k] from x0[k]. Each round stacks the point
+    every running search yields, evaluates values and gradients in a single
+    batched call, each row tagged with its owner, and sends each search its
+    own (f, g). Rows are computed independently, so a search takes the
+    same steps whichever searches share its rounds. The result is each
+    search's (x, f, evaluations, success) stacked over the rows: (K, N),
+    (K,), (K,) and (K,), as _bfgs_rows returns them.
     """
-    running = [(index, search) for index, (_, search) in enumerate(searches)]
-    owners = np.array([owner for owner, _ in searches], dtype=np.intp)
-    points = [search.send(None) for _, search in running]
-    results = [None] * len(running)
+    searches = [_bfgs(x, max_evals) for x in x0]
+    running = list(enumerate(searches))
+    points = [search.send(None) for search in searches]
+    results = [None] * len(searches)
     while running:
-        values, grads = objective(np.array(points), owners, gradient=True)
+        values, grads = objective(np.array(points), owner, gradient=True)
         kept, points = [], []
         for row, ((index, search), f, g) in enumerate(zip(running, values.tolist(), grads)):
             try:
@@ -536,7 +536,7 @@ def _lockstep(objective, searches):
                 results[index] = done.value
         if len(kept) < len(running):
             running = [running[row] for row in kept]
-            owners = owners[kept]
+            owner = owner[kept]
     xs, fun, nfev, success = zip(*results)
     return np.array(xs), np.array(fun), np.array(nfev), np.array(success)
 
@@ -551,7 +551,7 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _bfgs_rows(objective, x0: np.ndarray, owner: np.ndarray, max_evals: int):
-    """_lockstep over the searches _bfgs(x0[k], max_evals), run as array operations.
+    """_lockstep's searches _bfgs(x0[k], max_evals), run as array operations.
 
     Row k searches problem owner[k] from x0[k]. Every row keeps its BFGS
     and line-search state in (K, ...) arrays, and each round evaluates the
@@ -559,9 +559,8 @@ def _bfgs_rows(objective, x0: np.ndarray, owner: np.ndarray, max_evals: int):
     round costs one set of array operations, not one generator step per
     start. Each scalar expression of _bfgs and _line_search is kept in
     their order, and each product is one row's own (_dots, stacked
-    matmuls), so every row takes the same floats as its generator. The
-    result is _lockstep's: (x, f, evaluations, success) stacked over the
-    rows, equal bit for bit.
+    matmuls), so every row takes the same floats as its generator, and the
+    result equals _lockstep's bit for bit.
     """
     x = np.array(x0, dtype=float)
     k, n = x.shape
@@ -667,16 +666,16 @@ def _minimize_many(jobs, opt: OptimizerConfig | None):
     every q and state size, all before the first solve. The jobs of one
     shape, (qubit count, measured, parties), are solved in blocks of
     max(1, _MAX_ROWS // starts), in job order; a block shares one
-    objective and one lockstep, which runs each job's starts in order:
-    _bfgs_rows when the block has at least _ARRAY_ROWS rows, else
-    _lockstep over _bfgs generators.
+    objective and one lockstep, whose rows are each job's starts in order:
+    _bfgs_rows runs it when the block has at least _ARRAY_ROWS rows, else
+    _lockstep.
     Each block's pairs are yielded as soon as it finishes, j the job's
     index, so a caller that keeps only some fields holds one block's
     reports at a time.
     """
     resolved, shapes = {}, {}
     for j, (rho, _, measured, cut) in enumerate(jobs):
-        key = rho.num_qubits, measured, (cut if cut is None else tuple(map(tuple, cut)))
+        key = rho.num_qubits, measured, _cut_key(cut)
         if key not in resolved:
             resolved[key] = (key[0], *_shape(*key))
         shapes.setdefault(resolved[key], []).append(j)
@@ -690,13 +689,10 @@ def _minimize_many(jobs, opt: OptimizerConfig | None):
         for first in range(0, len(members), per_block):
             block = members[first : first + per_block]
             objective = _make_objective([jobs[j][0] for j in block], [qs[j] for j in block], measured, parties)
-            if len(block) * opt.starts >= _ARRAY_ROWS:
-                x0 = np.tile(starts, (len(block), 1))
-                owner = np.repeat(np.arange(len(block)), opt.starts)
-                xs, fun, nfev, success = _bfgs_rows(objective, x0, owner, opt.max_evals)
-            else:
-                searches = [(i, _bfgs(x, opt.max_evals)) for i in range(len(block)) for x in starts]
-                xs, fun, nfev, success = _lockstep(objective, searches)
+            x0 = np.tile(starts, (len(block), 1))
+            owner = np.repeat(np.arange(len(block)), opt.starts)
+            drive = _bfgs_rows if len(x0) >= _ARRAY_ROWS else _lockstep
+            xs, fun, nfev, success = drive(objective, x0, owner, opt.max_evals)
             for i, j in enumerate(block):
                 rows = slice(i * opt.starts, (i + 1) * opt.starts)
                 yield j, _report(qs[j], measured, xs[rows], fun[rows], nfev[rows], success[rows])
@@ -792,5 +788,8 @@ def q_qd_one_sided_many(jobs, measured, opt: OptimizerConfig | None = None) -> t
     Solved together as q_gqd_many solves its jobs; each report equals
     q_qd_one_sided(rho, measured, q, opt) field for field.
     """
-    measured = tuple(sorted({_index(i, "qubit index") for i in measured}))
+    try:
+        measured = tuple(sorted({_index(i, "qubit index") for i in measured}))
+    except TypeError:
+        raise ValueError("measured qubits must be a sequence of qubit indices") from None
     return _in_order(_minimize_many([(rho, q, measured, None) for rho, q in jobs], opt))

@@ -1,10 +1,11 @@
 import dataclasses
 import functools
+import gc
+import weakref
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.optimize import minimize
 
 from qdiscord import discord
 from qdiscord.discord import (
@@ -90,6 +91,21 @@ class TestCut:
             induced_discord(rho, phi, 0.5, cut=((), (0, 1, 2)))
         with pytest.raises(ValueError, match="bipartition sides must be disjoint"):
             q_gqd(rho, 0.5, LIGHT, cut=((0, 1), (1, 2)))
+
+    def test_rejects_sides_that_are_not_sequences(self, monkeypatch):
+        # A cut, a side or a measured subset that is not a sequence raises
+        # ValueError like every other malformed one, before any objective call.
+        calls = count_rows(monkeypatch)
+        rho = random_density_matrix(3, seed=61)
+        phi = ProductMeasurement.uniform_axis(3, (0.0, 0.0, 1.0))
+        for cut in (((0,), 1), 5):
+            with pytest.raises(ValueError, match="a bipartition is a pair of sides"):
+                q_gqd(rho, 0.5, LIGHT, cut=cut)
+            with pytest.raises(ValueError, match="a bipartition is a pair of sides"):
+                induced_discord(rho, phi, 0.5, cut=cut)
+        with pytest.raises(ValueError, match="measured qubits must be a sequence"):
+            q_qd_one_sided(rho, 2, 0.5, LIGHT)
+        assert calls == []
 
     def test_must_cover_every_qubit(self):
         rho = random_density_matrix(3, seed=61)
@@ -491,14 +507,14 @@ class TestMarginalTable:
 
 
 def lockstep_bfgs(objective, starts, max_evals, owner=None):
-    """The _bfgs searches from starts run by _lockstep, checked against _bfgs_rows.
+    """The BFGS searches from starts run by _lockstep, checked against _bfgs_rows.
 
     Both drivers must return the same x, f, evaluations and success for
     every start, bit for bit. owner defaults to problem 0 for every row.
     """
     if owner is None:
         owner = np.zeros(len(starts), dtype=np.intp)
-    result = discord._lockstep(objective, [(o, discord._bfgs(x, max_evals)) for o, x in zip(owner, starts)])
+    result = discord._lockstep(objective, np.array(starts), owner, max_evals)
     rows = discord._bfgs_rows(objective, np.array(starts), owner, max_evals)
     for generated, arrayed in zip(result, rows):
         assert np.array_equal(generated, arrayed)
@@ -598,7 +614,7 @@ class TestLockstepBFGS:
             (0.0, [0.0, 0.0]),
         ]
         objective, points = scripted(script)
-        result = discord._lockstep(objective, [(0, discord._bfgs(np.zeros(2), 4))])
+        result = discord._lockstep(objective, np.zeros((1, 2)), np.zeros(1, dtype=np.intp), 4)
         objective, rows_points = scripted(script)
         rows = discord._bfgs_rows(objective, np.zeros((1, 2)), np.zeros(1, dtype=np.intp), 4)
         assert np.array_equal(points, rows_points)
@@ -612,174 +628,6 @@ class TestLockstepBFGS:
         assert np.array_equal(points[1], steepest(points[0], grads[0]))
         assert not np.allclose(points[2], steepest(points[1], grads[1]))  # h in use
         assert np.array_equal(points[3], steepest(points[2], grads[2]))
-
-
-XATOL = 1e-4  # scipy's default
-FATOL = 1e-8
-
-
-def simplex_around(x0):
-    simplex = np.tile(x0, (x0.size + 1, 1))
-    for k in range(x0.size):
-        simplex[k + 1, k] += 0.35
-    return simplex
-
-
-def nelder_mead(x0, maxfev):
-    """scipy's _minimize_neldermead from simplex_around(x0), as a search for
-    discord._lockstep: it yields each point and receives (f, g).
-
-    The loop is scipy's line for line (no bounds, maxiter unbounded, the
-    standard coefficients rho = 1, chi = 2, psi = sigma = 1/2 multiplied
-    out in each trial point). A step whose evaluation would exceed maxfev is
-    dropped, as scipy's _MaxFuncCallError drops it; a shrink still moves the
-    vertex it could not evaluate, which keeps its old value. A shrink takes
-    one round per vertex, so the starts of a lockstep run fall out of step.
-    """
-    n = x0.size
-    sim = simplex_around(x0)
-    fsim = np.full((n + 1,), np.inf, dtype=float)
-    nfev = 0
-    while nfev < min(n + 1, maxfev):
-        fsim[nfev], _ = yield sim[nfev]
-        nfev += 1
-    for _ in range(2):  # scipy sorts the initial simplex twice
-        ind = fsim.argsort()
-        sim, fsim = sim[ind], fsim[ind]
-
-    while nfev < maxfev:
-        if fsim[-1] - fsim[0] <= FATOL and np.abs(sim[1:] - sim[0]).max() <= XATOL:
-            return sim[0], fsim.min(), nfev, True
-
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
-        fxr, _ = yield xr
-        nfev += 1
-        doshrink = 0
-
-        if fxr < fsim[0]:
-            if nfev < maxfev:
-                xe = 3 * xbar - 2 * sim[-1]
-                fxe, _ = yield xe
-                nfev += 1
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif nfev < maxfev:
-            if fxr < fsim[-1]:  # outside contraction
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc, _ = yield xc
-                nfev += 1
-                if fxc <= fxr:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    doshrink = 1
-            else:  # inside contraction
-                xcc = 0.5 * xbar + 0.5 * sim[-1]
-                fxcc, _ = yield xcc
-                nfev += 1
-                if fxcc < fsim[-1]:
-                    sim[-1], fsim[-1] = xcc, fxcc
-                else:
-                    doshrink = 1
-
-            if doshrink:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    if nfev == maxfev:
-                        break
-                    fsim[j], _ = yield sim[j]
-                    nfev += 1
-        ind = fsim.argsort()
-        sim, fsim = sim[ind], fsim[ind]
-
-    return sim[0], fsim.min(), nfev, False
-
-
-def scipy_starts(objective, starts, max_evals):
-    """scipy's Nelder-Mead run alone from each start on the single-row kernel.
-
-    Returns (result, evaluations of each iteration) per start; an iteration
-    with more than two evaluations is a shrink.
-    """
-    out = []
-    for x0 in starts:
-        calls = [0]
-        marks = []
-
-        def fun(x):
-            calls[0] += 1
-            return objective(x[None])[0]
-
-        res = minimize(
-            fun,
-            x0,
-            method="Nelder-Mead",
-            callback=lambda intermediate_result: marks.append(calls[0]),
-            options={
-                "maxfev": max_evals,
-                "fatol": FATOL,
-                "xatol": XATOL,
-                "initial_simplex": simplex_around(x0),
-            },
-        )
-        out.append((res, np.diff([x0.size + 1] + marks)))
-    return out
-
-
-def assert_matches_scipy(objective, starts, max_evals):
-    searches = [(0, nelder_mead(x, max_evals)) for x in starts]
-    x, fun, nfev, success = discord._lockstep(objective, searches)
-    reference = scipy_starts(objective, starts, max_evals)
-    for k, (res, _) in enumerate(reference):
-        assert np.array_equal(x[k], res.x)
-        assert fun[k] == res.fun
-        assert nfev[k] == res.nfev
-        assert success[k] == res.success
-    return reference
-
-
-class TestLockstepNelderMead:
-    # discord._lockstep driving scipy's Nelder-Mead, whose starts stop at
-    # scattered rounds and exhaust their budgets mid-step, repeats each start
-    # run alone by scipy step for step.
-    @pytest.mark.parametrize("kernel", sorted(KERNELS))
-    @pytest.mark.parametrize("extra", ["1", "N", "N+1", "N+2", "400"])
-    def test_matches_scipy_per_start(self, kernel, extra):
-        n, measured, groups = KERNELS[kernel]
-        dim = 2 * len(measured)
-        max_evals = {"1": 1, "N": dim, "N+1": dim + 1, "N+2": dim + 2, "400": 400}[extra]
-        rho = random_density_matrix(n, seed=200 + n)
-        objective = single(rho, 0.5, measured, groups)
-        starts = np.array(discord._start_points(len(measured), OptimizerConfig(starts=5)))
-        assert_matches_scipy(objective, starts, max_evals)
-
-    @pytest.mark.parametrize("kernel", sorted(KERNELS))
-    def test_matches_scipy_through_shrinks(self, kernel):
-        # On the maximally mixed state the objective is flat up to rounding,
-        # so contractions fail and the simplices shrink.
-        n, measured, groups = KERNELS[kernel]
-        rho = DensityMatrix(np.eye(2**n) / 2**n)
-        objective = single(rho, 1.0, measured, groups)
-        starts = np.array(discord._start_points(len(measured), OptimizerConfig(starts=4)))
-        reference = assert_matches_scipy(objective, starts, 400)
-        assert any((steps > 2).any() for _, steps in reference)
-
-    def test_budget_runs_out_mid_shrink(self):
-        n, measured, groups = KERNELS["global-n3"]
-        dim = 2 * len(measured)
-        rho = DensityMatrix(np.eye(2**n) / 2**n)
-        objective = single(rho, 1.0, measured, groups)
-        starts = np.array(discord._start_points(len(measured), OptimizerConfig(starts=4)))
-        (_, steps), *_ = scipy_starts(objective, starts, 400)
-        first = int(np.flatnonzero(steps > 2)[0])
-        # reflection, contraction and one of the dim shrink evaluations
-        budget = dim + 1 + int(steps[:first].sum()) + 3
-        (res, steps), *_ = assert_matches_scipy(objective, starts, budget)
-        assert res.nfev == budget and steps[-1] == 3
 
 
 class TestGlobalDiscord:
@@ -1046,18 +894,19 @@ class TestManyProblems:
 
     def test_large_locksteps_run_as_arrays(self, monkeypatch):
         # A lockstep of at least _ARRAY_ROWS rows runs _bfgs_rows, a smaller
-        # one the _bfgs generators. With the threshold at 16 rows, the n = 2
-        # block (3 jobs, 12 rows) sits one job below it and the n = 3 block
-        # (4 jobs, 16 rows) at it; every report is still the solo call's.
+        # one _lockstep, both on the same rows. With the threshold at 16
+        # rows, the n = 2 block (3 jobs, 12 rows) sits one job below it and
+        # the n = 3 block (4 jobs, 16 rows) at it; every report is still the
+        # solo call's.
         jobs = [(random_density_matrix(2, seed=180 + k), q) for k, q in enumerate((0.25, 1.0, 2.0))]
         jobs += [(rank_two(3, seed=190), 0.25)]
         jobs += [(random_density_matrix(3, seed=190 + k), q) for k, q in enumerate((0.5, 1.0, 2.0))]
         drivers = []
         for name in ("_lockstep", "_bfgs_rows"):
 
-            def counted(objective, rows, *args, name=name, run=getattr(discord, name)):
-                drivers.append((name, len(rows)))
-                return run(objective, rows, *args)
+            def counted(objective, x0, owner, max_evals, name=name, run=getattr(discord, name)):
+                drivers.append((name, len(x0)))
+                return run(objective, x0, owner, max_evals)
 
             monkeypatch.setattr(discord, name, counted)
         monkeypatch.setattr(discord, "_ARRAY_ROWS", 16)
@@ -1088,6 +937,29 @@ class TestManyProblems:
                 one_sided = q_qd_one_sided_many(jobs, (1,), LIGHT)
             assert [report_fields(r) for r in bounded] == free
             assert [report_fields(r) for r in one_sided] == one_sided_free
+
+    def test_reports_are_handed_over_block_by_block(self, monkeypatch):
+        # With two jobs a block, a caller that drops each report as it is
+        # yielded holds no earlier report at any yield, so a long job list
+        # keeps memory bounded.
+        refs = []
+        make = discord._report
+
+        def tracked(*args):
+            report = make(*args)
+            refs.append(weakref.ref(report))
+            return report
+
+        monkeypatch.setattr(discord, "_report", tracked)
+        monkeypatch.setattr(discord, "_MAX_ROWS", 2 * LIGHT.starts)
+        built = count_objectives(monkeypatch)
+        qs = (0.5, 1.0, 2.0, 0.7, 1.5)
+        jobs = [(random_density_matrix(2, seed=175 + k), q, None, None) for k, q in enumerate(qs)]
+        for seen, (_, report) in enumerate(discord._minimize_many(jobs, LIGHT), start=1):
+            gc.collect()
+            assert len(refs) == seen and refs[-1]() is report
+            assert all(ref() is None for ref in refs[:-1])
+        assert built == [2, 2, 1]
 
 
 class TestOneSided:
