@@ -4,7 +4,8 @@ For both families every single-qubit marginal is I/2 and stays I/2 under
 any product measurement, so the global quantity collapses to the entropy
 gap min_Phi S_q(Phi(rho)) - S_q(rho); the minimum is known exactly. These
 routes never touch the numerical optimizer, which makes them independent
-oracles for it.
+oracles for it. pure_two_qubit_gqd adds a third, weaker one: an exact
+value that two-qubit pure states reach at every q, a bound on the minimum.
 """
 
 from __future__ import annotations
@@ -15,13 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import _check_q
-from .measurement import ProductMeasurement
+from .linalg import TRACE_TOL
+from .measurement import BlochMeasurement, ProductMeasurement
 from .states import _check_mu, _check_n, pauli_diagonal_state
 
 __all__ = [
     "ClosedFormResult",
     "werner_ghz_gqd",
     "pauli_diagonal_gqd",
+    "pure_two_qubit_gqd",
     "optimal_measured_entropy",
     "werner_ghz_measured_spectrum",
     "werner_ghz_optimal_measured_spectrum",
@@ -116,6 +119,48 @@ def pauli_diagonal_gqd(
         return ClosedFormResult(2 ** (n - 1) * state + measured, "odd-n" + suffix)
     state = sum(_xq_lnq(lam / dim, q) for lam in _pauli_lambdas(n, c1, c2, c3))
     return ClosedFormResult(2 ** (n - 2) * state + measured, "even-n" + suffix)
+
+
+def _bloch_axis(u: np.ndarray) -> tuple[float, float, float]:
+    """The Bloch axis a of a unit 2-vector u, |u><u| = (I + a.sigma)/2."""
+    cross = np.conj(u[0]) * u[1]
+    return 2.0 * cross.real, 2.0 * cross.imag, abs(u[0]) ** 2 - abs(u[1]) ** 2
+
+
+def pure_two_qubit_gqd(psi, q: float) -> tuple[float, ProductMeasurement]:
+    """S_q(lambda) of a two-qubit pure state and the Schmidt-basis measurement that gives it.
+
+    psi holds the 4 amplitudes (qubit 0 the high bit), unit norm to 1e-10.
+    Its 2 x 2 amplitude matrix has the SVD U diag(s) V^dagger, so psi =
+    sum_k s_k |u_k> (x) |w_k>, w_k the k-th row of V^dagger: the Schmidt
+    form, with Schmidt probabilities lambda = s^2. No optimizer is used.
+
+    Proved, at every q > 0: rho = |psi><psi| is pure and both marginals
+    have spectrum lambda, so I_q(rho) = 2 S_q(lambda). Measuring qubit 0
+    along u_0's Bloch axis and qubit 1 along w_0's gives the outcome
+    probabilities (lambda_0, 0, 0, lambda_1), whose marginals are lambda
+    again, so I_q(Phi(rho)) = S_q(lambda) and the returned measurement's
+    drop is S_q(lambda). Every measurement's drop bounds the minimum from
+    above, so a global q-discord above this value is a proven miss.
+
+    Only measured: that it is the minimum. On 40 random states a 256-start
+    search agreed with it to 5e-11 at q = 0.25, 0.5, 0.75 and 1; at q = 1
+    this is the known result that a pure state's discord is its
+    entanglement entropy. Above q = 1 the minimum lies below it (by up to
+    0.28 at q = 3), and at q = 0.05 and 0.1 even 256 starts stayed above
+    it, so there nothing is known either way.
+    """
+    q = _check_q(q)
+    psi = np.array(psi, dtype=complex)
+    if psi.shape != (4,) or not np.isfinite(psi).all():
+        raise ValueError("a two-qubit pure state is 4 finite amplitudes")
+    if not abs(np.vdot(psi, psi).real - 1.0) <= TRACE_TOL:
+        raise ValueError("a pure state must have unit norm")
+    u, s, vh = np.linalg.svd(psi.reshape(2, 2))
+    lam = s * s
+    value = -(_xq_lnq(float(lam[0]), q) + _xq_lnq(float(lam[1]), q))
+    measurement = ProductMeasurement(BlochMeasurement(_bloch_axis(v)) for v in (u[:, 0], vh[0]))
+    return value, measurement
 
 
 def _pauli_params(n, c1, c2, c3) -> tuple[int, float, float, float]:

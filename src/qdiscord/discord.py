@@ -18,15 +18,16 @@ running start in one value-and-gradient call of the batched objective,
 angles (K, 2m) to values (K,) and gradients (K, 2m). A round spans
 problems: every solve is a job (rho, q, measured, cut) of one
 _minimize_many call, which _shape alone turns into its (measured,
-parties), and the jobs of one shape (qubit count, measured qubits,
-parties) run in blocks of at most _MAX_ROWS // starts jobs (at least
-one), a block one lockstep with one objective call per round, each row
-with its own state and q. The public entries are job lists, a solo call
-a list of one. A row of the batch is the same float as that row alone,
-so a start's result does not depend on which starts share its rounds,
-and each report of a _many call equals the solo call's. Each block's
-reports are handed over as it finishes, so _values, the sweep's and
-monogamy's collector, keeps only their values.
+parties), and the jobs of one shape (qubit count, measured qubits) run
+in blocks of at most _MAX_ROWS // starts jobs (at least one), a block
+one lockstep with one objective call per round, each row with its own
+state, q and parties, so a whole state and its cuts share their rounds.
+The public entries are job lists, a solo call a list of one. A row of
+the batch is the same float as that row alone, so a start's result does
+not depend on which starts share its rounds, and each report of a _many
+call equals the solo call's. Each block's reports are handed over as it
+finishes, so _values, the sweep's and monogamy's collector, keeps only
+their values.
 
 Two drivers run a lockstep's rows, the start points x0 (K, 2m) and the
 problem owner (K,) of each, and return (x, f, evaluations, success) per
@@ -47,7 +48,8 @@ batched matmul per call that its gradient reuses; with every qubit
 measured it takes the diagonal apply_full uses, else eigh's block spectra,
 so value calls and gradient calls agree bit for bit. The measured
 parties' marginals come from one stacked matmul with a 0/1 table built
-once per shape, and with every qubit measured the gradient's traces are
+once per pattern of parties, a row's own table when the problems' parties
+differ, and with every qubit measured the gradient's traces are
 one gather from C = W^dagger (rho W). It is the only code that evaluates
 I_q(Phi(rho)): induced_discord, the fixed-measurement drop, is its row at
 the measurement's angles, so no measured state is built.
@@ -177,10 +179,13 @@ def _shape(n: int, measured, cut) -> tuple[tuple[int, ...], tuple[tuple[int, ...
     """The checked (measured, parties) of a job on n qubits, each party wholly measured or not.
 
     measured None measures every qubit across _parties(n, cut); else it is
-    a sorted tuple, a one-sided job with cut None and parties (rest, measured).
+    a sorted tuple, a one-sided job with parties (rest, measured), and a
+    cut beside it raises ValueError rather than being dropped.
     """
     if measured is None:
         return tuple(range(n)), _parties(n, cut)
+    if cut is not None:
+        raise ValueError("a one-sided job takes no cut: its parties are (rest, measured)")
     if not measured or len(measured) >= n:
         raise ValueError("measured subset must be nonempty and proper")
     if measured[0] < 0 or measured[-1] >= n:
@@ -222,7 +227,7 @@ def _induced(rho: DensityMatrix, phi: ProductMeasurement, q: float, cut, margina
     """induced_discord for a checked q, with marginal_of(rho, g) building the parties' marginals."""
     n = rho.num_qubits
     angles = _angles(phi, n)
-    objective = _make_objective([rho], [q], tuple(range(n)), _parties(n, cut), marginal_of)
+    objective = _make_objective([rho], [q], tuple(range(n)), [_parties(n, cut)], marginal_of)
     return float(objective(np.array([angles]), np.zeros(1, dtype=np.intp))[0])
 
 
@@ -273,6 +278,34 @@ def _gradient_tables(m: int):
 
 
 @functools.cache
+def _measured_parties(measured: tuple[int, ...], parties) -> tuple[tuple[int, ...], ...]:
+    """The parties whose qubits are all measured, in order, found once per (measured, parties).
+
+    _shape and _parties give parties wholly measured or wholly unmeasured;
+    the unmeasured ones cancel in the drop, their marginal untouched.
+    """
+    return tuple(g for g in parties if all(i in measured for i in g))
+
+
+def _marginal_tables(measured: tuple[int, ...], patterns) -> np.ndarray:
+    """The 0/1 marginal table of each problem, whose measured parties are patterns[i].
+
+    One pattern among all problems gives its one (2^m, w) _marginal_table,
+    shared by every row. Several give a (problems, 2^m, W) stack, W the
+    widest table's width and the narrower ones padded with zero columns
+    after their own: a zero marginal entry is an exact 0 to _terms and adds
+    +0.0 after the real entries, so each row keeps its own problem's floats.
+    """
+    if all(pattern == patterns[0] for pattern in patterns):
+        return _marginal_table(measured, patterns[0])
+    each = [_marginal_table(measured, pattern) for pattern in patterns]
+    tables = np.zeros((len(each), 2 ** len(measured), max(table.shape[1] for table in each)))
+    for padded, table in zip(tables, each):
+        padded[:, : table.shape[1]] = table
+    return tables
+
+
+@functools.cache
 def _marginal_table(measured: tuple[int, ...], parties: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """0/1 table M taking outcome probabilities to the parties' marginals.
 
@@ -281,8 +314,8 @@ def _marginal_table(measured: tuple[int, ...], parties: tuple[tuple[int, ...], .
     entry of the concatenated marginals, in party order, each indexed by
     its qubits' bits in measured order: M[j, c] is 1 where outcome j adds
     to marginal entry c. So probs @ M is the marginals and slopes @ M.T
-    sums each outcome's marginal slopes. Built once per shape and
-    read-only.
+    sums each outcome's marginal slopes. Built once per (measured,
+    parties) and read-only.
     """
     m = len(measured)
     outcomes = np.arange(2**m)
@@ -302,11 +335,12 @@ def _marginal_table(measured: tuple[int, ...], parties: tuple[tuple[int, ...], .
 def _make_objective(states, qs, measured: tuple[int, ...], groups, marginal_of=partial_trace):
     """Batched I_q(rho) - I_q(Phi(rho)) over problems of one shape.
 
-    The problems are the pairs of states (all of one qubit count) and qs,
-    with the same measured qubits and groups. objective(angles, owner)
-    maps angles of shape (K, 2m) to K values, row k evaluated on problem
-    owner[k]: its state and its q. marginal_of(rho, g) builds each
-    problem's marginals once, here.
+    The problems are the triples of states (all of one qubit count), qs
+    and groups, one party tuple per problem, with the same measured
+    qubits. objective(angles, owner) maps angles of shape (K, 2m) to K
+    values, row k evaluated on problem owner[k]: its state, its q and its
+    parties. marginal_of(rho, g) builds each problem's marginals once,
+    here.
 
     Phi(rho) is diagonal in the product measurement basis (block diagonal
     when some qubits stay unmeasured), so the measured-state entropies come
@@ -319,14 +353,16 @@ def _make_objective(states, qs, measured: tuple[int, ...], groups, marginal_of=p
     gives its spectrum. Group terms whose qubits are unmeasured cancel
     exactly and are skipped. The measured groups' marginals are
     (probs[:, None, :] @ M)[:, 0], M the read-only 0/1 table of
-    _marginal_table, built once per shape: a stack of one-row products,
-    so each row's sums are its own, where a 2-D probs @ M goes through a
-    BLAS kernel whose rows change with the batch size. The entropies of
-    the spectrum and of every measured marginal come from one
-    entropy._terms call over their concatenation, with q a column of one
-    q per row. Every row is computed on its own: a row's value does not
-    depend on the other rows of the batch or on their problems, and
-    induced_discord is the single row at one measurement.
+    _marginal_table, built once per pattern of measured parties: a stack
+    of one-row products, so each row's sums are its own, where a 2-D
+    probs @ M goes through a BLAS kernel whose rows change with the batch
+    size. When the problems' patterns differ (a whole state beside cuts),
+    M is each row's own table, gathered from _marginal_tables' padded
+    stack. The entropies of the spectrum and of every measured marginal
+    come from one entropy._terms call over their concatenation, with q a
+    column of one q per row. Every row is computed on its own: a row's
+    value does not depend on the other rows of the batch or on their
+    problems, and induced_discord is the single row at one measurement.
 
     objective(angles, owner, gradient=True) returns (values (K,), gradients
     (K, 2m)) instead, the gradient exact. Differentiating qubit k's factor
@@ -361,12 +397,12 @@ def _make_objective(states, qs, measured: tuple[int, ...], groups, marginal_of=p
         ]
     )
 
-    # _shape and _parties give groups wholly measured or wholly unmeasured.
-    # The unmeasured ones drop out, their marginal untouched; the table
-    # sums the outcomes into each measured one's marginal.
-    parties = tuple(g for g in groups if all(i in measured for i in g))
-    table = _marginal_table(measured, parties)
-    consts = np.array([_mutual_information(rho, parties, q, marginal_of) for rho, q in zip(states, qs)])
+    # The table sums the outcomes into each measured party's marginal.
+    patterns = [_measured_parties(measured, parties) for parties in groups]
+    tables = _marginal_tables(measured, patterns)
+    consts = np.array(
+        [_mutual_information(rho, parties, q, marginal_of) for rho, q, parties in zip(states, qs, patterns)]
+    )
     qs = np.array(qs, dtype=float)
 
     def objective(angles: np.ndarray, owner: np.ndarray, gradient: bool = False):
@@ -384,6 +420,7 @@ def _make_objective(states, qs, measured: tuple[int, ...], groups, marginal_of=p
             np.maximum(probs, 0.0, out=probs)
             eigenvalues, vectors = np.linalg.eigh(blocks)
             spectrum = eigenvalues.reshape(k, -1)
+        table = tables if tables.ndim == 2 else tables[owner]
         # A stack of one-row products, so each row's sums are its own.
         marginals = (probs[:, None, :] @ table)[:, 0]
         # The entropy is a plain sum over entries, so the marginals' part of
@@ -400,7 +437,7 @@ def _make_objective(states, qs, measured: tuple[int, ...], groups, marginal_of=p
         outcomes, flipped, signs = _gradient_tables(m)
         slopes = -q * x / s
         # sum_g h'(marginal_g)[j] for each outcome j
-        shift = (slopes[:, None, dim:] @ table.T)[:, 0]
+        shift = (slopes[:, None, dim:] @ table.swapaxes(-1, -2))[:, 0]
         if dim_u == 1:
             # traces[k, i, j] = E_j C_{j, j^i}, C = W^dagger rho W
             c = w.conj().swapaxes(-1, -2) @ rho_w
@@ -664,31 +701,36 @@ def _minimize_many(jobs, opt: OptimizerConfig | None):
 
     _shape checks each distinct (qubit count, measured, cut) once, then
     every q and state size, all before the first solve. The jobs of one
-    shape, (qubit count, measured, parties), are solved in blocks of
-    max(1, _MAX_ROWS // starts), in job order; a block shares one
-    objective and one lockstep, whose rows are each job's starts in order:
-    _bfgs_rows runs it when the block has at least _ARRAY_ROWS rows, else
-    _lockstep.
+    shape, (qubit count, measured qubits), are solved in blocks of
+    max(1, _MAX_ROWS // starts), in job order, each job with its own
+    parties as it has its own state and q, so a whole state and its cuts
+    share a block; a block shares one objective and one lockstep, whose
+    rows are each job's starts in order: _bfgs_rows runs it when the
+    block has at least _ARRAY_ROWS rows, else _lockstep.
     Each block's pairs are yielded as soon as it finishes, j the job's
     index, so a caller that keeps only some fields holds one block's
     reports at a time.
     """
-    resolved, shapes = {}, {}
+    resolved, parties, shapes = {}, [], {}
     for j, (rho, _, measured, cut) in enumerate(jobs):
         key = rho.num_qubits, measured, _cut_key(cut)
         if key not in resolved:
-            resolved[key] = (key[0], *_shape(*key))
-        shapes.setdefault(resolved[key], []).append(j)
+            resolved[key] = _shape(*key)
+        measured, job_parties = resolved[key]
+        parties.append(job_parties)
+        shapes.setdefault((key[0], measured), []).append(j)
     qs = [_check_q(q) for _, q, _, _ in jobs]
     if any(rho.num_qubits > DESK_SCALE_LIMIT for rho, *_ in jobs):
         raise ValueError(f"state exceeds desk-scale limit of {DESK_SCALE_LIMIT} qubits")
     opt = opt if opt is not None else OptimizerConfig()
     per_block = max(1, _MAX_ROWS // opt.starts)
-    for (_, measured, parties), members in shapes.items():
+    for (_, measured), members in shapes.items():
         starts = _start_points(len(measured), opt)
         for first in range(0, len(members), per_block):
             block = members[first : first + per_block]
-            objective = _make_objective([jobs[j][0] for j in block], [qs[j] for j in block], measured, parties)
+            objective = _make_objective(
+                [jobs[j][0] for j in block], [qs[j] for j in block], measured, [parties[j] for j in block]
+            )
             x0 = np.tile(starts, (len(block), 1))
             owner = np.repeat(np.arange(len(block)), opt.starts)
             drive = _bfgs_rows if len(x0) >= _ARRAY_ROWS else _lockstep

@@ -16,9 +16,12 @@ monogamy_report and bros_counterexample_audit are each a list of the
 solver's (rho, q, measured, cut) jobs, every qubit measured (measured
 None), solved in one discord._values call (one _minimize_many call) and
 then assembled from the values. _audit_and_reports solves the audit's
-list and the lists of many reports in one such call, so the monogamy
-verify suite runs one lockstep per shape, not one per report. Each value
-is the solo q_gqd's, whichever jobs share its lockstep.
+list and the lists of many reports in one such call. A lockstep holds
+the jobs of one (qubit count, measured qubits), each row with its own
+parties as with its own q, so the monogamy verify suite runs one
+lockstep for the pairs and one for the whole states and their cuts, not
+one per report or per cut. Each value is the solo q_gqd's, whichever
+jobs share its lockstep.
 """
 
 from __future__ import annotations
@@ -280,11 +283,12 @@ def _audit_and_reports(audit_q: float, rhos, q: float, opt: OptimizerConfig | No
     """bros_counterexample_audit(audit_q, opt) and each rho's monogamy_report(rho, q, opt), solved together.
 
     The jobs of the audit and of every report go to one _values call, so
-    each shape runs one lockstep (up to the lockstep's row bound), not one
-    per report. The reports come back unassembled, one function of no
-    arguments per rho in rhos' order, so a caller can assemble each in its
-    own try: one report's RuntimeError does not lose the others, while a
-    solver error raises here. Every value is the solo call's.
+    each qubit count runs one lockstep (up to the lockstep's row bound),
+    not one per report or per cut. The reports come back unassembled, one
+    function of no arguments per rho in rhos' order, so a caller can
+    assemble each in its own try: one report's RuntimeError does not lose
+    the others, while a solver error raises here. Every value is the solo
+    call's.
     """
     audit_q = _check_q(audit_q)
     lists = [_audit_jobs(audit_q)] + [_report_jobs(rho, q) for rho in rhos]

@@ -8,13 +8,14 @@ from qdiscord.analytic import (
     optimal_measured_entropy,
     pauli_diagonal_gqd,
     pauli_diagonal_measured_spectrum,
+    pure_two_qubit_gqd,
     werner_ghz_gqd,
     werner_ghz_measured_spectrum,
     werner_ghz_optimal_measured_spectrum,
 )
-from qdiscord.discord import OptimizerConfig, q_gqd, q_qd_one_sided
+from qdiscord.discord import OptimizerConfig, induced_discord, q_gqd, q_qd_one_sided
 from qdiscord.entropy import majorizes, tsallis_entropy, tsallis_entropy_probs
-from qdiscord.linalg import Spectrum, state_spectrum
+from qdiscord.linalg import DensityMatrix, Spectrum, state_spectrum
 from qdiscord.measurement import (
     BlochMeasurement,
     ProductMeasurement,
@@ -199,6 +200,42 @@ class TestPauliClosedForm:
                     report = q_qd_one_sided(rho, (k,), q, opt)
                     worst = max(worst, abs(value - report.value))
         assert worst <= 1e-5
+
+
+class TestPureTwoQubit:
+    # Measuring a two-qubit pure state in its Schmidt basis drops I_q by
+    # exactly S_q(lambda), lambda the Schmidt probabilities, at every q.
+    @pytest.mark.parametrize("q", [0.1, 0.25, 0.5, 1.0, 2.0])
+    def test_schmidt_measurement_gives_the_value(self, q):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+            psi /= np.linalg.norm(psi)
+            value, phi = pure_two_qubit_gqd(psi, q)
+            lam = np.linalg.svd(psi.reshape(2, 2), compute_uv=False) ** 2
+            assert_allclose(value, tsallis_entropy_probs(lam, q), rtol=0, atol=1e-12)
+            rho = DensityMatrix(np.outer(psi, psi.conj()))
+            assert_allclose(induced_discord(rho, phi, q), value, rtol=0, atol=1e-12)
+
+    def test_product_and_bell_states(self):
+        product = np.kron([0.6, 0.8j], [np.sqrt(0.5), -np.sqrt(0.5)])
+        value, phi = pure_two_qubit_gqd(product, 0.5)
+        assert_allclose(value, 0.0, rtol=0, atol=1e-15)
+        assert_allclose([m.axis for m in phi], [[0.0, 0.96, -0.28], [-1.0, 0.0, 0.0]], atol=1e-15)
+        bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+        for q in (0.5, 1.0, 2.0):
+            value, phi = pure_two_qubit_gqd(bell, q)
+            assert_allclose(value, tsallis_entropy_probs([0.5, 0.5], q), rtol=0, atol=1e-15)
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError, match="4 finite amplitudes"):
+            pure_two_qubit_gqd([1.0, 0.0], 0.5)
+        with pytest.raises(ValueError, match="4 finite amplitudes"):
+            pure_two_qubit_gqd([np.nan, 0.0, 0.0, 1.0], 0.5)
+        with pytest.raises(ValueError, match="unit norm"):
+            pure_two_qubit_gqd([1.0, 0.0, 0.0, 1.0], 0.5)
+        with pytest.raises(ValueError):
+            pure_two_qubit_gqd([1.0, 0.0, 0.0, 0.0], 0.0)
 
 
 class TestOptimalMeasuredEntropy:

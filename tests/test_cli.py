@@ -557,20 +557,21 @@ class TestVerify:
 
     @pytest.mark.parametrize("trials", [1, 3, 6])
     def test_monogamy_suite_builds_one_objective_per_shape(self, capsys, monkeypatch, trials):
-        # The audit and every trial share one lockstep per shape: the whole
-        # states, the pairs, the nested cut (01)|(2) and the audit's cut
-        # (0)|(12), so 4 objectives at any trial count up to 31.
+        # The audit and every trial share one lockstep per (qubit count,
+        # measured qubits): one for the pairs, and one for the whole states
+        # with the nested cut (01)|(2) and the audit's cut (0)|(12), so 2
+        # objectives at any trial count up to 31.
         built = []
         make = discord._make_objective
 
-        def counting(*args, **kwargs):
-            built.append(args[2:4])
-            return make(*args, **kwargs)
+        def counting(states, qs, measured, *args, **kwargs):
+            built.append((states[0].num_qubits, measured))
+            return make(states, qs, measured, *args, **kwargs)
 
         monkeypatch.setattr(discord, "_make_objective", counting)
         code, lines, summary = self.run_suite(capsys, "monogamy", trials)
         assert code == 0
-        assert len(built) == len(set(built)) == 4
+        assert len(built) == len(set(built)) == 2
 
 
 class TestLocksteps:
@@ -589,6 +590,18 @@ class TestLocksteps:
         for rows in (1, 10**9):
             monkeypatch.setattr(discord, "_ARRAY_ROWS", rows)
             code = main(argv)
+            outputs.append((code, capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
+
+    def test_monogamy_output_does_not_depend_on_the_block_size(self, capsys, monkeypatch):
+        # With _MAX_ROWS = 16 each job of the default 16 starts is a block
+        # of its own, so no whole state, cut or pair shares a round with
+        # another; the suite prints the same bytes.
+        outputs = []
+        for rows in (discord._MAX_ROWS, 16):
+            monkeypatch.setattr(discord, "_MAX_ROWS", rows)
+            code = main(["verify", "--suite", "monogamy", "--trials", "2"])
             outputs.append((code, capsys.readouterr().out))
         assert outputs[0] == outputs[1]
         assert outputs[0][0] == 0

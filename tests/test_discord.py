@@ -49,7 +49,7 @@ BELL = DensityMatrix(
 
 def single(rho, q, measured, groups):
     """The objective of one problem, whose rows default to that problem."""
-    objective = _make_objective([rho], [q], measured, groups)
+    objective = _make_objective([rho], [q], measured, [groups])
 
     def call(angles, owner=None, gradient=False):
         if owner is None:
@@ -281,11 +281,45 @@ class TestFastObjective:
         rhos = [rho, random_density_matrix(n, seed=95 + n), random_density_matrix(n, seed=98 + n)]
         qs = [0.5, 1.0, 2.0]
         owner = np.arange(len(angles)) % 3
-        objective = _make_objective(rhos, qs, measured, groups)
+        objective = _make_objective(rhos, qs, measured, [groups] * 3)
         values, grads = objective(angles, owner, gradient=True)
         assert np.array_equal(values, objective(angles, owner))
         for k in range(len(angles)):
             f, g = single(rhos[owner[k]], qs[owner[k]], measured, groups)(angles[k : k + 1], gradient=True)
+            assert values[k] == f[0]
+            assert np.array_equal(grads[k], g[0])
+
+    @pytest.mark.parametrize(
+        "n, cuts, width",
+        [
+            (3, [None, ((0,), (1, 2)), ((0, 1), (2,)), ((1,), (0, 2))], 6),
+            # Singles and 2|2 have 8 marginal entries, 1|3 and 3|1 have 10.
+            (
+                4,
+                [None, ((0, 1), (2, 3)), ((0,), (1, 2, 3)), ((0, 1, 2), (3,)), ((0, 2), (1, 3)), ((1,), (0, 2, 3))],
+                10,
+            ),
+        ],
+    )
+    def test_rows_of_mixed_cuts_are_their_own_problems(self, n, cuts, width):
+        # Whole states and cuts in one batch, each problem with its own
+        # parties (q = 1 takes the Shannon branch beside q != 1 rows): every
+        # row gives the value and gradient floats of a one-problem objective
+        # built with that row's cut, though at n = 4 its table is padded to
+        # the widest one's 10 columns.
+        rng = np.random.default_rng(40 + n)
+        measured = tuple(range(n))
+        rhos = [random_density_matrix(n, seed=60 + 10 * n + k) for k in range(len(cuts))]
+        qs = [0.25, 0.5, 1.0, 2.0, 1.5, 0.7][: len(cuts)]
+        groups = [discord._parties(n, cut) for cut in cuts]
+        assert discord._marginal_tables(measured, groups).shape == (len(cuts), 2**n, width)
+        angles = np.array([random_angles(rng, n) for _ in range(3 * len(cuts))])
+        owner = np.arange(len(angles)) % len(cuts)
+        objective = _make_objective(rhos, qs, measured, groups)
+        values, grads = objective(angles, owner, gradient=True)
+        assert np.array_equal(values, objective(angles, owner))
+        for k, j in enumerate(owner):
+            f, g = single(rhos[j], qs[j], measured, groups[j])(angles[k : k + 1], gradient=True)
             assert values[k] == f[0]
             assert np.array_equal(grads[k], g[0])
 
@@ -594,7 +628,7 @@ class TestLockstepBFGS:
         for n, measured, groups in KERNELS.values():
             states = [rank_two(n, seed=210 + n)]
             states += [random_density_matrix(n, seed=seed + n) for seed in (220, 230)]
-            objective = _make_objective(states, [0.25, 2.0, 1.0], measured, groups)
+            objective = _make_objective(states, [0.25, 2.0, 1.0], measured, [groups] * 3)
             starts = np.array(discord._start_points(len(measured), OptimizerConfig(starts=12)))
             owner = np.arange(len(starts)) % 3
             x, fun, nfev, success = lockstep_bfgs(objective, starts, 400, owner)
@@ -787,8 +821,10 @@ class TestManyProblems:
     def test_jobs_carry_their_own_cut(self, monkeypatch):
         # One _minimize_many call takes jobs of several cuts; a cut given as
         # lists, a side unsorted, or with its sides reversed has the same
-        # parties as its tuple form, so all three share an objective: three
-        # shapes, three objectives, and every report is the solo call's.
+        # parties as its tuple form. A cut is a row's own data, so every
+        # 3-qubit job, whole state or cut, shares one objective: two shapes
+        # (qubit count, measured qubits), two objectives, and every report
+        # is the solo call's.
         rho3, rho2 = random_density_matrix(3, seed=135), random_density_matrix(2, seed=136)
         jobs = [
             (rho3, 0.5, None, None),
@@ -799,15 +835,16 @@ class TestManyProblems:
         ]
         built = count_objectives(monkeypatch)
         reports = discord._in_order(discord._minimize_many(jobs, LIGHT))
-        assert sorted(built) == [1, 1, 3]
+        assert sorted(built) == [1, 4]
         for (rho, q, _, cut), report in zip(jobs, reports):
             assert report_fields(report) == report_fields(q_gqd(rho, q, LIGHT, cut=cut))
 
     def test_mixed_job_list_builds_one_objective_per_shape(self, monkeypatch):
         # Global, cut, reversed-cut and one-sided jobs on 2, 3 and 4 qubits
-        # in one job list: one objective per distinct shape, however the
-        # jobs of a shape are interleaved, and every report is the solo
-        # call's.
+        # in one job list: one objective per distinct shape (qubit count,
+        # measured qubits), each problem with its own parties in job order,
+        # however the jobs of a shape are interleaved, and every report is
+        # the solo call's.
         rho2, rho3, rho4 = (random_density_matrix(n, seed=200 + n) for n in (2, 3, 4))
         jobs = [
             (rho2, 0.5, None, None),
@@ -827,20 +864,19 @@ class TestManyProblems:
         make = discord._make_objective
 
         def counting(states, qs, measured, groups):
-            built.append((states[0].num_qubits, measured, groups, len(states)))
+            built.append((states[0].num_qubits, measured, tuple(groups)))
             return make(states, qs, measured, groups)
 
         monkeypatch.setattr(discord, "_make_objective", counting)
         reports = discord._in_order(discord._minimize_many(jobs, LIGHT))
+        singles2, singles3, singles4 = (tuple((i,) for i in range(n)) for n in (2, 3, 4))
         assert sorted(built) == [
-            (2, (0, 1), ((0,), (1,)), 2),
-            (2, (1,), ((0,), (1,)), 1),
-            (3, (0, 1, 2), ((0,), (1,), (2,)), 1),
-            (3, (0, 1, 2), ((0,), (1, 2)), 2),
-            (3, (0, 2), ((1,), (0, 2)), 1),
-            (4, (0, 1, 2, 3), ((0,), (1,), (2,), (3,)), 1),
-            (4, (0, 1, 2, 3), ((0, 1), (2, 3)), 2),
-            (4, (3,), ((0, 1, 2), (3,)), 2),
+            (2, (0, 1), (singles2, singles2)),
+            (2, (1,), (((0,), (1,)),)),
+            (3, (0, 1, 2), (((0,), (1, 2)), ((0,), (1, 2)), singles3)),
+            (3, (0, 2), (((1,), (0, 2)),)),
+            (4, (0, 1, 2, 3), (singles4, ((0, 1), (2, 3)), ((0, 1), (2, 3)))),
+            (4, (3,), (((0, 1, 2), (3,)),) * 2),
         ]
         for (rho, q, measured, cut), report in zip(jobs, reports):
             if measured is None:
@@ -880,6 +916,18 @@ class TestManyProblems:
         ):
             with pytest.raises(ValueError, match=message):
                 next(discord._minimize_many(first + [(jobs[1][0], 0.5, measured, cut)], LIGHT))
+        assert calls == []
+
+    def test_one_sided_job_with_a_cut_raises_before_any_objective_call(self, monkeypatch):
+        # A job's parties come from its measured qubits or from its cut,
+        # never both: a one-sided job that also names a cut is refused, not
+        # solved with the cut dropped.
+        calls = count_rows(monkeypatch)
+        rho3 = random_density_matrix(3, seed=152)
+        for cut in (((0,), (1, 2)), ((0, 1), (2,))):
+            jobs = [(rho3, 0.5, None, None), (rho3, 0.5, (2,), cut)]
+            with pytest.raises(ValueError, match="one-sided job takes no cut"):
+                next(discord._minimize_many(jobs, LIGHT))
         assert calls == []
 
     def test_one_call_per_round(self, monkeypatch):
