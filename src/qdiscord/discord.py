@@ -51,8 +51,13 @@ parties' marginals come from one stacked matmul with a 0/1 table built
 once per pattern of parties, a row's own table when the problems' parties
 differ, and with every qubit measured the gradient's traces are
 one gather from C = W^dagger (rho W). It is the only code that evaluates
-I_q(Phi(rho)): induced_discord, the fixed-measurement drop, is its row at
-the measurement's angles, so no measured state is built.
+I_q(Phi(rho)), so no measured state is built. _evaluate is its value-only
+pass for fixed measurements: rows (rho, q, cut, angles), one objective
+and one gradient-free call per qubit count, each row its own problem.
+induced_discord, the fixed-measurement drop, is one row of that pass, and
+the telescoping ledger is one pass of its whole state and nested cuts.
+The constant I_q(rho) of each problem takes every entropy from one
+entropy._terms call over the state's and its parties' spectra.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _check_q, _terms, tsallis_entropy
+from .entropy import _check_q, _terms
 from .linalg import DESK_SCALE_LIMIT, DensityMatrix, _index, partial_trace
 from .measurement import ProductMeasurement, _angles, _diagonal, product_basis
 
@@ -194,14 +199,21 @@ def _shape(n: int, measured, cut) -> tuple[tuple[int, ...], tuple[tuple[int, ...
 
 
 def _mutual_information(rho: DensityMatrix, groups, q: float, marginal_of=partial_trace) -> float:
-    """-S_q(rho) + sum_g S_q(rho_g), summed in that order over the groups.
+    """-S_q(rho) + sum_g S_q(rho_g) for a checked q, summed in that order over the groups.
 
-    marginal_of(rho, g) builds rho_g.
+    marginal_of(rho, g) builds rho_g. The entropies come from one _terms
+    call over the concatenated spectra, each summed on its own slice, so
+    each is the float tsallis_entropy gives alone.
     """
-    total = -tsallis_entropy(rho, q)
-    for g in groups:
-        total += tsallis_entropy(marginal_of(rho, g), q)
-    return total
+    spectra = [rho.eigenvalues] + [marginal_of(rho, g).eigenvalues for g in groups]
+    p, x, s = _terms(np.concatenate(spectra), q)
+    px = p * x
+    ends = np.cumsum([spectrum.size for spectrum in spectra]).tolist()
+    entropies = [-px[start:end].sum() / s for start, end in zip([0] + ends, ends)]
+    total = -entropies[0]
+    for entropy in entropies[1:]:
+        total += entropy
+    return float(total)
 
 
 def mutual_information_q(rho: DensityMatrix, q: float) -> float:
@@ -218,17 +230,36 @@ def induced_discord(
     The parties are the single qubits by default; cut=(left, right) uses
     the two-party mutual information across that bipartition instead. The
     measurement acts on every qubit of rho either way. The value is one row
-    of the objective q_gqd minimizes, evaluated at phi's angles.
+    of the objective q_gqd minimizes, evaluated at phi's angles: the
+    one-row case of the value-only pass _evaluate.
     """
-    return _induced(rho, phi, _check_q(q), cut)
+    q = _check_q(q)
+    (value,) = _evaluate([(rho, q, cut, _angles(phi, rho.num_qubits))])
+    return value
 
 
-def _induced(rho: DensityMatrix, phi: ProductMeasurement, q: float, cut, marginal_of=partial_trace) -> float:
-    """induced_discord for a checked q, with marginal_of(rho, g) building the parties' marginals."""
-    n = rho.num_qubits
-    angles = _angles(phi, n)
-    objective = _make_objective([rho], [q], tuple(range(n)), [_parties(n, cut)], marginal_of)
-    return float(objective(np.array([angles]), np.zeros(1, dtype=np.intp))[0])
+def _evaluate(rows, marginal_of=partial_trace) -> list[float]:
+    """The values of fixed-measurement rows (rho, q, cut, angles), in row order.
+
+    Each row measures every qubit of rho at angles, rho's (theta_0, phi_0,
+    ...) as _angles gives them, with q checked and cut as induced_discord
+    takes it. The rows of one qubit count share one _make_objective, each
+    row its own problem with its own parties, and one value-only call, so
+    a row's value is the float it gets alone. marginal_of(rho, g) builds
+    the parties' marginals.
+    """
+    groups = {}
+    for i, (rho, *_) in enumerate(rows):
+        groups.setdefault(rho.num_qubits, []).append(i)
+    values = [0.0] * len(rows)
+    for n, members in groups.items():
+        states, qs, cuts, angles = zip(*(rows[i] for i in members))
+        objective = _make_objective(
+            states, qs, tuple(range(n)), [_parties(n, cut) for cut in cuts], marginal_of
+        )
+        for i, value in zip(members, objective(np.array(angles), np.arange(len(members))).tolist()):
+            values[i] = value
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +271,11 @@ _GRID_COMBOS = (
     (3 * math.pi / 4, 0.0),
     (3 * math.pi / 4, math.pi / 2),
 )
+# Grid starts 4-7 of one measured qubit, where _GRID_COMBOS' mixed patterns
+# would repeat starts 0-3: the cube's body diagonals (+-1, +-1, 1)/sqrt(3).
+# None is another's axis or a start 0-3's up to sign, and n and -n are one
+# measurement.
+_ONE_QUBIT_COMBOS = tuple((math.acos(1 / math.sqrt(3)), (2 * k + 1) * math.pi / 4) for k in range(4))
 
 
 def _start_points(m: int, opt: OptimizerConfig) -> list[np.ndarray]:
@@ -248,6 +284,8 @@ def _start_points(m: int, opt: OptimizerConfig) -> list[np.ndarray]:
     for k in range(min(opt.starts, 8)):
         if k < 4:
             combos = [_GRID_COMBOS[k]] * m
+        elif m == 1:
+            combos = [_ONE_QUBIT_COMBOS[k - 4]]
         else:
             combos = [_GRID_COMBOS[(k + i) % 4] for i in range(m)]
         points.append(np.asarray(combos, dtype=float).ravel())
@@ -362,7 +400,7 @@ def _make_objective(states, qs, measured: tuple[int, ...], groups, marginal_of=p
     come from one entropy._terms call over their concatenation, with q a
     column of one q per row. Every row is computed on its own: a row's
     value does not depend on the other rows of the batch or on their
-    problems, and induced_discord is the single row at one measurement.
+    problems, and each row of _evaluate's value-only pass is one row here.
 
     objective(angles, owner, gradient=True) returns (values (K,), gradients
     (K, 2m)) instead, the gradient exact. Differentiating qubit k's factor

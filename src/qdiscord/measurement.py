@@ -7,11 +7,11 @@ product basis W (the Kronecker product of the per-qubit eigenbases), so
 the outcome probabilities are diag(W^dagger rho W) and the non-selective
 channel sum_j P_j rho P_j is W diag(p) W^dagger. A ProductMeasurement
 enters through _angles, which checks its arity against the state and
-turns each axis into (theta, phi); apply_full, outcome_probabilities and
-discord.induced_discord all call it. Every caller, the discord objective
-included, gets W through product_basis, and the outcome probabilities of
-a full measurement from _diagonal. apply_full is the only code that
-builds a measured DensityMatrix.
+turns each axis into (theta, phi); apply_full, outcome_probabilities,
+discord.induced_discord and the monogamy ledger all call it. Every
+caller, the discord objective included, gets W through product_basis,
+and the outcome probabilities of a full measurement from _diagonal.
+apply_full is the only code that builds a measured DensityMatrix.
 
 The outcome probabilities are diag(W^dagger (rho W)): the caller computes
 rho W, one batched BLAS matmul, and _diagonal takes the column-wise

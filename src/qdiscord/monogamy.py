@@ -10,7 +10,10 @@ Nested pieces are induced_discord and q_gqd with cut=(first k)|(k+1 th);
 the cut (0)|(1) is the (0, 1) pairwise problem, so it is solved once.
 Every ledger value is a row of the objective q_gqd minimizes, as
 induced_discord evaluates it, so this module builds no measured state of
-its own.
+its own. A ledger is one value-only pass (discord._evaluate) over its
+whole state and nested cuts: one objective per qubit count, so 3 at
+n = 4, where the whole state and the cut (012)|(3) share one, and still
+6 partial traces.
 
 monogamy_report and bros_counterexample_audit are each a list of the
 solver's (rho, q, measured, cut) jobs, every qubit measured (measured
@@ -29,10 +32,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .discord import OptimizerConfig, _induced, _values
+from .discord import OptimizerConfig, _evaluate, _values
 from .entropy import _check_q
 from .linalg import DensityMatrix, partial_trace
-from .measurement import ProductMeasurement
+from .measurement import ProductMeasurement, _angles
 from .states import bros_counterexample
 
 __all__ = [
@@ -135,15 +138,19 @@ def decompose_induced_gqd(
 ) -> DecompositionLedger:
     """Split the induced discord of rho under phi into nested bipartite terms.
 
-    Every value is induced_discord: the total on rho, and terms[k-1] on
-    the first k+1 qubits across the cut (first k)|(k+1 th), measured by
-    phi's first k+1 axes. Each marginal is built once per call, from rho:
+    Every value is induced_discord's float: the total on rho, and
+    terms[k-1] on the first k+1 qubits across the cut (first k)|(k+1 th),
+    measured by phi's first k+1 axes. All of them come from one
+    value-only pass, discord._evaluate, with one objective and one call
+    per qubit count: 3 at n = 4, the whole state and the last cut sharing
+    the 4-qubit one. Each marginal is built once per call, from rho:
     partial_trace traces out qubits in descending order, so a marginal of
     a prefix marginal is bit for bit the same marginal of rho, and a
-    4-qubit ledger makes 6 partial traces.
+    4-qubit ledger still makes 6 partial traces.
     """
     q = _check_q(q)
     n = rho.num_qubits
+    angles = _angles(phi, n)
     built = {tuple(range(n)): rho}
 
     def marginal_of(state, keep):
@@ -153,18 +160,11 @@ def decompose_induced_gqd(
             built[keep] = partial_trace(rho, keep)
         return built[keep]
 
-    total = _induced(rho, phi, q, None, marginal_of)
-    terms = tuple(
-        _induced(
-            marginal_of(rho, range(k + 1)),
-            ProductMeasurement(phi.per_qubit[: k + 1]),
-            q,
-            _first_vs_last(k),
-            marginal_of,
-        )
-        for k in range(1, n)
-    )
-    return DecompositionLedger(total, terms, total - sum(terms))
+    rows = [(rho, q, None, angles)] + [
+        (marginal_of(rho, range(k + 1)), q, _first_vs_last(k), angles[: 2 * (k + 1)]) for k in range(1, n)
+    ]
+    total, *terms = _evaluate(rows, marginal_of)
+    return DecompositionLedger(total, tuple(terms), total - sum(terms))
 
 
 def _first_vs_last(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose
 from qdiscord import discord
 from qdiscord.discord import (
     OptimizerConfig,
+    _evaluate,
     _make_objective,
     _mutual_information,
     induced_discord,
@@ -24,6 +26,7 @@ from qdiscord.linalg import DensityMatrix, partial_trace, permute_qubits
 from qdiscord.measurement import (
     BlochMeasurement,
     ProductMeasurement,
+    _angles,
     _basis_columns,
     _diagonal,
     apply_full,
@@ -146,7 +149,57 @@ class TestOptimizerConfig:
             OptimizerConfig(**{field: value})
 
 
+class TestStartPoints:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_first_eight_starts_are_distinct_measurements(self, m):
+        # Two starts are one measurement when every qubit's axis agrees up
+        # to sign, since n and -n give the same projectors. With one
+        # measured qubit the mixed patterns of starts 4-7 would repeat
+        # starts 0-3 and run the same searches twice.
+        axes = [
+            [BlochMeasurement.from_angles(theta, phi).axis for theta, phi in start.reshape(-1, 2)]
+            for start in discord._start_points(m, OptimizerConfig(starts=8))
+        ]
+        for a in range(8):
+            for b in range(a):
+                same = all(
+                    np.allclose(u, v, atol=1e-9) or np.allclose(u, -v, atol=1e-9)
+                    for u, v in zip(axes[a], axes[b])
+                )
+                assert not same, (a, b)
+
+
+def reference_mutual_information(rho, groups, q):
+    """-S_q(rho) + sum_g S_q(rho_g), one tsallis_entropy call per state."""
+    total = -tsallis_entropy(rho, q)
+    for g in groups:
+        total += tsallis_entropy(partial_trace(rho, g), q)
+    return total
+
+
 class TestMutualInformation:
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.99, 1.0, 1.01, 2.0])
+    def test_one_kernel_call_equals_entropy_sum(self, q):
+        # One _terms call over the concatenated spectra, each summed on its
+        # own slice, gives each entropy's float; the sum is the same bits.
+        # q = 1 takes the Shannon branch.
+        for n in (2, 3, 4):
+            splits = [None] + [
+                (left, tuple(i for i in range(n) if i not in left))
+                for size in range(1, n)
+                for left in itertools.combinations(range(n), size)
+                if 0 in left
+            ]
+            for seed in range(8):
+                rho = random_density_matrix(n, seed=400 + 10 * n + seed)
+                for cut in splits:
+                    groups = discord._parties(n, cut)
+                    expected = reference_mutual_information(rho, groups, q).hex()
+                    assert _mutual_information(rho, groups, q).hex() == expected
+                assert mutual_information_q(rho, q).hex() == reference_mutual_information(
+                    rho, discord._parties(n, None), q
+                ).hex()
+
     def test_product_state_pseudo_additivity(self):
         # Only q = 1 gives zero on products; elsewhere the entropy is
         # pseudo-additive and I_q(A x B) = -(1 - q) S_q(A) S_q(B) exactly.
@@ -1054,3 +1107,33 @@ class TestInducedDiscordBipartite:
         a = induced_discord(rho, pm, 0.5)
         b = induced_discord(rho, pm, 0.5, cut=((0,), (1,)))
         assert a == b
+
+
+class TestValuePass:
+    def test_rows_equal_solo_induced_discord(self, monkeypatch):
+        # _evaluate evaluates fixed measurements, value only, with one
+        # objective and one call per qubit count, in first-seen order;
+        # induced_discord is its one-row case.
+        rng = np.random.default_rng(17)
+        shapes = [
+            (4, None),
+            (2, None),
+            (3, ((1,), (0, 2))),
+            (4, ((0, 1, 2), (3,))),
+            (3, None),
+            (2, ((1,), (0,))),
+            (4, ((0, 3), (1, 2))),
+            (3, ((0, 1), (2,))),
+        ]
+        rows = []
+        for k, (n, cut) in enumerate(shapes):
+            rho = random_density_matrix(n, seed=300 + k)
+            phi = ProductMeasurement.from_angles(random_angles(rng, n).reshape(-1, 2))
+            rows.append((rho, (0.25, 1.0, 2.0, 0.7)[k % 4], cut, phi))
+        solo = [induced_discord(rho, phi, q, cut=cut) for rho, q, cut, phi in rows]
+        built = count_objectives(monkeypatch)
+        calls = count_rows(monkeypatch)
+        values = _evaluate([(rho, q, cut, _angles(phi, rho.num_qubits)) for rho, q, cut, phi in rows])
+        assert [v.hex() for v in values] == [v.hex() for v in solo]
+        assert built == [3, 2, 3]
+        assert calls == [3, 2, 3]

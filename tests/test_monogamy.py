@@ -93,6 +93,31 @@ class TestDecomposition:
             assert ledger.terms == terms
             assert ledger.residual == total - sum(terms)
 
+    @pytest.mark.parametrize("n, problems", [(3, [2, 1]), (4, [2, 1, 1])])
+    def test_one_value_pass(self, monkeypatch, n, problems):
+        # A ledger is one value-only pass: one objective and one call per
+        # qubit count, so the whole state and the last cut share the
+        # n-qubit objective.
+        rho = random_density_matrix(n, seed=40 + n)
+        phi = random_product_measurement(np.random.default_rng(n), n)
+        built, calls = [], []
+        make = discord._make_objective
+
+        def counting(states, *args, **kwargs):
+            built.append(len(states))
+            objective = make(states, *args, **kwargs)
+
+            def counted(angles, owner, gradient=False):
+                calls.append(len(angles))
+                return objective(angles, owner, gradient)
+
+            return counted
+
+        monkeypatch.setattr(discord, "_make_objective", counting)
+        decompose_induced_gqd(rho, phi, 0.5)
+        assert built == problems
+        assert calls == problems
+
     def test_arity_mismatch(self):
         rho = random_density_matrix(3, seed=9)
         phi = ProductMeasurement.uniform_axis(2, (0.0, 0.0, 1.0))
