@@ -15,19 +15,21 @@ gradient.
 
 The starts run in lockstep: each round evaluates the points of every
 running start in one value-and-gradient call of the batched objective,
-angles (K, 2m) to values (K,) and gradients (K, 2m). A round spans
-problems: every solve is a job (rho, q, measured, cut) of one
-_minimize_many call, which _shape alone turns into its (measured,
-parties), and the jobs of one shape (qubit count, measured qubits) run
-in blocks of at most _MAX_ROWS // starts jobs (at least one), a block
-one lockstep with one objective call per round, each row with its own
-state, q and parties, so a whole state and its cuts share their rounds.
-The public entries are job lists, a solo call a list of one. A row of
-the batch is the same float as that row alone, so a start's result does
-not depend on which starts share its rounds, and each report of a _many
-call equals the solo call's. Each block's reports are handed over as it
-finishes, so _values, the sweep's and monogamy's collector, keeps only
-their values.
+angles (K, 2m) to values (K,) and gradients (K, 2m). Every solve and
+every fixed-measurement value is a job (rho, q, measured, cut), and one
+planner, _blocks, turns jobs into objectives: it checks every job first,
+then puts the jobs of one shape (qubit count, measured qubits) in blocks
+of at most _MAX_ROWS rows (at least one job), one _make_objective a
+block, each row with its own state, q and parties, so a whole state and
+its cuts share their calls. _minimize_many runs a block, opt.starts rows
+a job, as one lockstep; _evaluate, the value-only pass for fixed
+measurements, runs it, one row a job, in one gradient-free call, and
+induced_discord and the telescoping ledger are such passes. The public
+entries are job lists, a solo call a list of one. A row of the batch is
+the same float as that row alone, so a start's result does not depend on
+which starts share its rounds, and each report of a _many call equals
+the solo call's. Each block's reports are handed over as it finishes, so
+_values, the sweep's and monogamy's collector, keeps only their values.
 
 Two drivers run a lockstep's rows, the start points x0 (K, 2m) and the
 problem owner (K,) of each, and return (x, f, evaluations, success) per
@@ -51,13 +53,9 @@ parties' marginals come from one stacked matmul with a 0/1 table built
 once per pattern of parties, a row's own table when the problems' parties
 differ, and with every qubit measured the gradient's traces are
 one gather from C = W^dagger (rho W). It is the only code that evaluates
-I_q(Phi(rho)), so no measured state is built. _evaluate is its value-only
-pass for fixed measurements: rows (rho, q, cut, angles), one objective
-and one gradient-free call per qubit count, each row its own problem.
-induced_discord, the fixed-measurement drop, is one row of that pass, and
-the telescoping ledger is one pass of its whole state and nested cuts.
-The constant I_q(rho) of each problem takes every entropy from one
-entropy._terms call over the state's and its parties' spectra.
+I_q(Phi(rho)), so no measured state is built. The constant I_q(rho) of
+each problem takes every entropy from one entropy._terms call over the
+state's and its parties' spectra.
 """
 
 from __future__ import annotations
@@ -156,9 +154,9 @@ class DiscordReport:
 
 
 def _cut_key(cut):
-    """cut as a tuple of tuples, None left as is, its sides not yet checked."""
+    """cut as a tuple of tuples of int qubit indices, None left as is, its sides not yet checked."""
     try:
-        return cut if cut is None else tuple(tuple(side) for side in cut)
+        return cut if cut is None else tuple(tuple(_index(i, "qubit index") for i in side) for side in cut)
     except TypeError:
         raise ValueError("a bipartition is a pair of sides (left, right)") from None
 
@@ -170,7 +168,7 @@ def _parties(n: int, cut) -> tuple[tuple[int, ...], ...]:
     sides = _cut_key(cut)
     if len(sides) != 2:
         raise ValueError("a bipartition is a pair of sides (left, right)")
-    left, right = (tuple(sorted(_index(i, "qubit index") for i in side)) for side in sides)
+    left, right = (tuple(sorted(side)) for side in sides)
     if not left or not right:
         raise ValueError("both sides of a bipartition must be nonempty")
     if set(left) & set(right):
@@ -180,12 +178,14 @@ def _parties(n: int, cut) -> tuple[tuple[int, ...], ...]:
     return (left, right) if left < right else (right, left)
 
 
+@functools.cache
 def _shape(n: int, measured, cut) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The checked (measured, parties) of a job on n qubits, each party wholly measured or not.
 
     measured None measures every qubit across _parties(n, cut); else it is
     a sorted tuple, a one-sided job with parties (rest, measured), and a
-    cut beside it raises ValueError rather than being dropped.
+    cut beside it raises ValueError rather than being dropped. cut is a
+    _cut_key; each distinct (n, measured, cut) is checked once and cached.
     """
     if measured is None:
         return tuple(range(n)), _parties(n, cut)
@@ -231,34 +231,27 @@ def induced_discord(
     the two-party mutual information across that bipartition instead. The
     measurement acts on every qubit of rho either way. The value is one row
     of the objective q_gqd minimizes, evaluated at phi's angles: the
-    one-row case of the value-only pass _evaluate.
+    one-job case of the value-only pass _evaluate.
     """
-    q = _check_q(q)
-    (value,) = _evaluate([(rho, q, cut, _angles(phi, rho.num_qubits))])
+    (value,) = _evaluate([(rho, q, None, cut)], [_angles(phi, rho.num_qubits)])
     return value
 
 
-def _evaluate(rows, marginal_of=partial_trace) -> list[float]:
-    """The values of fixed-measurement rows (rho, q, cut, angles), in row order.
+def _evaluate(jobs, angles, marginal_of=partial_trace) -> list[float]:
+    """The values of jobs (rho, q, measured, cut) at fixed measurements, in job order.
 
-    Each row measures every qubit of rho at angles, rho's (theta_0, phi_0,
-    ...) as _angles gives them, with q checked and cut as induced_discord
-    takes it. The rows of one qubit count share one _make_objective, each
-    row its own problem with its own parties, and one value-only call, so
-    a row's value is the float it gets alone. marginal_of(rho, g) builds
-    the parties' marginals.
+    angles[j] is job j's measured qubits' (theta, phi) pairs, flat and in
+    measured order. _blocks checks and groups the jobs as for the search,
+    at one row a job, and each block makes one value-only call, so a job's
+    value is the float it gets alone. marginal_of(rho, g) builds the
+    parties' marginals.
     """
-    groups = {}
-    for i, (rho, *_) in enumerate(rows):
-        groups.setdefault(rho.num_qubits, []).append(i)
-    values = [0.0] * len(rows)
-    for n, members in groups.items():
-        states, qs, cuts, angles = zip(*(rows[i] for i in members))
-        objective = _make_objective(
-            states, qs, tuple(range(n)), [_parties(n, cut) for cut in cuts], marginal_of
-        )
-        for i, value in zip(members, objective(np.array(angles), np.arange(len(members))).tolist()):
-            values[i] = value
+    _, blocks = _blocks(jobs, 1, marginal_of)
+    values = [0.0] * len(jobs)
+    for block, _, objective in blocks:
+        rows = objective(np.array([angles[j] for j in block]), np.arange(len(block)))
+        for j, value in zip(block, rows.tolist()):
+            values[j] = value
     return values
 
 
@@ -315,16 +308,6 @@ def _gradient_tables(m: int):
     return outcomes, flipped, signs
 
 
-@functools.cache
-def _measured_parties(measured: tuple[int, ...], parties) -> tuple[tuple[int, ...], ...]:
-    """The parties whose qubits are all measured, in order, found once per (measured, parties).
-
-    _shape and _parties give parties wholly measured or wholly unmeasured;
-    the unmeasured ones cancel in the drop, their marginal untouched.
-    """
-    return tuple(g for g in parties if all(i in measured for i in g))
-
-
 def _marginal_tables(measured: tuple[int, ...], patterns) -> np.ndarray:
     """The 0/1 marginal table of each problem, whose measured parties are patterns[i].
 
@@ -333,6 +316,10 @@ def _marginal_tables(measured: tuple[int, ...], patterns) -> np.ndarray:
     widest table's width and the narrower ones padded with zero columns
     after their own: a zero marginal entry is an exact 0 to _terms and adds
     +0.0 after the real entries, so each row keeps its own problem's floats.
+    Stacking one pattern too gives the same bits, but the per-row gather
+    it then needs raised the 4-qubit ledger benchmark's work_ref by 2.7-4 %
+    (medians of 6 paired runs in two rounds, 2-core x86-64 VM), so one
+    pattern keeps its 2-D table.
     """
     if all(pattern == patterns[0] for pattern in patterns):
         return _marginal_table(measured, patterns[0])
@@ -435,8 +422,10 @@ def _make_objective(states, qs, measured: tuple[int, ...], groups, marginal_of=p
         ]
     )
 
-    # The table sums the outcomes into each measured party's marginal.
-    patterns = [_measured_parties(measured, parties) for parties in groups]
+    # The table sums the outcomes into each measured party's marginal. A
+    # party is wholly measured or not (_shape), so its first qubit tells,
+    # and the unmeasured ones cancel in the drop, their marginal untouched.
+    patterns = [tuple(g for g in parties if g[0] in measured) for parties in groups]
     tables = _marginal_tables(measured, patterns)
     consts = np.array(
         [_mutual_information(rho, parties, q, marginal_of) for rho, q, parties in zip(states, qs, patterns)]
@@ -734,48 +723,56 @@ def _bfgs_rows(objective, x0: np.ndarray, owner: np.ndarray, max_evals: int):
     return x, f, nfev, nfev < max_evals
 
 
+def _blocks(jobs, rows_per_job: int, marginal_of=partial_trace):
+    """The checked qs of jobs (rho, q, measured, cut) and a generator of their (block, measured, objective).
+
+    _shape checks each job's (qubit count, measured, cut), then every q
+    is checked, before this returns. The jobs of one shape (qubit count,
+    measured qubits), in first-seen order, go in blocks of
+    max(1, _MAX_ROWS // rows_per_job) jobs, in job order; a block's
+    objective, one _make_objective over its jobs' states, qs and parties,
+    is built when the generator reaches it.
+    """
+    parties, shapes = [], {}
+    for j, (rho, _, measured, cut) in enumerate(jobs):
+        measured, job_parties = _shape(rho.num_qubits, measured, _cut_key(cut))
+        parties.append(job_parties)
+        shapes.setdefault((rho.num_qubits, measured), []).append(j)
+    qs = [_check_q(q) for _, q, _, _ in jobs]
+    per_block = max(1, _MAX_ROWS // rows_per_job)
+
+    def blocks():
+        for (_, measured), members in shapes.items():
+            for first in range(0, len(members), per_block):
+                block = members[first : first + per_block]
+                states, block_qs, groups = zip(*((jobs[j][0], qs[j], parties[j]) for j in block))
+                yield block, measured, _make_objective(states, block_qs, measured, groups, marginal_of)
+
+    return qs, blocks()
+
+
 def _minimize_many(jobs, opt: OptimizerConfig | None):
     """Solve jobs (rho, q, measured, cut), yielding (j, report) pairs.
 
-    _shape checks each distinct (qubit count, measured, cut) once, then
-    every q and state size, all before the first solve. The jobs of one
-    shape, (qubit count, measured qubits), are solved in blocks of
-    max(1, _MAX_ROWS // starts), in job order, each job with its own
-    parties as it has its own state and q, so a whole state and its cuts
-    share a block; a block shares one objective and one lockstep, whose
-    rows are each job's starts in order: _bfgs_rows runs it when the
-    block has at least _ARRAY_ROWS rows, else _lockstep.
-    Each block's pairs are yielded as soon as it finishes, j the job's
-    index, so a caller that keeps only some fields holds one block's
-    reports at a time.
+    _blocks checks the jobs at opt.starts rows a job, then every state
+    size is checked, all before the first solve. A block is one lockstep
+    whose rows are each job's starts in order, run by _bfgs_rows from
+    _ARRAY_ROWS rows on, else by _lockstep. Each block's pairs are yielded
+    as soon as it finishes, j the job's index, so a caller that keeps only
+    some fields holds one block's reports at a time.
     """
-    resolved, parties, shapes = {}, [], {}
-    for j, (rho, _, measured, cut) in enumerate(jobs):
-        key = rho.num_qubits, measured, _cut_key(cut)
-        if key not in resolved:
-            resolved[key] = _shape(*key)
-        measured, job_parties = resolved[key]
-        parties.append(job_parties)
-        shapes.setdefault((key[0], measured), []).append(j)
-    qs = [_check_q(q) for _, q, _, _ in jobs]
+    opt = opt if opt is not None else OptimizerConfig()
+    qs, blocks = _blocks(jobs, opt.starts)
     if any(rho.num_qubits > DESK_SCALE_LIMIT for rho, *_ in jobs):
         raise ValueError(f"state exceeds desk-scale limit of {DESK_SCALE_LIMIT} qubits")
-    opt = opt if opt is not None else OptimizerConfig()
-    per_block = max(1, _MAX_ROWS // opt.starts)
-    for (_, measured), members in shapes.items():
-        starts = _start_points(len(measured), opt)
-        for first in range(0, len(members), per_block):
-            block = members[first : first + per_block]
-            objective = _make_objective(
-                [jobs[j][0] for j in block], [qs[j] for j in block], measured, [parties[j] for j in block]
-            )
-            x0 = np.tile(starts, (len(block), 1))
-            owner = np.repeat(np.arange(len(block)), opt.starts)
-            drive = _bfgs_rows if len(x0) >= _ARRAY_ROWS else _lockstep
-            xs, fun, nfev, success = drive(objective, x0, owner, opt.max_evals)
-            for i, j in enumerate(block):
-                rows = slice(i * opt.starts, (i + 1) * opt.starts)
-                yield j, _report(qs[j], measured, xs[rows], fun[rows], nfev[rows], success[rows])
+    for block, measured, objective in blocks:
+        x0 = np.tile(_start_points(len(measured), opt), (len(block), 1))
+        owner = np.repeat(np.arange(len(block)), opt.starts)
+        drive = _bfgs_rows if len(x0) >= _ARRAY_ROWS else _lockstep
+        xs, fun, nfev, success = drive(objective, x0, owner, opt.max_evals)
+        for i, j in enumerate(block):
+            rows = slice(i * opt.starts, (i + 1) * opt.starts)
+            yield j, _report(qs[j], measured, xs[rows], fun[rows], nfev[rows], success[rows])
 
 
 def _in_order(pairs) -> tuple[DiscordReport, ...]:

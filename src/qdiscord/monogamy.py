@@ -10,21 +10,20 @@ Nested pieces are induced_discord and q_gqd with cut=(first k)|(k+1 th);
 the cut (0)|(1) is the (0, 1) pairwise problem, so it is solved once.
 Every ledger value is a row of the objective q_gqd minimizes, as
 induced_discord evaluates it, so this module builds no measured state of
-its own. A ledger is one value-only pass (discord._evaluate) over its
-whole state and nested cuts: one objective per qubit count, so 3 at
-n = 4, where the whole state and the cut (012)|(3) share one, and still
-6 partial traces.
+its own.
 
-monogamy_report and bros_counterexample_audit are each a list of the
-solver's (rho, q, measured, cut) jobs, every qubit measured (measured
-None), solved in one discord._values call (one _minimize_many call) and
-then assembled from the values. _audit_and_reports solves the audit's
-list and the lists of many reports in one such call. A lockstep holds
-the jobs of one (qubit count, measured qubits), each row with its own
-parties as with its own q, so the monogamy verify suite runs one
-lockstep for the pairs and one for the whole states and their cuts, not
-one per report or per cut. Each value is the solo q_gqd's, whichever
-jobs share its lockstep.
+Every value here comes from a list of discord's (rho, q, measured, cut)
+jobs, every qubit measured, which discord._blocks plans into one
+objective per block of one (qubit count, measured qubits), each row with
+its own state, q and parties. A ledger is one value-only pass
+(discord._evaluate) over its whole state and nested cuts, each at its
+slice of the angles: 3 objectives and 3 calls at n = 4, where the whole
+state and the cut (012)|(3) share one, and 6 partial traces.
+monogamy_report and bros_counterexample_audit each solve their list in
+one discord._values call, as _audit_and_reports solves the audit's list
+and many reports' together, so the monogamy verify suite runs one
+lockstep for the pairs and one for the whole states and their cuts. Each
+value is the solo q_gqd's, whichever jobs share its lockstep.
 """
 
 from __future__ import annotations
@@ -140,15 +139,14 @@ def decompose_induced_gqd(
 
     Every value is induced_discord's float: the total on rho, and
     terms[k-1] on the first k+1 qubits across the cut (first k)|(k+1 th),
-    measured by phi's first k+1 axes. All of them come from one
-    value-only pass, discord._evaluate, with one objective and one call
-    per qubit count: 3 at n = 4, the whole state and the last cut sharing
-    the 4-qubit one. Each marginal is built once per call, from rho:
-    partial_trace traces out qubits in descending order, so a marginal of
-    a prefix marginal is bit for bit the same marginal of rho, and a
-    4-qubit ledger still makes 6 partial traces.
+    measured by phi's first k+1 axes. The whole state and the nested cuts
+    are one value-only pass, discord._evaluate, each job at its slice of
+    phi's angles: one objective and one call per qubit count, 3 at n = 4.
+    Each marginal is built once per call, from rho: partial_trace traces
+    out qubits in descending order, so a marginal of a prefix marginal is
+    bit for bit the same marginal of rho, and a 4-qubit ledger still makes
+    6 partial traces.
     """
-    q = _check_q(q)
     n = rho.num_qubits
     angles = _angles(phi, n)
     built = {tuple(range(n)): rho}
@@ -160,10 +158,10 @@ def decompose_induced_gqd(
             built[keep] = partial_trace(rho, keep)
         return built[keep]
 
-    rows = [(rho, q, None, angles)] + [
-        (marginal_of(rho, range(k + 1)), q, _first_vs_last(k), angles[: 2 * (k + 1)]) for k in range(1, n)
+    jobs = [(rho, q, None, None)] + [
+        (marginal_of(rho, range(k + 1)), q, None, _first_vs_last(k)) for k in range(1, n)
     ]
-    total, *terms = _evaluate(rows, marginal_of)
+    total, *terms = _evaluate(jobs, [angles[: 2 * state.num_qubits] for state, *_ in jobs], marginal_of)
     return DecompositionLedger(total, tuple(terms), total - sum(terms))
 
 

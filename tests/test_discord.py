@@ -33,6 +33,7 @@ from qdiscord.measurement import (
     product_basis,
     projectors,
 )
+from qdiscord.monogamy import decompose_induced_gqd
 from qdiscord.states import random_density_matrix, werner_ghz
 
 LIGHT = OptimizerConfig(starts=4, max_evals=400)
@@ -109,6 +110,19 @@ class TestCut:
         with pytest.raises(ValueError, match="measured qubits must be a sequence"):
             q_qd_one_sided(rho, 2, 0.5, LIGHT)
         assert calls == []
+
+    def test_rejects_non_integer_indices(self):
+        # A float index equals and hashes like its int, so a cut checked
+        # once must still refuse it in float form, before or after the int
+        # form has been seen.
+        rho = random_density_matrix(3, seed=61)
+        phi = ProductMeasurement.uniform_axis(3, (0.0, 0.0, 1.0))
+        induced_discord(rho, phi, 0.5, cut=((0,), (1, 2)))
+        for cut in (((0,), (1.0, 2)), ((0.0,), (1, 2))):
+            with pytest.raises(ValueError, match="qubit index must be an integer"):
+                induced_discord(rho, phi, 0.5, cut=cut)
+            with pytest.raises(ValueError, match="qubit index must be an integer"):
+                q_gqd(rho, 0.5, LIGHT, cut=cut)
 
     def test_must_cover_every_qubit(self):
         rho = random_density_matrix(3, seed=61)
@@ -916,9 +930,9 @@ class TestManyProblems:
         built = []
         make = discord._make_objective
 
-        def counting(states, qs, measured, groups):
+        def counting(states, qs, measured, groups, marginal_of):
             built.append((states[0].num_qubits, measured, tuple(groups)))
-            return make(states, qs, measured, groups)
+            return make(states, qs, measured, groups, marginal_of)
 
         monkeypatch.setattr(discord, "_make_objective", counting)
         reports = discord._in_order(discord._minimize_many(jobs, LIGHT))
@@ -1133,7 +1147,88 @@ class TestValuePass:
         solo = [induced_discord(rho, phi, q, cut=cut) for rho, q, cut, phi in rows]
         built = count_objectives(monkeypatch)
         calls = count_rows(monkeypatch)
-        values = _evaluate([(rho, q, cut, _angles(phi, rho.num_qubits)) for rho, q, cut, phi in rows])
+        values = _evaluate(
+            [(rho, q, None, cut) for rho, q, cut, _ in rows], [_angles(phi, rho.num_qubits) for rho, _, _, phi in rows]
+        )
         assert [v.hex() for v in values] == [v.hex() for v in solo]
         assert built == [3, 2, 3]
         assert calls == [3, 2, 3]
+
+    def test_rows_measure_a_subset(self, monkeypatch):
+        # A value job measures its measured qubits as a solver job does:
+        # one _evaluate call mixes whole states, cuts and subset-measured
+        # jobs on 3 and 4 qubits, builds one objective per (qubit count,
+        # measured qubits), in first-seen order, and each value is the row
+        # of that problem's own objective at the same angles.
+        rng = np.random.default_rng(23)
+        jobs = [
+            (random_density_matrix(3, seed=310), 0.5, None, None),
+            (random_density_matrix(4, seed=311), 1.0, None, ((0, 3), (1, 2))),
+            (random_density_matrix(3, seed=312), 2.0, (2,), None),
+            (random_density_matrix(4, seed=313), 0.7, (1, 3), None),
+            (random_density_matrix(3, seed=314), 0.25, (2,), None),
+            (random_density_matrix(3, seed=315), 1.5, None, ((1,), (0, 2))),
+        ]
+        shapes = [discord._shape(rho.num_qubits, measured, cut) for rho, _, measured, cut in jobs]
+        angles = [random_angles(rng, len(measured)) for measured, _ in shapes]
+        alone = [
+            single(rho, q, measured, parties)(angles[j][None])[0]
+            for j, ((rho, q, _, _), (measured, parties)) in enumerate(zip(jobs, shapes))
+        ]
+        built = []
+        make = discord._make_objective
+
+        def counting(states, qs, measured, *args):
+            built.append((states[0].num_qubits, measured, len(states)))
+            return make(states, qs, measured, *args)
+
+        monkeypatch.setattr(discord, "_make_objective", counting)
+        values = _evaluate(jobs, angles)
+        assert [v.hex() for v in values] == [float(v).hex() for v in alone]
+        assert built == [(3, (0, 1, 2), 2), (4, (0, 1, 2, 3), 1), (3, (2,), 2), (4, (1, 3), 1)]
+
+    def test_rows_run_in_blocks_of_bounded_rows(self, monkeypatch):
+        # The value pass is bounded like the search, at one row a job: with
+        # _MAX_ROWS = 2, five jobs of one shape make calls of 2, 2 and 1
+        # rows, and every value stays the same.
+        rng = np.random.default_rng(29)
+        qs = (0.5, 1.0, 2.0, 0.7, 1.5)
+        jobs = [(random_density_matrix(3, seed=320 + k), q, None, None) for k, q in enumerate(qs)]
+        angles = [random_angles(rng, 3) for _ in jobs]
+        free = _evaluate(jobs, angles)
+        monkeypatch.setattr(discord, "_MAX_ROWS", 2)
+        calls = count_rows(monkeypatch)
+        bounded = _evaluate(jobs, angles)
+        assert calls == [2, 2, 1]
+        assert [v.hex() for v in bounded] == [v.hex() for v in free]
+
+    def test_checks_every_job_before_any_objective(self, monkeypatch):
+        # The value pass checks its jobs as the search does: a bad q or
+        # shape in the last job raises before the first objective is built.
+        built = count_objectives(monkeypatch)
+        rho = random_density_matrix(3, seed=330)
+        angles = [random_angles(np.random.default_rng(31), 3)] * 2
+        for job, message in (
+            ((rho, 0.0, None, None), "q must be a positive real number"),
+            ((rho, 0.5, None, ((0,), (1,))), "cover every qubit"),
+            ((rho, 0.5, (0,), ((0,), (1, 2))), "one-sided job takes no cut"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                _evaluate([(rho, 0.5, None, None), job], angles)
+        assert built == []
+
+    def test_desk_scale_limit_is_the_search_s(self):
+        # Fixed measurements have no qubit limit: on a 5-qubit state the
+        # induced discord and the telescoping ledger still return, while
+        # the search refuses the state.
+        rng = np.random.default_rng(37)
+        g = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+        m = g @ g.conj().T
+        rho = DensityMatrix(m / m.trace().real)
+        phi = ProductMeasurement.from_angles(random_angles(rng, 5).reshape(-1, 2))
+        value = induced_discord(rho, phi, 0.5)
+        ledger = decompose_induced_gqd(rho, phi, 0.5)
+        assert ledger.total == value
+        assert abs(ledger.residual) <= 1e-9
+        with pytest.raises(ValueError, match="desk-scale limit"):
+            q_gqd(rho, 0.5)
