@@ -26,7 +26,6 @@ from .analytic import (
 from .discord import (
     CLAMP_SLACK,
     OptimizerConfig,
-    _in_order,
     _minimize_many,
     _values,
     mutual_information_q,
@@ -161,7 +160,7 @@ def _suite_nonnegativity(seed, trials, opt):
     # Every global job, then every one-sided job measuring the last qubit, in one call.
     jobs = [(rho, q, None, None) for rho in rhos for q in q_grid]
     jobs += [(rho, q, (rho.num_qubits - 1,), None) for rho in rhos for q in q_grid]
-    raw = [r.raw_value for r in _in_order(_minimize_many(jobs, opt))]
+    raw = [r.raw_value for r in _minimize_many(jobs, opt)]
     global_raw, one_sided_raw = raw[: len(raw) // 2], raw[len(raw) // 2 :]
     min_gqd = min(global_raw)
     min_one_sided = min(one_sided_raw)
@@ -222,7 +221,7 @@ def _suite_monogamy(seed, trials, opt):
     for assemble in reports:
         try:
             report = assemble()
-        except RuntimeError:  # raised exactly when the condition holds and the inequality fails
+        except RuntimeError:  # the condition holds while the inequality and the bounded sum fail
             implication_violations += 1
             continue
         bounded_failures += int(not report.bounded_sum_holds)

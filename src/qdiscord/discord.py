@@ -22,14 +22,13 @@ then puts the jobs of one shape (qubit count, measured qubits) in blocks
 of at most _MAX_ROWS rows (at least one job), one _make_objective a
 block, each row with its own state, q and parties, so a whole state and
 its cuts share their calls. _minimize_many runs a block, opt.starts rows
-a job, as one lockstep; _evaluate, the value-only pass for fixed
-measurements, runs it, one row a job, in one gradient-free call, and
-induced_discord and the telescoping ledger are such passes. The public
-entries are job lists, a solo call a list of one. A row of the batch is
-the same float as that row alone, so a start's result does not depend on
-which starts share its rounds, and each report of a _many call equals
-the solo call's. Each block's reports are handed over as it finishes, so
-_values, the sweep's and monogamy's collector, keeps only their values.
+a job, as one lockstep and returns the reports in job order; _evaluate,
+the value-only pass for fixed measurements, runs it, one row a job, in
+one gradient-free call, and induced_discord and the telescoping ledger
+are such passes. The public entries are job lists, a solo call a list of
+one. A row of the batch is the same float as that row alone, so a
+start's result does not depend on which starts share its rounds, and
+each report of a _many call equals the solo call's.
 
 Two drivers run a lockstep's rows, the start points x0 (K, 2m) and the
 problem owner (K,) of each, and return (x, f, evaluations, success) per
@@ -45,17 +44,9 @@ OpenBLAS thread, best of 5):
     rows per lockstep   4              16             32             64             256
     _bfgs_rows / _bfgs  1.76/1.74/1.83 1.33/0.99/1.02 0.88/0.65/0.78 0.56/0.45/0.67 0.26/0.35/0.51
 
-The objective gets the measured spectrum from W^dagger (rho W), one
-batched matmul per call that its gradient reuses; with every qubit
-measured it takes the diagonal apply_full uses, else eigh's block spectra,
-so value calls and gradient calls agree bit for bit. The measured
-parties' marginals come from one stacked matmul with a 0/1 table built
-once per pattern of parties, a row's own table when the problems' parties
-differ, and with every qubit measured the gradient's traces are
-one gather from C = W^dagger (rho W). It is the only code that evaluates
-I_q(Phi(rho)), so no measured state is built. The constant I_q(rho) of
-each problem takes every entropy from one entropy._terms call over the
-state's and its parties' spectra.
+The objective, _make_objective, is the only code that evaluates
+I_q(Phi(rho)), so no measured state is built; its docstring describes
+the kernel.
 """
 
 from __future__ import annotations
@@ -67,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import _check_q, _terms
-from .linalg import DESK_SCALE_LIMIT, DensityMatrix, _index, partial_trace
+from .linalg import DESK_SCALE_LIMIT, DensityMatrix, _index, _indices, partial_trace
 from .measurement import ProductMeasurement, _angles, _diagonal, product_basis
 
 CLAMP_SLACK = 1e-8
@@ -751,20 +742,20 @@ def _blocks(jobs, rows_per_job: int, marginal_of=partial_trace):
     return qs, blocks()
 
 
-def _minimize_many(jobs, opt: OptimizerConfig | None):
-    """Solve jobs (rho, q, measured, cut), yielding (j, report) pairs.
+def _minimize_many(jobs, opt: OptimizerConfig | None) -> tuple[DiscordReport, ...]:
+    """The reports of jobs (rho, q, measured, cut), in job order.
 
     _blocks checks the jobs at opt.starts rows a job, then every state
     size is checked, all before the first solve. A block is one lockstep
     whose rows are each job's starts in order, run by _bfgs_rows from
-    _ARRAY_ROWS rows on, else by _lockstep. Each block's pairs are yielded
-    as soon as it finishes, j the job's index, so a caller that keeps only
-    some fields holds one block's reports at a time.
+    _ARRAY_ROWS rows on, else by _lockstep, and it writes each job's
+    report into that job's slot.
     """
     opt = opt if opt is not None else OptimizerConfig()
     qs, blocks = _blocks(jobs, opt.starts)
     if any(rho.num_qubits > DESK_SCALE_LIMIT for rho, *_ in jobs):
         raise ValueError(f"state exceeds desk-scale limit of {DESK_SCALE_LIMIT} qubits")
+    reports = [None] * len(jobs)
     for block, measured, objective in blocks:
         x0 = np.tile(_start_points(len(measured), opt), (len(block), 1))
         owner = np.repeat(np.arange(len(block)), opt.starts)
@@ -772,20 +763,13 @@ def _minimize_many(jobs, opt: OptimizerConfig | None):
         xs, fun, nfev, success = drive(objective, x0, owner, opt.max_evals)
         for i, j in enumerate(block):
             rows = slice(i * opt.starts, (i + 1) * opt.starts)
-            yield j, _report(qs[j], measured, xs[rows], fun[rows], nfev[rows], success[rows])
-
-
-def _in_order(pairs) -> tuple[DiscordReport, ...]:
-    """The reports of _minimize_many's (j, report) pairs, in job order."""
-    return tuple(report for _, report in sorted(pairs, key=lambda pair: pair[0]))
+            reports[j] = _report(qs[j], measured, xs[rows], fun[rows], nfev[rows], success[rows])
+    return tuple(reports)
 
 
 def _values(jobs, opt: OptimizerConfig | None) -> list[float]:
-    """Each job's report value, in job order, from one _minimize_many call; no report outlives its block."""
-    values = [0.0] * len(jobs)
-    for j, report in _minimize_many(jobs, opt):
-        values[j] = report.value
-    return values
+    """Each job's report value, in job order, from one _minimize_many call."""
+    return [report.value for report in _minimize_many(jobs, opt)]
 
 
 def _report(q: float, measured: tuple[int, ...], xs, fun, nfev, success) -> DiscordReport:
@@ -835,7 +819,7 @@ def q_gqd_many(jobs, opt: OptimizerConfig | None = None, *, cut=None) -> tuple[D
     report equals q_gqd(rho, q, opt, cut=cut) field for field, and every q
     is checked before the first solve.
     """
-    return _in_order(_minimize_many([(rho, q, None, cut) for rho, q in jobs], opt))
+    return _minimize_many([(rho, q, None, cut) for rho, q in jobs], opt)
 
 
 def q_qd_one_sided(
@@ -865,8 +849,5 @@ def q_qd_one_sided_many(jobs, measured, opt: OptimizerConfig | None = None) -> t
     Solved together as q_gqd_many solves its jobs; each report equals
     q_qd_one_sided(rho, measured, q, opt) field for field.
     """
-    try:
-        measured = tuple(sorted({_index(i, "qubit index") for i in measured}))
-    except TypeError:
-        raise ValueError("measured qubits must be a sequence of qubit indices") from None
-    return _in_order(_minimize_many([(rho, q, measured, None) for rho, q in jobs], opt))
+    measured = tuple(sorted(set(_indices(measured, "measured qubits must be a sequence of qubit indices"))))
+    return _minimize_many([(rho, q, measured, None) for rho, q in jobs], opt)

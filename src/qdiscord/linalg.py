@@ -139,6 +139,14 @@ def _index(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _indices(values, message: str) -> tuple[int, ...]:
+    """values as a tuple of int qubit indices; a non-iterable raises ValueError(message)."""
+    try:
+        return tuple(_index(i, "qubit index") for i in values)
+    except TypeError:
+        raise ValueError(message) from None
+
+
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Trace out every qubit not listed in keep.
 
@@ -146,7 +154,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     keep={0, 2} on a 3-qubit state yields the (q0, q2) marginal.
     """
     n = rho.num_qubits
-    kept = sorted({_index(k, "qubit index") for k in keep})
+    kept = sorted(set(_indices(keep, "keep must be a collection of qubit indices")))
     if not kept:
         raise ValueError("cannot trace out all qubits")
     if kept[0] < 0 or kept[-1] >= n:
@@ -165,7 +173,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 def permute_qubits(rho: DensityMatrix, order: Iterable[int]) -> DensityMatrix:
     """Reorder tensor factors so that new qubit k is old qubit order[k]."""
     n = rho.num_qubits
-    order = tuple(_index(i, "qubit index") for i in order)
+    order = _indices(order, "order must be a permutation of all qubit indices")
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of all qubit indices")
     t = rho.matrix.reshape((2,) * (2 * n))

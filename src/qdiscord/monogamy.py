@@ -17,13 +17,12 @@ jobs, every qubit measured, which discord._blocks plans into one
 objective per block of one (qubit count, measured qubits), each row with
 its own state, q and parties. A ledger is one value-only pass
 (discord._evaluate) over its whole state and nested cuts, each at its
-slice of the angles: 3 objectives and 3 calls at n = 4, where the whole
-state and the cut (012)|(3) share one, and 6 partial traces.
-monogamy_report and bros_counterexample_audit each solve their list in
-one discord._values call, as _audit_and_reports solves the audit's list
-and many reports' together, so the monogamy verify suite runs one
-lockstep for the pairs and one for the whole states and their cuts. Each
-value is the solo q_gqd's, whichever jobs share its lockstep.
+slice of the angles. monogamy_report and bros_counterexample_audit each
+solve their list in one discord._values call, as _audit_and_reports
+solves the audit's list and many reports' together, so the monogamy
+verify suite runs one lockstep for the pairs and one for the whole
+states and their cuts. Each value is the solo q_gqd's, whichever jobs
+share its lockstep.
 """
 
 from __future__ import annotations
@@ -92,6 +91,12 @@ class MonogamyReport:
     theorem (minimize the exact decomposition term by term), so False
     signals optimizer failure rather than physics. The raw margins are kept
     alongside the booleans.
+
+    For exact minima the condition implies the inequality, but with tol in
+    each comparison (nested[0] is pairwise[0]) the condition and the
+    bounded sum give only whole >= sum(pairwise) - (n - 1) tol. So a
+    report raises RuntimeError, an optimizer or implementation fault, only
+    when the condition holds and the inequality and the bounded sum fail.
     """
 
     whole: float
@@ -141,7 +146,8 @@ def decompose_induced_gqd(
     terms[k-1] on the first k+1 qubits across the cut (first k)|(k+1 th),
     measured by phi's first k+1 axes. The whole state and the nested cuts
     are one value-only pass, discord._evaluate, each job at its slice of
-    phi's angles: one objective and one call per qubit count, 3 at n = 4.
+    phi's angles: one objective and one call per qubit count, 3 at n = 4,
+    where the whole state and the cut (012)|(3) share one.
     Each marginal is built once per call, from rho: partial_trace traces
     out qubits in descending order, so a marginal of a prefix marginal is
     bit for bit the same marginal of rho, and a 4-qubit ledger still makes
@@ -188,7 +194,8 @@ def _report_from(n: int, values) -> MonogamyReport:
     condition_margins = tuple(ns - pw for ns, pw in zip(nested, pairwise))
     inequality_holds = _holds(inequality_margin)
     condition_holds = all(map(_holds, condition_margins))
-    if condition_holds and not inequality_holds:
+    bounded_sum_holds = _holds(whole - sum(nested))
+    if condition_holds and not (inequality_holds or bounded_sum_holds):
         raise RuntimeError(
             "nested domination holds but the monogamy inequality failed; "
             "this indicates an optimizer or implementation fault"
@@ -201,7 +208,7 @@ def _report_from(n: int, values) -> MonogamyReport:
         condition_holds=condition_holds,
         inequality_margin=inequality_margin,
         condition_margins=condition_margins,
-        bounded_sum_holds=_holds(whole - sum(nested)),
+        bounded_sum_holds=bounded_sum_holds,
     )
 
 
@@ -216,8 +223,8 @@ def monogamy_report(
     The whole state, its n - 1 pairs and its n - 2 other nested cuts are
     one job list, solved in one _values call, each value the solo
     q_gqd's; a loop then sets each pair against its nested cut.
-    condition_holds implies inequality_holds mathematically; that
-    implication is enforced as a hard check.
+    A report whose condition holds while both the inequality and the
+    bounded sum fail raises RuntimeError (see MonogamyReport).
     """
     return _report_from(rho.num_qubits, _values(_report_jobs(rho, q), opt))
 

@@ -302,19 +302,19 @@ class TestExitCodes:
 
 
 class TestSweep:
-    def test_streamed_values_match_collected_reports(self, monkeypatch):
-        # The sweep keeps each block's values as the block finishes. With
-        # two jobs a block and targets of two shapes, blocks finish out of
-        # job order; the CSV is still the one built from the full tuple.
+    def test_values_match_q_gqd_many_reports(self, monkeypatch):
+        # The sweep takes its cells from _values. With two jobs a block and
+        # targets of two shapes, blocks finish out of job order; the CSV is
+        # still the one built from q_gqd_many's reports of the same jobs.
         targets = [cli._parse_target(t) for t in ("alpha:0.58", "werner:3:0.4")]
         qs = np.linspace(0.3, 1.5, 5)
         opt = OptimizerConfig(starts=4, max_evals=400)
         monkeypatch.setattr(discord, "_MAX_ROWS", 8)
-        streamed = cli._render_sweep(qs, targets, opt)
+        from_values = cli._render_sweep(qs, targets, opt)
         monkeypatch.setattr(
             cli, "_values", lambda jobs, opt: [r.value for r in q_gqd_many([(rho, q) for rho, q, _, _ in jobs], opt)]
         )
-        assert streamed == cli._render_sweep(qs, targets, opt)
+        assert from_values == cli._render_sweep(qs, targets, opt)
 
     def test_mixed_target_is_all_zero(self, capsys):
         code = main(

@@ -1,8 +1,6 @@
 import dataclasses
 import functools
-import gc
 import itertools
-import weakref
 
 import numpy as np
 import pytest
@@ -901,7 +899,7 @@ class TestManyProblems:
             (rho3, 1.5, None, ((0, 2), (1,))),
         ]
         built = count_objectives(monkeypatch)
-        reports = discord._in_order(discord._minimize_many(jobs, LIGHT))
+        reports = discord._minimize_many(jobs, LIGHT)
         assert sorted(built) == [1, 4]
         for (rho, q, _, cut), report in zip(jobs, reports):
             assert report_fields(report) == report_fields(q_gqd(rho, q, LIGHT, cut=cut))
@@ -911,6 +909,8 @@ class TestManyProblems:
         # in one job list: one objective per distinct shape (qubit count,
         # measured qubits), each problem with its own parties in job order,
         # however the jobs of a shape are interleaved, and every report is
+        # the solo call's. Again with one job a block, so the blocks, run
+        # shape by shape, finish out of job order: each report is still
         # the solo call's.
         rho2, rho3, rho4 = (random_density_matrix(n, seed=200 + n) for n in (2, 3, 4))
         jobs = [
@@ -935,7 +935,7 @@ class TestManyProblems:
             return make(states, qs, measured, groups, marginal_of)
 
         monkeypatch.setattr(discord, "_make_objective", counting)
-        reports = discord._in_order(discord._minimize_many(jobs, LIGHT))
+        reports = discord._minimize_many(jobs, LIGHT)
         singles2, singles3, singles4 = (tuple((i,) for i in range(n)) for n in (2, 3, 4))
         assert sorted(built) == [
             (2, (0, 1), (singles2, singles2)),
@@ -945,12 +945,15 @@ class TestManyProblems:
             (4, (0, 1, 2, 3), (singles4, ((0, 1), (2, 3)), ((0, 1), (2, 3)))),
             (4, (3,), (((0, 1, 2), (3,)),) * 2),
         ]
-        for (rho, q, measured, cut), report in zip(jobs, reports):
+        monkeypatch.setattr(discord, "_MAX_ROWS", LIGHT.starts)
+        one_job_blocks = discord._minimize_many(jobs, LIGHT)
+        assert len(built) == 6 + len(jobs)
+        for (rho, q, measured, cut), report, bounded in zip(jobs, reports, one_job_blocks):
             if measured is None:
                 solo = q_gqd(rho, q, LIGHT, cut=cut)
             else:
                 solo = q_qd_one_sided(rho, measured, q, LIGHT)
-            assert report_fields(report) == report_fields(solo)
+            assert report_fields(report) == report_fields(solo) == report_fields(bounded)
 
     def test_one_sided_reports_equal_solo_calls(self):
         jobs = [
@@ -982,7 +985,7 @@ class TestManyProblems:
             (None, ((0,), (1,)), "cover every qubit"),
         ):
             with pytest.raises(ValueError, match=message):
-                next(discord._minimize_many(first + [(jobs[1][0], 0.5, measured, cut)], LIGHT))
+                discord._minimize_many(first + [(jobs[1][0], 0.5, measured, cut)], LIGHT)
         assert calls == []
 
     def test_one_sided_job_with_a_cut_raises_before_any_objective_call(self, monkeypatch):
@@ -994,7 +997,7 @@ class TestManyProblems:
         for cut in (((0,), (1, 2)), ((0, 1), (2,))):
             jobs = [(rho3, 0.5, None, None), (rho3, 0.5, (2,), cut)]
             with pytest.raises(ValueError, match="one-sided job takes no cut"):
-                next(discord._minimize_many(jobs, LIGHT))
+                discord._minimize_many(jobs, LIGHT)
         assert calls == []
 
     def test_one_call_per_round(self, monkeypatch):
@@ -1052,29 +1055,6 @@ class TestManyProblems:
                 one_sided = q_qd_one_sided_many(jobs, (1,), LIGHT)
             assert [report_fields(r) for r in bounded] == free
             assert [report_fields(r) for r in one_sided] == one_sided_free
-
-    def test_reports_are_handed_over_block_by_block(self, monkeypatch):
-        # With two jobs a block, a caller that drops each report as it is
-        # yielded holds no earlier report at any yield, so a long job list
-        # keeps memory bounded.
-        refs = []
-        make = discord._report
-
-        def tracked(*args):
-            report = make(*args)
-            refs.append(weakref.ref(report))
-            return report
-
-        monkeypatch.setattr(discord, "_report", tracked)
-        monkeypatch.setattr(discord, "_MAX_ROWS", 2 * LIGHT.starts)
-        built = count_objectives(monkeypatch)
-        qs = (0.5, 1.0, 2.0, 0.7, 1.5)
-        jobs = [(random_density_matrix(2, seed=175 + k), q, None, None) for k, q in enumerate(qs)]
-        for seen, (_, report) in enumerate(discord._minimize_many(jobs, LIGHT), start=1):
-            gc.collect()
-            assert len(refs) == seen and refs[-1]() is report
-            assert all(ref() is None for ref in refs[:-1])
-        assert built == [2, 2, 1]
 
 
 class TestOneSided:

@@ -180,6 +180,8 @@ class TestPartialTrace:
             partial_trace(rho, ())
         with pytest.raises(ValueError, match="out of range"):
             partial_trace(rho, (0, 2))
+        with pytest.raises(ValueError, match="keep must be a collection of qubit indices"):
+            partial_trace(rho, 0)
 
 
 class TestPermuteQubits:
@@ -202,6 +204,8 @@ class TestPermuteQubits:
         rho = DensityMatrix(BELL)
         with pytest.raises(ValueError, match="permutation"):
             permute_qubits(rho, (0, 0))
+        with pytest.raises(ValueError, match="permutation"):
+            permute_qubits(rho, 1)
 
 
 class TestStateSpectrum:

@@ -186,13 +186,26 @@ class TestMonogamyReport:
 
     def test_condition_without_inequality_raises(self, monkeypatch):
         # Whole 0.1, every other value 0.2: nested domination holds, yet
-        # 0.1 < 0.2 + 0.2, which only a faulty solve can produce.
+        # 0.1 < 0.2 + 0.2 fails both the inequality and the bounded sum,
+        # which only a faulty solve can produce.
         def fake_values(jobs, opt=None):
             return [0.1 if rho.num_qubits == 3 and cut is None else 0.2 for rho, _, _, cut in jobs]
 
         monkeypatch.setattr(monogamy, "_values", fake_values)
         with pytest.raises(RuntimeError, match="monogamy inequality failed"):
             monogamy_report(random_density_matrix(3, seed=40), 0.5, LIGHT)
+
+    def test_condition_and_bounded_sum_allow_the_inequality_to_fail(self, monkeypatch):
+        # Each comparison allows INEQUALITY_TOL, so at n = 3 the condition
+        # and the bounded sum bound whole - sum(pairwise) below by only
+        # -2 tol. These values pass both and miss the inequality by 1.3e-6:
+        # consistent, so the report is built, not raised.
+        values = [0.3 - 1.3e-6, 0.1, 0.2, 0.2 - 0.8e-6]
+        monkeypatch.setattr(monogamy, "_values", lambda jobs, opt=None: values)
+        report = monogamy_report(random_density_matrix(3, seed=40), 0.5, LIGHT)
+        assert report.condition_holds and report.bounded_sum_holds
+        assert not report.inequality_holds
+        assert (report.whole, report.pairwise, report.nested) == (values[0], (0.1, 0.2), (0.1, values[3]))
 
     def test_margins_are_consistent(self):
         report = monogamy_report(random_density_matrix(3, seed=40), 0.5, LIGHT)
