@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import _check_q, _terms
-from .linalg import DESK_SCALE_LIMIT, DensityMatrix, _index, _indices, partial_trace
+from .linalg import DESK_SCALE_LIMIT, DensityMatrix, _index, _indices, _marginal
 from .measurement import ProductMeasurement, _angles, _diagonal, product_basis
 
 CLAMP_SLACK = 1e-8
@@ -189,14 +189,18 @@ def _shape(n: int, measured, cut) -> tuple[tuple[int, ...], tuple[tuple[int, ...
     return measured, (tuple(i for i in range(n) if i not in measured), measured)
 
 
-def _mutual_information(rho: DensityMatrix, groups, q: float, marginal_of=partial_trace) -> float:
+def _mutual_information(rho: DensityMatrix, groups, q: float) -> float:
     """-S_q(rho) + sum_g S_q(rho_g) for a checked q, summed in that order over the groups.
 
-    marginal_of(rho, g) builds rho_g. The entropies come from one _terms
-    call over the concatenated spectra, each summed on its own slice, so
-    each is the float tsallis_entropy gives alone.
+    Each rho_g is linalg._marginal's plain array, not a DensityMatrix:
+    rho has passed its checks, and checking rho_g again would add up the
+    Hermiticity error of every entry a traced-out qubit sums, so an
+    admitted state could fail at its own marginals. The entropies come
+    from one _terms call over the concatenated spectra, each summed on its
+    own slice, so each is the float tsallis_entropy gives alone.
     """
-    spectra = [rho.eigenvalues] + [marginal_of(rho, g).eigenvalues for g in groups]
+    n = rho.num_qubits
+    spectra = [rho.eigenvalues] + [np.linalg.eigvalsh(_marginal(rho.matrix, n, g))[::-1] for g in groups]
     p, x, s = _terms(np.concatenate(spectra), q)
     px = p * x
     ends = np.cumsum([spectrum.size for spectrum in spectra]).tolist()
@@ -228,16 +232,15 @@ def induced_discord(
     return value
 
 
-def _evaluate(jobs, angles, marginal_of=partial_trace) -> list[float]:
+def _evaluate(jobs, angles) -> list[float]:
     """The values of jobs (rho, q, measured, cut) at fixed measurements, in job order.
 
     angles[j] is job j's measured qubits' (theta, phi) pairs, flat and in
     measured order. _blocks checks and groups the jobs as for the search,
     at one row a job, and each block makes one value-only call, so a job's
-    value is the float it gets alone. marginal_of(rho, g) builds the
-    parties' marginals.
+    value is the float it gets alone.
     """
-    _, blocks = _blocks(jobs, 1, marginal_of)
+    _, blocks = _blocks(jobs, 1)
     values = [0.0] * len(jobs)
     for block, _, objective in blocks:
         rows = objective(np.array([angles[j] for j in block]), np.arange(len(block)))
@@ -348,15 +351,14 @@ def _marginal_table(measured: tuple[int, ...], parties: tuple[tuple[int, ...], .
     return table
 
 
-def _make_objective(states, qs, measured: tuple[int, ...], groups, marginal_of=partial_trace):
+def _make_objective(states, qs, measured: tuple[int, ...], groups):
     """Batched I_q(rho) - I_q(Phi(rho)) over problems of one shape.
 
     The problems are the triples of states (all of one qubit count), qs
     and groups, one party tuple per problem, with the same measured
     qubits. objective(angles, owner) maps angles of shape (K, 2m) to K
     values, row k evaluated on problem owner[k]: its state, its q and its
-    parties. marginal_of(rho, g) builds each problem's marginals once,
-    here.
+    parties.
 
     Phi(rho) is diagonal in the product measurement basis (block diagonal
     when some qubits stay unmeasured), so the measured-state entropies come
@@ -419,7 +421,7 @@ def _make_objective(states, qs, measured: tuple[int, ...], groups, marginal_of=p
     patterns = [tuple(g for g in parties if g[0] in measured) for parties in groups]
     tables = _marginal_tables(measured, patterns)
     consts = np.array(
-        [_mutual_information(rho, parties, q, marginal_of) for rho, q, parties in zip(states, qs, patterns)]
+        [_mutual_information(rho, parties, q) for rho, q, parties in zip(states, qs, patterns)]
     )
     qs = np.array(qs, dtype=float)
 
@@ -714,7 +716,7 @@ def _bfgs_rows(objective, x0: np.ndarray, owner: np.ndarray, max_evals: int):
     return x, f, nfev, nfev < max_evals
 
 
-def _blocks(jobs, rows_per_job: int, marginal_of=partial_trace):
+def _blocks(jobs, rows_per_job: int):
     """The checked qs of jobs (rho, q, measured, cut) and a generator of their (block, measured, objective).
 
     _shape checks each job's (qubit count, measured, cut), then every q
@@ -737,7 +739,7 @@ def _blocks(jobs, rows_per_job: int, marginal_of=partial_trace):
             for first in range(0, len(members), per_block):
                 block = members[first : first + per_block]
                 states, block_qs, groups = zip(*((jobs[j][0], qs[j], parties[j]) for j in block))
-                yield block, measured, _make_objective(states, block_qs, measured, groups, marginal_of)
+                yield block, measured, _make_objective(states, block_qs, measured, groups)
 
     return qs, blocks()
 

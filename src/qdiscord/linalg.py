@@ -147,11 +147,31 @@ def _indices(values, message: str) -> tuple[int, ...]:
         raise ValueError(message) from None
 
 
+def _marginal(matrix: np.ndarray, n: int, kept) -> np.ndarray:
+    """The reduced matrix on the qubits kept of an n-qubit matrix, as a plain array.
+
+    kept holds valid qubit indices, and the retained qubits stay in their
+    original relative order. The other qubits are traced out in descending
+    order, so a marginal of a prefix marginal is bit for bit the same
+    marginal of the whole matrix.
+    """
+    t = matrix.reshape((2,) * (2 * n))
+    m = n
+    for i in reversed([i for i in range(n) if i not in kept]):
+        t = np.trace(t, axis1=i, axis2=m + i)
+        m -= 1
+    d = 2 ** len(kept)
+    return t.reshape(d, d)
+
+
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Trace out every qubit not listed in keep.
 
     The retained qubits stay in their original relative order, so
-    keep={0, 2} on a 3-qubit state yields the (q0, q2) marginal.
+    keep={0, 2} on a 3-qubit state yields the (q0, q2) marginal. The
+    result is _marginal's array validated as a new DensityMatrix, so each
+    traced-out qubit adds up the Hermiticity error of rho's entries it
+    sums; keeping every qubit returns rho itself.
     """
     n = rho.num_qubits
     kept = sorted(set(_indices(keep, "keep must be a collection of qubit indices")))
@@ -161,13 +181,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
         raise ValueError("keep indices out of range")
     if len(kept) == n:
         return rho
-    t = rho.matrix.reshape((2,) * (2 * n))
-    m = n
-    for i in reversed([i for i in range(n) if i not in kept]):
-        t = np.trace(t, axis1=i, axis2=m + i)
-        m -= 1
-    d = 2 ** len(kept)
-    return DensityMatrix(t.reshape(d, d))
+    return DensityMatrix(_marginal(rho.matrix, n, kept))
 
 
 def permute_qubits(rho: DensityMatrix, order: Iterable[int]) -> DensityMatrix:

@@ -27,7 +27,6 @@ share its lockstep.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .discord import OptimizerConfig, _evaluate, _values
@@ -94,9 +93,10 @@ class MonogamyReport:
 
     For exact minima the condition implies the inequality, but with tol in
     each comparison (nested[0] is pairwise[0]) the condition and the
-    bounded sum give only whole >= sum(pairwise) - (n - 1) tol. So a
-    report raises RuntimeError, an optimizer or implementation fault, only
-    when the condition holds and the inequality and the bounded sum fail.
+    bounded sum give only whole >= sum(pairwise) - (n - 1) tol. So
+    monogamy_report raises RuntimeError, an optimizer or implementation
+    fault, only when the condition holds and the inequality and the
+    bounded sum fail.
     """
 
     whole: float
@@ -148,26 +148,16 @@ def decompose_induced_gqd(
     are one value-only pass, discord._evaluate, each job at its slice of
     phi's angles: one objective and one call per qubit count, 3 at n = 4,
     where the whole state and the cut (012)|(3) share one.
-    Each marginal is built once per call, from rho: partial_trace traces
-    out qubits in descending order, so a marginal of a prefix marginal is
-    bit for bit the same marginal of rho, and a 4-qubit ledger still makes
-    6 partial traces.
+    The prefix states are partial traces, the only states a ledger builds
+    (two at n = 4); the problem constants take each party's marginal as a
+    plain array (linalg._marginal).
     """
     n = rho.num_qubits
     angles = _angles(phi, n)
-    built = {tuple(range(n)): rho}
-
-    def marginal_of(state, keep):
-        # state is rho or a prefix marginal holding keep, so keep indexes rho too
-        keep = tuple(keep)
-        if keep not in built:
-            built[keep] = partial_trace(rho, keep)
-        return built[keep]
-
     jobs = [(rho, q, None, None)] + [
-        (marginal_of(rho, range(k + 1)), q, None, _first_vs_last(k)) for k in range(1, n)
+        (partial_trace(rho, range(k + 1)), q, None, _first_vs_last(k)) for k in range(1, n)
     ]
-    total, *terms = _evaluate(jobs, [angles[: 2 * state.num_qubits] for state, *_ in jobs], marginal_of)
+    total, *terms = _evaluate(jobs, [angles[: 2 * state.num_qubits] for state, *_ in jobs])
     return DecompositionLedger(total, tuple(terms), total - sum(terms))
 
 
@@ -192,24 +182,21 @@ def _report_from(n: int, values) -> MonogamyReport:
     nested = pairwise[:1] + tuple(values[n:])
     inequality_margin = whole - sum(pairwise)
     condition_margins = tuple(ns - pw for ns, pw in zip(nested, pairwise))
-    inequality_holds = _holds(inequality_margin)
-    condition_holds = all(map(_holds, condition_margins))
-    bounded_sum_holds = _holds(whole - sum(nested))
-    if condition_holds and not (inequality_holds or bounded_sum_holds):
-        raise RuntimeError(
-            "nested domination holds but the monogamy inequality failed; "
-            "this indicates an optimizer or implementation fault"
-        )
     return MonogamyReport(
         whole=whole,
         pairwise=pairwise,
         nested=nested,
-        inequality_holds=inequality_holds,
-        condition_holds=condition_holds,
+        inequality_holds=_holds(inequality_margin),
+        condition_holds=all(map(_holds, condition_margins)),
         inequality_margin=inequality_margin,
         condition_margins=condition_margins,
-        bounded_sum_holds=bounded_sum_holds,
+        bounded_sum_holds=_holds(whole - sum(nested)),
     )
+
+
+def _faulty(report: MonogamyReport) -> bool:
+    """Whether the condition holds while the inequality and the bounded sum fail (see MonogamyReport)."""
+    return report.condition_holds and not (report.inequality_holds or report.bounded_sum_holds)
 
 
 def monogamy_report(
@@ -226,7 +213,13 @@ def monogamy_report(
     A report whose condition holds while both the inequality and the
     bounded sum fail raises RuntimeError (see MonogamyReport).
     """
-    return _report_from(rho.num_qubits, _values(_report_jobs(rho, q), opt))
+    report = _report_from(rho.num_qubits, _values(_report_jobs(rho, q), opt))
+    if _faulty(report):
+        raise RuntimeError(
+            "nested domination holds but the monogamy inequality failed; "
+            "this indicates an optimizer or implementation fault"
+        )
+    return report
 
 
 def _audit_jobs(q: float) -> list:
@@ -289,15 +282,14 @@ def _audit_and_reports(audit_q: float, rhos, q: float, opt: OptimizerConfig | No
 
     The jobs of the audit and of every report go to one _values call, so
     each qubit count runs one lockstep (up to the lockstep's row bound),
-    not one per report or per cut. The reports come back unassembled, one
-    function of no arguments per rho in rhos' order, so a caller can
-    assemble each in its own try: one report's RuntimeError does not lose
-    the others, while a solver error raises here. Every value is the solo
-    call's.
+    not one per report or per cut. The reports come back in rhos' order
+    and none raises, so a caller counts the faulty ones with _faulty and
+    still sees their bounded sums, while a solver error raises here. Every
+    value is the solo call's.
     """
     audit_q = _check_q(audit_q)
     lists = [_audit_jobs(audit_q)] + [_report_jobs(rho, q) for rho in rhos]
     values = iter(_values([job for jobs in lists for job in jobs], opt))
     audit_values, *report_values = ([next(values) for _ in jobs] for jobs in lists)
-    reports = [functools.partial(_report_from, rho.num_qubits, v) for rho, v in zip(rhos, report_values)]
+    reports = [_report_from(rho.num_qubits, v) for rho, v in zip(rhos, report_values)]
     return _audit_from(audit_q, audit_values), reports

@@ -99,6 +99,20 @@ class TestCompute:
         assert_allclose(payload["value"], report.value, atol=1e-12)
         assert payload["diagnostics"]["measured_qubits"] == [1]
 
+    def test_qgqd_of_a_state_with_admitted_hermiticity_error(self, capsys, tmp_path):
+        # Each entry (r, 8 + r) is off Hermitian by 0.45e-10, under the
+        # 1e-10 tolerance; the qubit-0 marginal sums all eight of them.
+        m = random_density_matrix(4, 5).matrix.copy()
+        for r in range(8):
+            m[r, 8 + r] += 0.45e-10j
+        path = tmp_path / "almost_hermitian.json"
+        save_state(path, DensityMatrix(m))
+        code, payload = run_json(
+            capsys, ["compute", "--state", str(path), "--quantity", "qgqd", "--q", "0.5"] + LIGHT_FLAGS
+        )
+        assert code == 0
+        assert np.isfinite(payload["value"])
+
     @pytest.mark.parametrize("quantity", ["entropy", "mutual_info", "qgqd"])
     def test_eigenvalues_just_outside_unit_interval(self, capsys, tmp_path, quantity):
         path = tmp_path / "edge.json"
@@ -539,7 +553,8 @@ class TestVerify:
     def test_one_faulty_trial_is_counted_alone(self, capsys, monkeypatch):
         # The audit and both trials are solved in one call; faking the first
         # trial's values (whole 0.1, the rest 0.2) faults its report alone,
-        # and the second trial's report still counts.
+        # its bounded sum 0.1 - (0.2 + 0.2) fails and is counted too, and
+        # the second trial's report still counts.
         solve = monogamy._values
 
         def first_trial_faulty(jobs, opt=None):
@@ -552,7 +567,7 @@ class TestVerify:
         code, lines, summary = self.run_suite(capsys, "monogamy", 2, LIGHT_FLAGS)
         assert code == 1
         assert "[FAIL] condition-implies-inequality violations: 1 over 2 random states" in lines
-        assert "[PASS] bounded-sum failures: 0 over 2 random states" in lines
+        assert "[FAIL] bounded-sum failures: 1 over 2 random states" in lines
         assert summary["details"]["audit"]["passed"] is True
 
     @pytest.mark.parametrize("trials", [1, 3, 6])

@@ -20,7 +20,7 @@ from qdiscord.discord import (
     q_qd_one_sided_many,
 )
 from qdiscord.entropy import _hq, _terms, tsallis_entropy
-from qdiscord.linalg import DensityMatrix, partial_trace, permute_qubits
+from qdiscord.linalg import HERMITICITY_TOL, DensityMatrix, _marginal, partial_trace, permute_qubits
 from qdiscord.measurement import (
     BlochMeasurement,
     ProductMeasurement,
@@ -243,6 +243,42 @@ class TestMutualInformation:
             for value in (mutual_information_q(rho, q), q_gqd(rho, q, LIGHT).value):
                 assert np.isfinite(value)
                 assert abs(value) <= 1e-9
+
+    def test_builds_no_density_matrix(self, monkeypatch):
+        # Every problem constant takes its marginals as plain arrays, so
+        # neither mutual_information_q nor a solve of 4-qubit jobs, whole,
+        # cut and one-sided, builds a DensityMatrix.
+        rhos = [random_density_matrix(4, seed=60 + i) for i in range(2)]
+        built = []
+        init = DensityMatrix.__init__
+
+        def counting(self, matrix):
+            init(self, matrix)
+            built.append(self.dim)
+
+        monkeypatch.setattr(DensityMatrix, "__init__", counting)
+        mutual_information_q(rhos[0], 0.5)
+        assert built == []
+        jobs = [(rhos[0], 0.5, None, None), (rhos[1], 2.0, None, ((0, 1), (2, 3))), (rhos[1], 1.0, (3,), None)]
+        discord._minimize_many(jobs, LIGHT)
+        assert built == []
+
+    def test_state_with_admitted_hermiticity_error(self):
+        # Each entry (r, 8 + r) is off Hermitian by 0.45e-10, under the
+        # 1e-10 tolerance, and the qubit-0 marginal sums all eight of them.
+        # The whole-state paths take the admitted state's marginals as they
+        # are, and land within 1e-8 of the values on its Hermitian part.
+        m = random_density_matrix(4, 5).matrix.copy()
+        for r in range(8):
+            m[r, 8 + r] += 0.45e-10j
+        marginal = _marginal(m, 4, (0,))
+        assert np.abs(marginal - marginal.conj().T).max() > HERMITICITY_TOL
+        rho, fixed = DensityMatrix(m), DensityMatrix((m + m.conj().T) / 2)
+        phi = ProductMeasurement.from_angles(random_angles(np.random.default_rng(5), 4).reshape(-1, 2))
+        for q in (0.5, 1.0, 2.0):
+            assert_allclose(mutual_information_q(rho, q), mutual_information_q(fixed, q), rtol=0, atol=1e-8)
+            assert_allclose(induced_discord(rho, phi, q), induced_discord(fixed, phi, q), rtol=0, atol=1e-8)
+        assert np.isfinite(q_gqd(rho, 0.5, LIGHT).value)
 
 
 class TestFastObjective:
@@ -930,9 +966,9 @@ class TestManyProblems:
         built = []
         make = discord._make_objective
 
-        def counting(states, qs, measured, groups, marginal_of):
+        def counting(states, qs, measured, groups):
             built.append((states[0].num_qubits, measured, tuple(groups)))
-            return make(states, qs, measured, groups, marginal_of)
+            return make(states, qs, measured, groups)
 
         monkeypatch.setattr(discord, "_make_objective", counting)
         reports = discord._minimize_many(jobs, LIGHT)

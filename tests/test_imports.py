@@ -1,5 +1,6 @@
-"""The package imports with numpy alone, and every name it exports exists."""
+"""The package imports with numpy alone, every name it exports exists, and no import is unused."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -58,3 +59,32 @@ def test_package_reexports_every_module_name():
         names += module.__all__
     assert len(qdiscord.__all__) == len(set(qdiscord.__all__))
     assert sorted(qdiscord.__all__) == sorted(names)
+
+
+def test_no_unused_top_level_import():
+    # No linter is part of the toolchain, so this walks each module's syntax
+    # tree: a name bound by a top-level import must be read somewhere in the
+    # module or listed in its __all__.
+    paths = sorted((ROOT / "src" / "qdiscord").glob("*.py"))
+    assert len(paths) > 8
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = {
+            node.value
+            for statement in tree.body
+            if isinstance(statement, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in statement.targets)
+            for node in ast.walk(statement.value)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        for statement in tree.body:
+            if isinstance(statement, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in statement.names]
+            elif isinstance(statement, ast.ImportFrom) and statement.module != "__future__":
+                names = [alias.asname or alias.name for alias in statement.names if alias.name != "*"]
+            else:
+                continue
+            unused += [f"{path.name}: {name}" for name in names if name not in read | exported]
+    assert unused == []

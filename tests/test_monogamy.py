@@ -59,9 +59,10 @@ class TestDecomposition:
 
     def test_builds_no_full_size_matrix(self, monkeypatch):
         # Every value is a row of the discord objective, which works from
-        # outcome probabilities, so no measured 16 x 16 state is built, and
-        # each marginal is built once: the four qubits, the first two and
-        # the first three. The values must equal the term-by-term route bit
+        # outcome probabilities, so no measured 16 x 16 state is built. The
+        # only states built are the prefix states of the first two and the
+        # first three qubits; the problem constants take their marginals as
+        # plain arrays. The values must equal the term-by-term route bit
         # for bit.
         rng = np.random.default_rng(2)
         rho = random_density_matrix(4, seed=21)
@@ -87,7 +88,7 @@ class TestDecomposition:
             with monkeypatch.context() as patch:
                 patch.setattr(DensityMatrix, "__init__", counting)
                 ledger = decompose_induced_gqd(rho, phi, q)
-            assert sorted(built) == [2, 2, 2, 2, 4, 8]
+            assert sorted(built) == [4, 8]
             built.clear()
             assert ledger.total == total
             assert ledger.terms == terms
@@ -272,8 +273,7 @@ class TestAuditAndReports:
         assert audit.pair_02 == q_gqd(partial_trace(counterexample, (0, 2)), 0.9, LIGHT).value
         assert audit == bros_counterexample_audit(0.9, LIGHT)
         assert len(reports) == len(rhos)
-        for rho, assemble in zip(rhos, reports):
-            report = assemble()
+        for rho, report in zip(rhos, reports):
             assert report.whole == q_gqd(rho, 0.5, LIGHT).value
             assert report.pairwise == tuple(q_gqd(partial_trace(rho, (0, k)), 0.5, LIGHT).value for k in (1, 2))
             assert report.nested[1] == q_gqd(rho, 0.5, LIGHT, cut=((0, 1), (2,))).value
