@@ -32,17 +32,30 @@ each report of a _many call equals the solo call's.
 
 Two drivers run a lockstep's rows, the start points x0 (K, 2m) and the
 problem owner (K,) of each, and return (x, f, evaluations, success) per
-row, through the same floats bit for bit. Below _ARRAY_ROWS rows
-_lockstep runs each row as a _bfgs generator that yields the point it
-needs and is sent its value and gradient; from _ARRAY_ROWS rows on,
-_bfgs_rows runs the same BFGS as one set of array operations per round.
-Its Python costs at least 0.1 ms a round however few rows run (0.21 ms
-at 608), the generators' 3.5-10 us a start a round. Its time over the
-generators' (n = 2/3/4, 400 evaluations a start; 2-core x86-64 VM, one
-OpenBLAS thread, best of 5):
+row, through the same floats bit for bit. _lockstep runs each row as a
+_bfgs generator that yields the point it needs and is sent its value and
+gradient; _bfgs_rows runs the same BFGS as one set of array operations
+per round. A round's cost in us, objective included, generators/arrays,
+every row searching (random states at q = 0.5 with every qubit measured,
+10 evaluations a start; 2-core x86-64 VM, one OpenBLAS thread, best of
+25):
 
-    rows per lockstep   4              16             32             64             256
-    _bfgs_rows / _bfgs  1.76/1.74/1.83 1.33/0.99/1.02 0.88/0.65/0.78 0.56/0.45/0.67 0.26/0.35/0.51
+    rows    1       2       4       8       16      20      32      64
+    n = 2   59/143  66/150  79/147  109/161 198/184 254/211 347/199 612/243
+    n = 3   57/132  70/152  101/159 135/173 207/192 261/209 377/238 703/309
+    n = 4   63/153  81/156  106/175 167/197 282/244 343/264 497/334 1241/791
+
+One threshold, _ARRAY_ROWS = 20, asks at both ends of a lockstep whose
+round is cheaper. A lockstep of fewer rows runs as generators alone; a
+larger one starts as arrays, and at the top of each round, once fewer
+than _ARRAY_ROWS rows are still searching, _bfgs_rows resumes each of
+them as a _bfgs generator in the middle of its line search. Most rounds
+of a large lockstep wait on a few slow starts, so its tail runs at the
+generators' cost. The crossover lies between 8 and 16 rows; 20 keeps a
+16-row lockstep on the generators alone, and the rows of a tail keep
+leaving, so handing one over a few rows early costs little. Handing
+over below 32 rows made verify --suite monogamy --trials 32 10 % slower
+than below 20 (229 against 207 ms in-process, best of 5).
 
 The objective, _make_objective, is the only code that evaluates
 I_q(Phi(rho)), so no measured state is built; its docstring describes
@@ -69,9 +82,10 @@ BASIN_TOL = 1e-7
 # arrays of one lockstep (rho W is 4 kB a row at n = 4) however many
 # problems one call is given.
 _MAX_ROWS = 1024
-# Fewest rows per lockstep that _bfgs_rows runs; _lockstep, faster below
-# it, runs smaller ones (the module docstring has the crossover).
-_ARRAY_ROWS = 32
+# Fewest running rows a round of _bfgs_rows is given: a smaller lockstep
+# starts as _lockstep's generators, and a larger one hands its rows to them
+# once fewer are still searching (the module docstring has the table).
+_ARRAY_ROWS = 20
 
 __all__ = [
     "BASIN_TOL",
@@ -484,7 +498,7 @@ _CURVATURE_TOL = 1e-10  # update only when s.y exceeds this times |s| |y|
 _STEP_TOL = 1e-12  # the line search gives up when its bracket is this short
 
 
-def _line_search(x, f0, g0, p, alpha, budget: int):
+def _line_search(x, f0, g0, p, alpha, budget: int, bracket=None):
     """Strong-Wolfe step along p from x (N&W Alg. 3.5 and 3.6), as a generator.
 
     Yields each trial point and receives its (value, gradient). The
@@ -494,12 +508,13 @@ def _line_search(x, f0, g0, p, alpha, budget: int):
     always the lowest trial that meets sufficient decrease. Returns
     (alpha, f, g, evaluations) at a strong-Wolfe point, or at lo when the
     budget runs out or the bracket collapses; alpha is 0 when no trial
-    lowered f.
+    lowered f. bracket resumes a search in progress at its next trial
+    alpha: its (lo, f_lo, g_lo, d_lo, hi, f_hi), with hi and f_hi None
+    while nothing brackets the step; the default starts at lo = 0.
     """
     d0 = g0 @ p
     p_norm = math.sqrt(p @ p)
-    lo, f_lo, g_lo, d_lo = 0.0, f0, g0, d0
-    hi = f_hi = None
+    lo, f_lo, g_lo, d_lo, hi, f_hi = (0.0, f0, g0, d0, None, None) if bracket is None else bracket
     used = 0
     while used < budget:
         f, g = yield x + alpha * p
@@ -525,7 +540,7 @@ def _line_search(x, f0, g0, p, alpha, budget: int):
     return lo, f_lo, g_lo, used
 
 
-def _bfgs(x0: np.ndarray, max_evals: int):
+def _bfgs(x0: np.ndarray, max_evals: int, resume=None):
     """BFGS from x0 as a generator that yields points and receives (f, g).
 
     The first step is steepest descent of length min(1, 1 / |p|); the
@@ -536,19 +551,30 @@ def _bfgs(x0: np.ndarray, max_evals: int):
     state never vanishes at its p -> 0 kink), when the line search finds no
     decrease, or after max_evals evaluations. Returns (x, f, evaluations,
     success), where success means the search stopped before max_evals.
+
+    resume = (f, g, nfev, h, p, alpha, bracket) goes on from x0 in the
+    middle of a line search, as _bfgs_rows hands a row over: x0's value,
+    gradient and evaluations so far, h None before the first update, and
+    the line search's direction, next trial and _line_search bracket. The
+    row passed the loop test when that line search began, and nothing in
+    the test has changed since, so the search yields that trial first.
     """
     x = x0
-    f, g = yield x
-    nfev = 1
-    h = None
+    if resume is None:
+        f, g = yield x
+        nfev, h, bracket = 1, None, None
+    else:
+        f, g, nfev, h, p, alpha, bracket = resume
     while nfev < max_evals and np.abs(g).max() > _GTOL:
-        p = -g if h is None else -(h @ g)
-        if g @ p >= 0.0:  # rounding cost h its positive definiteness
-            h, p = None, -g
-        alpha = min(1.0, 1.0 / math.sqrt(p @ p)) if h is None else 1.0
+        if bracket is None:
+            p = -g if h is None else -(h @ g)
+            if g @ p >= 0.0:  # rounding cost h its positive definiteness
+                h, p = None, -g
+            alpha = min(1.0, 1.0 / math.sqrt(p @ p)) if h is None else 1.0
         alpha, f_new, g_new, used = yield from _line_search(
-            x, f, g, p, alpha, max_evals - nfev
+            x, f, g, p, alpha, max_evals - nfev, bracket
         )
+        bracket = None
         nfev += used
         if alpha == 0.0:
             break
@@ -570,15 +596,24 @@ def _bfgs(x0: np.ndarray, max_evals: int):
 def _lockstep(objective, x0: np.ndarray, owner: np.ndarray, max_evals: int):
     """Run the searches _bfgs(x0[k], max_evals) as generators, one objective call per round.
 
-    Row k searches problem owner[k] from x0[k]. Each round stacks the point
-    every running search yields, evaluates values and gradients in a single
-    batched call, each row tagged with its owner, and sends each search its
-    own (f, g). Rows are computed independently, so a search takes the
-    same steps whichever searches share its rounds. The result is each
-    search's (x, f, evaluations, success) stacked over the rows: (K, N),
-    (K,), (K,) and (K,), as _bfgs_rows returns them.
+    Row k searches problem owner[k] from x0[k], and _rounds runs the
+    searches. The result is each search's (x, f, evaluations, success)
+    stacked over the rows: (K, N), (K,), (K,) and (K,), as _bfgs_rows
+    returns them.
     """
-    searches = [_bfgs(x, max_evals) for x in x0]
+    xs, fun, nfev, success = zip(*_rounds(objective, [_bfgs(x, max_evals) for x in x0], owner))
+    return np.array(xs), np.array(fun), np.array(nfev), np.array(success)
+
+
+def _rounds(objective, searches, owner: np.ndarray) -> list:
+    """The results of _bfgs generators searches, in order, each search k on problem owner[k].
+
+    Each round stacks the point every running search yields, evaluates
+    values and gradients in a single batched call, each row tagged with
+    its owner, and sends each search its own (f, g). Rows are computed
+    independently, so a search takes the same steps whichever searches
+    share its rounds.
+    """
     running = list(enumerate(searches))
     points = [search.send(None) for search in searches]
     results = [None] * len(searches)
@@ -594,8 +629,7 @@ def _lockstep(objective, x0: np.ndarray, owner: np.ndarray, max_evals: int):
         if len(kept) < len(running):
             running = [running[row] for row in kept]
             owner = owner[kept]
-    xs, fun, nfev, success = zip(*results)
-    return np.array(xs), np.array(fun), np.array(nfev), np.array(success)
+    return results
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -618,6 +652,14 @@ def _bfgs_rows(objective, x0: np.ndarray, owner: np.ndarray, max_evals: int):
     their order, and each product is one row's own (_dots, stacked
     matmuls), so every row takes the same floats as its generator, and the
     result equals _lockstep's bit for bit.
+
+    A round of arrays costs more than a round of generators below about
+    16 rows (module docstring), and most rounds of a large lockstep wait on
+    a few slow starts. So at the top of each round, once fewer than
+    _ARRAY_ROWS rows are still searching, each of them goes on as a _bfgs
+    generator resumed from its arrays in the middle of its line search,
+    _rounds runs them to the end, and their (x, f, evaluations) are
+    written back: the same floats, at the generators' cost.
     """
     x = np.array(x0, dtype=float)
     k, n = x.shape
@@ -657,6 +699,18 @@ def _bfgs_rows(objective, x0: np.ndarray, owner: np.ndarray, max_evals: int):
     begin(np.arange(k))
     while searching.any():
         rows = np.flatnonzero(searching)
+        if rows.size < _ARRAY_ROWS:
+            # Each row left goes on as a _bfgs generator resumed from views
+            # of its slices: a generator writes into none of its inputs,
+            # and the arrays change only once every generator has ended.
+            handed, searches = rows.tolist(), []
+            for r in handed:
+                bracket = (lo[r], f_lo[r], g_lo[r], d_lo[r]) + ((hi[r], f_hi[r]) if bracketed[r] else (None, None))
+                state = (f[r], g[r], nfev[r], h[r] if has_h[r] else None, p[r], alpha[r], bracket)
+                searches.append(_bfgs(x[r], max_evals, state))
+            for r, (x_r, f_r, nfev_r, _) in zip(handed, _rounds(objective, searches, owner[rows])):
+                x[r], f[r], nfev[r] = x_r, f_r, nfev_r
+            break
         a, p_r = alpha[rows], p[rows]
         f_t, g_t = objective(x[rows] + a[:, None] * p_r, owner[rows], gradient=True)
         nfev[rows] += 1
@@ -750,8 +804,9 @@ def _minimize_many(jobs, opt: OptimizerConfig | None) -> tuple[DiscordReport, ..
     _blocks checks the jobs at opt.starts rows a job, then every state
     size is checked, all before the first solve. A block is one lockstep
     whose rows are each job's starts in order, run by _bfgs_rows from
-    _ARRAY_ROWS rows on, else by _lockstep, and it writes each job's
-    report into that job's slot.
+    _ARRAY_ROWS rows on, which hands its last searching rows to _bfgs
+    generators, else by _lockstep's generators alone, and it writes each
+    job's report into that job's slot.
     """
     opt = opt if opt is not None else OptimizerConfig()
     qs, blocks = _blocks(jobs, opt.starts)

@@ -169,9 +169,12 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 
     The retained qubits stay in their original relative order, so
     keep={0, 2} on a 3-qubit state yields the (q0, q2) marginal. The
-    result is _marginal's array validated as a new DensityMatrix, so each
-    traced-out qubit adds up the Hermiticity error of rho's entries it
-    sums; keeping every qubit returns rho itself.
+    result is the Hermitian part (t + t^dagger) / 2 of _marginal's array
+    t, validated as a new DensityMatrix: t itself adds up the Hermiticity
+    error of every entry of rho that a traced-out qubit sums, so a state
+    DensityMatrix admits could fail at its own marginals. On an exactly
+    Hermitian rho, t is exactly Hermitian and its Hermitian part is t,
+    bit for bit. Keeping every qubit returns rho itself.
     """
     n = rho.num_qubits
     kept = sorted(set(_indices(keep, "keep must be a collection of qubit indices")))
@@ -181,7 +184,8 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
         raise ValueError("keep indices out of range")
     if len(kept) == n:
         return rho
-    return DensityMatrix(_marginal(rho.matrix, n, kept))
+    t = _marginal(rho.matrix, n, kept)
+    return DensityMatrix((t + t.conj().T) / 2)
 
 
 def permute_qubits(rho: DensityMatrix, order: Iterable[int]) -> DensityMatrix:

@@ -113,6 +113,18 @@ class TestCompute:
         assert code == 0
         assert np.isfinite(payload["value"])
 
+    def test_mutual_info_of_a_state_with_admitted_hermiticity_error(self, capsys, tmp_path):
+        # The state above: its marginal_entropies diagnostic takes each
+        # qubit's marginal through partial_trace, which admits them.
+        m = random_density_matrix(4, 5).matrix.copy()
+        for r in range(8):
+            m[r, 8 + r] += 0.45e-10j
+        path = tmp_path / "almost_hermitian.json"
+        save_state(path, DensityMatrix(m))
+        code, payload = run_json(capsys, ["compute", "--state", str(path), "--quantity", "mutual_info", "--q", "0.5"])
+        assert code == 0
+        assert np.isfinite(payload["value"])
+
     @pytest.mark.parametrize("quantity", ["entropy", "mutual_info", "qgqd"])
     def test_eigenvalues_just_outside_unit_interval(self, capsys, tmp_path, quantity):
         path = tmp_path / "edge.json"

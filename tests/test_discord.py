@@ -644,15 +644,21 @@ class TestMarginalTable:
 def lockstep_bfgs(objective, starts, max_evals, owner=None):
     """The BFGS searches from starts run by _lockstep, checked against _bfgs_rows.
 
-    Both drivers must return the same x, f, evaluations and success for
-    every start, bit for bit. owner defaults to problem 0 for every row.
+    _bfgs_rows runs as arrays to the end (_ARRAY_ROWS = 1), then once with
+    each threshold from 2 to K + 1, so that it hands its rows to _bfgs
+    generators at every row count a round can have. Every run must return
+    the same x, f, evaluations and success for every start, bit for bit.
+    owner defaults to problem 0 for every row.
     """
     if owner is None:
         owner = np.zeros(len(starts), dtype=np.intp)
     result = discord._lockstep(objective, np.array(starts), owner, max_evals)
-    rows = discord._bfgs_rows(objective, np.array(starts), owner, max_evals)
-    for generated, arrayed in zip(result, rows):
-        assert np.array_equal(generated, arrayed)
+    with pytest.MonkeyPatch.context() as patch:
+        for threshold in range(1, len(starts) + 2):
+            patch.setattr(discord, "_ARRAY_ROWS", threshold)
+            rows = discord._bfgs_rows(objective, np.array(starts), owner, max_evals)
+            for generated, arrayed in zip(result, rows):
+                assert np.array_equal(generated, arrayed)
     return result
 
 
@@ -735,13 +741,38 @@ class TestLockstepBFGS:
             x, fun, nfev, success = lockstep_bfgs(objective, starts, 400, owner)
             assert success.any()
 
-    def test_lost_positive_definiteness_restarts_from_steepest_descent(self):
+    def test_hand_off_resumes_every_line_search_state(self, monkeypatch):
+        # lockstep_bfgs's hand-offs resume a row that zooms in a bracket, a
+        # row that extrapolates from a lowered lo, a row with no h yet, and
+        # a row whose budget runs out after the hand-off.
+        resumed, run = [], discord._bfgs
+
+        def recording(x0, max_evals, resume=None):
+            x, f, nfev, success = yield from run(x0, max_evals, resume)
+            if resume is not None:
+                resumed.append((resume, nfev == max_evals))
+            return x, f, nfev, success
+
+        monkeypatch.setattr(discord, "_bfgs", recording)
+        n, measured, groups = KERNELS["global-n3"]
+        objective = single(random_density_matrix(n, seed=200 + n), 0.5, measured, groups)
+        starts = np.array(discord._start_points(len(measured), OptimizerConfig(starts=16)))
+        for budget in (12, 400):
+            lockstep_bfgs(objective, starts, budget)
+        brackets = [bracket for (*_, bracket), _ in resumed]
+        assert any(hi is not None for *_, hi, _ in brackets)
+        assert any(hi is None and lo > 0.0 for lo, *_, hi, _ in brackets)
+        assert any(h is None for (_, _, _, h, *_), _ in resumed)
+        assert any(spent for _, spent in resumed)
+
+    def test_lost_positive_definiteness_restarts_from_steepest_descent(self, monkeypatch):
         # A frozen script: each trial point is sent a value and gradient that
         # meet strong-Wolfe at once, the new gradient lying mostly across the
         # step, at magnitudes from 1e-6 to 1e4. After the second update the
         # rounded h gives g.p >= 0, so the search drops h and steps along -g
         # with length min(1, 1 / |g|), as on its first step. The fourth
-        # reply only spends the budget. Both drivers ask for the same points.
+        # reply only spends the budget. _lockstep and _bfgs_rows ask for the
+        # same points, _bfgs_rows as arrays and handing off at once.
         script = [
             (0.0, [-8.002047953567316e-06, 8.487234883999388e-06]),
             (-6.803296371368349e-11, [-2.539258899126327e-06, 4.1465258424843474e-08]),
@@ -750,11 +781,13 @@ class TestLockstepBFGS:
         ]
         objective, points = scripted(script)
         result = discord._lockstep(objective, np.zeros((1, 2)), np.zeros(1, dtype=np.intp), 4)
-        objective, rows_points = scripted(script)
-        rows = discord._bfgs_rows(objective, np.zeros((1, 2)), np.zeros(1, dtype=np.intp), 4)
-        assert np.array_equal(points, rows_points)
-        for generated, arrayed in zip(result, rows):
-            assert np.array_equal(generated, arrayed)
+        for threshold in (1, 2):
+            monkeypatch.setattr(discord, "_ARRAY_ROWS", threshold)
+            objective, rows_points = scripted(script)
+            rows = discord._bfgs_rows(objective, np.zeros((1, 2)), np.zeros(1, dtype=np.intp), 4)
+            assert np.array_equal(points, rows_points)
+            for generated, arrayed in zip(result, rows):
+                assert np.array_equal(generated, arrayed)
 
         def steepest(x, g):
             return x - min(1.0, 1.0 / np.sqrt(g @ g)) * g

@@ -9,6 +9,7 @@ from qdiscord.linalg import (
     SIGMA_Z,
     DensityMatrix,
     Spectrum,
+    _marginal,
     kron_all,
     partial_trace,
     permute_qubits,
@@ -148,6 +149,14 @@ class TestPartialTrace:
         rho = DensityMatrix(BELL)
         for k in (0, 1):
             assert_allclose(partial_trace(rho, (k,)).matrix, IDENTITY_2 / 2, atol=1e-14)
+
+    def test_hermitian_state_keeps_the_kernel_s_bits(self):
+        # partial_trace validates the Hermitian part of _marginal's array,
+        # which is that array, byte for byte, on an exactly Hermitian state.
+        for n in (2, 3, 4):
+            rho = random_density_matrix(n, seed=240 + n)
+            for keep in [(0,), (n - 1,), (0, n - 1), tuple(range(n - 1))]:
+                assert partial_trace(rho, keep).matrix.tobytes() == _marginal(rho.matrix, n, keep).tobytes()
 
     def test_product_state_factors(self):
         a = np.diag([0.7, 0.3]).astype(complex)

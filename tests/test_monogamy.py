@@ -30,6 +30,18 @@ def random_product_measurement(rng, n):
     )
 
 
+def almost_hermitian():
+    """random_density_matrix(4, 5) with each entry (r, 8 + r) off Hermitian by 0.45e-10, and its Hermitian part.
+
+    The error is under the 1e-10 tolerance, but a marginal that traces out
+    qubits sums it over the entries it adds up.
+    """
+    m = random_density_matrix(4, 5).matrix.copy()
+    for r in range(8):
+        m[r, 8 + r] += 0.45e-10j
+    return DensityMatrix(m), DensityMatrix((m + m.conj().T) / 2)
+
+
 class TestDecomposition:
     def test_residual_is_numerical_noise(self):
         rng = np.random.default_rng(0)
@@ -56,6 +68,16 @@ class TestDecomposition:
         ledger = decompose_induced_gqd(rho, phi, 0.5)
         assert_allclose(ledger.total, 0.0, atol=1e-12)
         assert_allclose(ledger.terms, (0.0, 0.0), atol=1e-12)
+
+    def test_state_with_admitted_hermiticity_error(self):
+        # The prefix states are admitted, and the ledger lands within 1e-8
+        # of the one on the state's Hermitian part.
+        rho, fixed = almost_hermitian()
+        phi = random_product_measurement(np.random.default_rng(5), 4)
+        for q in (0.5, 1.0, 2.0):
+            ledger = decompose_induced_gqd(rho, phi, q)
+            assert abs(ledger.residual) <= 1e-9
+            assert_allclose(ledger.terms, decompose_induced_gqd(fixed, phi, q).terms, rtol=0, atol=1e-8)
 
     def test_builds_no_full_size_matrix(self, monkeypatch):
         # Every value is a row of the discord objective, which works from
@@ -161,6 +183,15 @@ class TestMonogamyReport:
         assert report.inequality_holds
         assert report.condition_holds
         assert report.bounded_sum_holds
+
+    def test_state_with_admitted_hermiticity_error(self):
+        # Every pair and prefix state is admitted; the report lands within
+        # 1e-8 of the one on the state's Hermitian part.
+        rho, fixed = almost_hermitian()
+        report, expected = monogamy_report(rho, 0.5, LIGHT), monogamy_report(fixed, 0.5, LIGHT)
+        assert_allclose(report.whole, expected.whole, rtol=0, atol=1e-8)
+        assert_allclose(report.pairwise, expected.pairwise, rtol=0, atol=1e-8)
+        assert_allclose(report.nested, expected.nested, rtol=0, atol=1e-8)
 
     def test_ghz_family(self):
         report = monogamy_report(werner_ghz(3, 0.5), 0.9, LIGHT)
