@@ -6,6 +6,8 @@ gap min_Phi S_q(Phi(rho)) - S_q(rho); the minimum is known exactly. These
 routes never touch the numerical optimizer, which makes them independent
 oracles for it. pure_two_qubit_gqd adds a third, weaker one: an exact
 value that two-qubit pure states reach at every q, a bound on the minimum.
+one_sided_q2_qd is exact on every state: at q = 2 the one-sided discord of
+one measured qubit is a 3 x 3 eigenvalue problem.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import _check_q
-from .linalg import TRACE_TOL
+from .linalg import TRACE_TOL, DensityMatrix, _index, _pauli_blocks
 from .measurement import BlochMeasurement, ProductMeasurement
 from .states import _check_mu, _check_n, pauli_diagonal_state
 
@@ -25,6 +27,7 @@ __all__ = [
     "werner_ghz_gqd",
     "pauli_diagonal_gqd",
     "pure_two_qubit_gqd",
+    "one_sided_q2_qd",
     "optimal_measured_entropy",
     "werner_ghz_measured_spectrum",
     "werner_ghz_optimal_measured_spectrum",
@@ -161,6 +164,46 @@ def pure_two_qubit_gqd(psi, q: float) -> tuple[float, ProductMeasurement]:
     value = -(_xq_lnq(float(lam[0]), q) + _xq_lnq(float(lam[1]), q))
     measurement = ProductMeasurement(BlochMeasurement(_bloch_axis(v)) for v in (u[:, 0], vh[0]))
     return value, measurement
+
+
+def one_sided_q2_qd(rho: DensityMatrix, qubit: int) -> tuple[float, BlochMeasurement]:
+    """The one-sided q = 2 discord of rho with only qubit measured, and an axis that attains it.
+
+    No optimizer is used. Write rho = (1/2) sum_mu sigma_mu (x) R_mu over
+    the measured qubit's Pauli matrices, R_mu = tr_k[(sigma_mu (x) I) rho]
+    its Pauli blocks (linalg._pauli_blocks), so R_0 = rho_rest, and let
+    G_ij = tr(R_i R_j) and r_i = tr R_i for i = 1..3 (r is the measured
+    qubit's Bloch vector). Measuring along the unit axis n leaves the
+    blocks B_+/- = (R_0 +/- n.R)/2 beside the projectors, with
+    probabilities p_+/- = (1 +/- n.r)/2. With S_2(x) = 1 - tr x^2 and the
+    parties (rest, qubit), rho_rest is untouched, and
+
+        tr Phi(rho)^2 = tr B_+^2 + tr B_-^2 = (tr R_0^2 + n^T G n)/2,
+        S_2(p) = 1 - p_+^2 - p_-^2 = (1 - (n.r)^2)/2,
+
+    so the drop I_2(rho) - I_2(Phi(rho)) is
+
+        I_2(rho) + 1/2 - tr(R_0^2)/2 - S_2(rho_rest) + n^T (r r^T - G) n / 2,
+
+    least at the eigenvector of r r^T - G's smallest eigenvalue lambda_min,
+    where it is I_2(rho) + 1/2 - tr(R_0^2)/2 - S_2(rho_rest) + lambda_min/2.
+    The purities are sums of squared moduli and lambda_min comes from
+    numpy's eigh, none of them from the entropy or objective code.
+    """
+    n = rho.num_qubits
+    k = _index(qubit, "qubit index")
+    if n < 2 or not 0 <= k < n:
+        raise ValueError("the measured qubit must be one of at least two qubits")
+    blocks = _pauli_blocks(rho.matrix[None], n, (k,))[0]
+    gram = np.einsum("iab,jba->ij", blocks[1:], blocks[1:]).real
+    r = np.einsum("iaa->i", blocks[1:]).real
+    purity_rest = float(np.vdot(blocks[0], blocks[0]).real)
+    purity = float(np.vdot(rho.matrix, rho.matrix).real)
+    # I_2(rho) with S_2(rho_k) = (1 - |r|^2)/2 for the measured qubit's marginal
+    mutual = (1.0 - purity_rest) + (1.0 - r @ r) / 2.0 - (1.0 - purity)
+    eigenvalues, vectors = np.linalg.eigh(np.outer(r, r) - gram)
+    value = mutual + 0.5 - purity_rest / 2.0 - (1.0 - purity_rest) + eigenvalues[0] / 2.0
+    return float(value), BlochMeasurement(vectors[:, 0] / np.linalg.norm(vectors[:, 0]))
 
 
 def _pauli_params(n, c1, c2, c3) -> tuple[int, float, float, float]:

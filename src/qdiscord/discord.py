@@ -38,12 +38,12 @@ gradient; _bfgs_rows runs the same BFGS as one set of array operations
 per round. A round's cost in us, objective included, generators/arrays,
 every row searching (random states at q = 0.5 with every qubit measured,
 10 evaluations a start; 2-core x86-64 VM, one OpenBLAS thread, best of
-25):
+25 in each of three runs, the least of the three):
 
     rows    1       2       4       8       16      20      32      64
-    n = 2   59/143  66/150  79/147  109/161 198/184 254/211 347/199 612/243
-    n = 3   57/132  70/152  101/159 135/173 207/192 261/209 377/238 703/309
-    n = 4   63/153  81/156  106/175 167/197 282/244 343/264 497/334 1241/791
+    n = 2   83/209  106/229 139/238 172/235 290/249 374/271 550/273 977/334
+    n = 3   88/218  125/236 148/247 217/260 348/284 424/293 583/319 1092/417
+    n = 4   111/231 134/262 178/269 253/300 381/328 479/358 674/425 1317/630
 
 One threshold, _ARRAY_ROWS = 20, asks at both ends of a lockstep whose
 round is cheaper. A lockstep of fewer rows runs as generators alone; a
@@ -53,9 +53,10 @@ them as a _bfgs generator in the middle of its line search. Most rounds
 of a large lockstep wait on a few slow starts, so its tail runs at the
 generators' cost. The crossover lies between 8 and 16 rows; 20 keeps a
 16-row lockstep on the generators alone, and the rows of a tail keep
-leaving, so handing one over a few rows early costs little. Handing
-over below 32 rows made verify --suite monogamy --trials 32 10 % slower
-than below 20 (229 against 207 ms in-process, best of 5).
+leaving, so handing one over a few rows early costs little. In-process,
+verify --suite monogamy --trials 32 took 200, 201 and 216 ms, then 202,
+193 and 201 ms, with the hand-off below 16, 20 and 32 rows (best of 9,
+two runs).
 
 The objective, _make_objective, is the only code that evaluates
 I_q(Phi(rho)), so no measured state is built; its docstring describes
@@ -65,22 +66,24 @@ the kernel.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entropy import _check_q, _terms
-from .linalg import DESK_SCALE_LIMIT, DensityMatrix, _index, _indices, _marginal
-from .measurement import ProductMeasurement, _angles, _diagonal, product_basis
+from .linalg import DESK_SCALE_LIMIT, DensityMatrix, _index, _indices, _marginal, _pauli_blocks
+from .measurement import ProductMeasurement, _angles, _lift, _outcome_blocks, _signs
 
 CLAMP_SLACK = 1e-8
 # Starts whose minimum lies within this of the best one share its basin.
 BASIN_TOL = 1e-7
 # Most rows per objective call, unless one problem has more starts: enough
 # for the default sweep's 608 starts in one lockstep, and a bound on the
-# arrays of one lockstep (rho W is 4 kB a row at n = 4) however many
-# problems one call is given.
+# arrays of one lockstep (a lift and its Pauli blocks are 2 kB a row each
+# at n = 4, one-sided 8 x 8 blocks 4 kB) however many problems one call is
+# given.
 _MAX_ROWS = 1024
 # Fewest running rows a round of _bfgs_rows is given: a smaller lockstep
 # starts as _lockstep's generators, and a larger one hands its rows to them
@@ -203,32 +206,53 @@ def _shape(n: int, measured, cut) -> tuple[tuple[int, ...], tuple[tuple[int, ...
     return measured, (tuple(i for i in range(n) if i not in measured), measured)
 
 
-def _mutual_information(rho: DensityMatrix, groups, q: float) -> float:
-    """-S_q(rho) + sum_g S_q(rho_g) for a checked q, summed in that order over the groups.
+def _mutual_information(states, groups, qs) -> list[float]:
+    """-S_q(rho) + sum_g S_q(rho_g) of each problem (rho, parties, q), q checked, in problem order.
 
-    Each rho_g is linalg._marginal's plain array, not a DensityMatrix:
-    rho has passed its checks, and checking rho_g again would add up the
-    Hermiticity error of every entry a traced-out qubit sums, so an
-    admitted state could fail at its own marginals. The entropies come
-    from one _terms call over the concatenated spectra, each summed on its
-    own slice, so each is the float tsallis_entropy gives alone.
+    Each sum runs in that order over the problem's parties. Each rho_g is
+    linalg._marginal's plain array, not a DensityMatrix: rho has passed
+    its checks, and checking rho_g again would add up the Hermiticity
+    error of every entry a traced-out qubit sums, so an admitted state
+    could fail at its own marginals. A state's marginal on a party is
+    computed once however many problems share it (a whole state and its
+    cuts, a q grid). The entropies come from one _terms call over the
+    concatenated spectra, each entry with its problem's q, each summed on
+    its own slice, so each is the float tsallis_entropy gives alone and
+    each problem's value the one it gets alone.
     """
-    n = rho.num_qubits
-    spectra = [rho.eigenvalues] + [np.linalg.eigvalsh(_marginal(rho.matrix, n, g))[::-1] for g in groups]
-    p, x, s = _terms(np.concatenate(spectra), q)
+    spectra, seen, ends = [], {}, []
+    for rho, parties in zip(states, groups):
+        spectra.append(rho.eigenvalues)
+        for g in parties:
+            spectrum = seen.get((id(rho), g))
+            if spectrum is None:
+                spectrum = seen[id(rho), g] = np.linalg.eigvalsh(_marginal(rho.matrix, rho.num_qubits, g))[::-1]
+            spectra.append(spectrum)
+        ends.append(len(spectra))
+    bounds = list(itertools.accumulate((spectrum.size for spectrum in spectra), initial=0))
+    firsts = [0] + ends[:-1]
+    if len(set(qs)) == 1:  # a float q is cheaper for _terms than a column of equal ones
+        p, x, s = _terms(np.concatenate(spectra), qs[0])
+        scales = [s] * len(qs)
+    else:
+        counts = [bounds[end] - bounds[first] for first, end in zip(firsts, ends)]
+        p, x, s = _terms(np.concatenate(spectra), np.repeat(qs, counts))
+        scales = s[[bounds[first] for first in firsts]].tolist()
     px = p * x
-    ends = np.cumsum([spectrum.size for spectrum in spectra]).tolist()
-    entropies = [-px[start:end].sum() / s for start, end in zip([0] + ends, ends)]
-    total = -entropies[0]
-    for entropy in entropies[1:]:
-        total += entropy
-    return float(total)
+    values = []
+    for first, end, scale in zip(firsts, ends, scales):
+        entropies = [-px[start:stop].sum() / scale for start, stop in zip(bounds[first:end], bounds[first + 1 : end + 1])]
+        total = -entropies[0]
+        for entropy in entropies[1:]:
+            total += entropy
+        values.append(float(total))
+    return values
 
 
 def mutual_information_q(rho: DensityMatrix, q: float) -> float:
     """I_q(rho) = sum_i S_q(rho^{A_i}) - S_q(rho) over single-qubit marginals."""
-    q = _check_q(q)
-    return _mutual_information(rho, _parties(rho.num_qubits, None), q)
+    (value,) = _mutual_information([rho], [_parties(rho.num_qubits, None)], [_check_q(q)])
+    return value
 
 
 def induced_discord(
@@ -299,46 +323,6 @@ def _start_points(m: int, opt: OptimizerConfig) -> list[np.ndarray]:
 
 
 @functools.cache
-def _gradient_tables(m: int):
-    """Index tables of the objective's gradient, built once per m.
-
-    outcomes is arange(2^m), flipped[i, j] is outcome j with measured qubit
-    i's bit flipped (qubit 0 is the high bit) and signs[i, j] is +1 where
-    that bit of j is 0, else -1. Objectives measuring m qubits share the
-    read-only arrays, and value-only objectives never build them.
-    """
-    outcomes = np.arange(2**m)
-    bits = (1 << np.arange(m - 1, -1, -1))[:, None]
-    flipped = outcomes ^ bits
-    signs = np.where(outcomes & bits, -1.0, 1.0)
-    for table in (outcomes, flipped, signs):
-        table.setflags(write=False)
-    return outcomes, flipped, signs
-
-
-def _marginal_tables(measured: tuple[int, ...], patterns) -> np.ndarray:
-    """The 0/1 marginal table of each problem, whose measured parties are patterns[i].
-
-    One pattern among all problems gives its one (2^m, w) _marginal_table,
-    shared by every row. Several give a (problems, 2^m, W) stack, W the
-    widest table's width and the narrower ones padded with zero columns
-    after their own: a zero marginal entry is an exact 0 to _terms and adds
-    +0.0 after the real entries, so each row keeps its own problem's floats.
-    Stacking one pattern too gives the same bits, but the per-row gather
-    it then needs raised the 4-qubit ledger benchmark's work_ref by 2.7-4 %
-    (medians of 6 paired runs in two rounds, 2-core x86-64 VM), so one
-    pattern keeps its 2-D table.
-    """
-    if all(pattern == patterns[0] for pattern in patterns):
-        return _marginal_table(measured, patterns[0])
-    each = [_marginal_table(measured, pattern) for pattern in patterns]
-    tables = np.zeros((len(each), 2 ** len(measured), max(table.shape[1] for table in each)))
-    for padded, table in zip(tables, each):
-        padded[:, : table.shape[1]] = table
-    return tables
-
-
-@functools.cache
 def _marginal_table(measured: tuple[int, ...], parties: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """0/1 table M taking outcome probabilities to the parties' marginals.
 
@@ -374,118 +358,129 @@ def _make_objective(states, qs, measured: tuple[int, ...], groups):
     values, row k evaluated on problem owner[k]: its state, its q and its
     parties.
 
-    Phi(rho) is diagonal in the product measurement basis (block diagonal
-    when some qubits stay unmeasured), so the measured-state entropies come
-    from outcome probabilities and per-block spectra of W^dagger rho W (W
-    the rotated product basis) rather than from an explicit channel
-    application. With every qubit measured, the probabilities come from
-    rho W by measurement._diagonal, the kernel the channel API uses. With
-    some qubits unmeasured, block j is sum_ab W*[a, j] rho[(a, u), (b, v)]
-    W[b, j], rho W then a 2-operand contraction over a with W*, and eigh
-    gives its spectrum. Group terms whose qubits are unmeasured cancel
-    exactly and are skipped. The measured groups' marginals are
-    (probs[:, None, :] @ M)[:, 0], M the read-only 0/1 table of
-    _marginal_table, built once per pattern of measured parties: a stack
-    of one-row products, so each row's sums are its own, where a 2-D
-    probs @ M goes through a BLAS kernel whose rows change with the batch
-    size. When the problems' patterns differ (a whole state beside cuts),
-    M is each row's own table, gathered from _marginal_tables' padded
-    stack. The entropies of the spectrum and of every measured marginal
-    come from one entropy._terms call over their concatenation, with q a
-    column of one q per row. Every row is computed on its own: a row's
-    value does not depend on the other rows of the batch or on their
-    problems, and each row of _evaluate's value-only pass is one row here.
+    Phi(rho) is block diagonal over the outcomes j: its spectrum is the
+    union of the spectra of the blocks B_j = sum_mu X[mu, j] v_mu R_mu
+    (measurement module docstring), v the lift of the row's angles and R_mu
+    the Pauli blocks of its state, so no measured state and no rotated
+    basis is built. Each distinct state of the problems is transformed
+    once (linalg._pauli_blocks): the whole state and its cuts are one
+    object. A row's blocks are one product with the shared sign table X
+    (measurement._outcome_blocks). With every qubit measured R_mu is the
+    real t_mu = tr(rho sigma_mu) and the blocks are the outcome
+    probabilities (t o v) X, in real arithmetic and with no eigh;
+    otherwise R_mu is the Hermitian part of its 2^(n-m)-square block,
+    carried as real and imaginary parts, and eigh gives each B_j's
+    spectrum. Group terms whose qubits are unmeasured cancel exactly and
+    are skipped. The measured groups' marginals are (probs[:, None, :] @
+    M)[:, 0], M the read-only 0/1 table of _marginal_table, built once per
+    pattern of measured parties: a stack of one-row products, so each
+    row's sums are its own, where a 2-D probs @ M goes through a BLAS
+    kernel whose rows change with the batch size. When the problems'
+    patterns differ (a whole state beside cuts), each pattern's rows take
+    its own table and the narrower marginals are padded with zeros after
+    their own entries; the marginals' entropy terms are summed in order,
+    so a padded zero adds an exact +0.0 at the end, where numpy's pairwise
+    sum would regroup a longer row. The entropies of the spectrum and of
+    every measured marginal come from one entropy._terms call over their
+    concatenation, with q a column of one q per row. Every row is computed
+    on its own: a row's value does not depend on the other rows of the
+    batch or on their problems, and each row of _evaluate's value-only
+    pass is one row here.
 
     objective(angles, owner, gradient=True) returns (values (K,), gradients
-    (K, 2m)) instead, the gradient exact. Differentiating qubit k's factor
-    gives dW = W (I x G x I), with G_theta = [[0, -1/2], [1/2, 0]] and
-    G_phi = i [[sin^2(theta/2), sin(theta)/2], [sin(theta)/2, cos^2(theta/2)]].
-    With C_ji the (j, i) block of (W x I)^dagger rho (W x I) and
-    E_j = h'(B_j) - sum_g h'(marginal_g)[j] I (h' the slopes of _terms, and
-    h'(B_j) = V h'(Lambda) V^dagger from the block's eigh), the derivatives
-    are sum_j +-Re tr(E_j C_{j, j^k}) in theta_k, + where qubit k's bit of
-    j is 0, and -sin(theta_k) sum_j Im tr(E_j C_{j, j^k}) in phi_k. The
-    shift sum_g h'(marginal_g)[j] is (slopes[:, None, marginals] @ M.T)[:, 0],
-    the same table. With every qubit measured the blocks are numbers and
-    C = W^dagger (rho W) is one more batched matmul, so the traces are
-    E_j times one gather of C at (j, j^k); otherwise they are one einsum
-    over W*, E and rho W indexed at the flipped outcomes. The values do
-    not change.
+    (K, 2m)) instead, the gradient exact, by one path for both kinds of
+    job. With E_j = h'(B_j) - sum_g h'(marginal_g)[j] I (h' the slopes of
+    _terms; h'(B_j) = V h'(Lambda) V^dagger from the block's eigh, or a
+    number when the blocks are), the value's derivative in the lift is
+    df/dv_mu = sum_j X[mu, j] Re tr(E_j R_mu): one product X E per row,
+    then each R_mu's real inner product with it (R_mu is Hermitian). The
+    lift's pullback (measurement._lift) carries that to the angles. The
+    shift sum_g h'(marginal_g)[j] is the slopes' product with M.T, the
+    same table. The values do not change.
     """
     n = states[0].num_qubits
     m = len(measured)
-    unmeasured = tuple(i for i in range(n) if i not in measured)
-    dim_m = 2**m
-    dim_u = 2 ** len(unmeasured)
-    dim = dim_m * dim_u  # entries of the measured spectrum
+    dim_u = 2 ** (n - m)
+    dim = 2**m * dim_u  # entries of the measured spectrum
 
-    # Each rho with rows (a, u, v) and columns b; with dim_u == 1 it is rho
-    # itself with its qubits in measured order.
-    axes = measured + unmeasured + tuple(n + i for i in unmeasured + measured)
-    stacked = np.array(
-        [
-            rho.matrix.reshape((2,) * (2 * n)).transpose(axes).reshape(dim * dim_u, dim_m)
-            for rho in states
-        ]
-    )
+    # Each distinct state once: the whole state and its cuts are one object.
+    distinct = {id(rho): rho for rho in states}
+    blocks = _pauli_blocks(np.array([rho.matrix for rho in distinct.values()]), n, measured)
+    if dim_u == 1:
+        blocks = blocks.real
+    else:
+        blocks = (blocks + blocks.conj().swapaxes(-1, -2)) / 2
+        blocks = np.ascontiguousarray(blocks).view(float)
+    pauli = blocks.reshape(len(distinct), 4**m, -1)
+    if len(distinct) < len(states):
+        slot = {key: i for i, key in enumerate(distinct)}
+        pauli = pauli[[slot[id(rho)] for rho in states]]
 
     # The table sums the outcomes into each measured party's marginal. A
     # party is wholly measured or not (_shape), so its first qubit tells,
     # and the unmeasured ones cancel in the drop, their marginal untouched.
     patterns = [tuple(g for g in parties if g[0] in measured) for parties in groups]
-    tables = _marginal_tables(measured, patterns)
-    consts = np.array(
-        [_mutual_information(rho, parties, q) for rho, q, parties in zip(states, qs, patterns)]
-    )
+    kinds = list(dict.fromkeys(patterns))
+    tables = [_marginal_table(measured, pattern) for pattern in kinds]
+    if len(tables) > 1:
+        width = max(table.shape[1] for table in tables)
+        kind = np.array([kinds.index(pattern) for pattern in patterns])
+    consts = np.array(_mutual_information(states, patterns, qs))
     qs = np.array(qs, dtype=float)
+    signs = _signs(m)
 
     def objective(angles: np.ndarray, owner: np.ndarray, gradient: bool = False):
-        w = product_basis(angles)
-        k = w.shape[0]
-        rho_w = stacked[owner] @ w
+        lifted = _lift(angles, gradient)
+        v, pullback = lifted if gradient else (lifted, None)
+        pauli_rows = pauli[owner]
+        b = _outcome_blocks(pauli_rows, v)
+        k = len(b)
         if dim_u == 1:
-            probs = _diagonal(w, rho_w).real
-            np.maximum(probs, 0.0, out=probs)
-            spectrum = probs
+            probs = spectrum = np.maximum(b[:, :, 0], 0.0)
         else:
-            rho_w = rho_w.reshape(k, dim_m, dim_u, dim_u, dim_m)
-            blocks = np.einsum("kaj,kauvj->kjuv", w.conj(), rho_w)
-            probs = np.einsum("kjuu->kj", blocks).real
-            np.maximum(probs, 0.0, out=probs)
-            eigenvalues, vectors = np.linalg.eigh(blocks)
+            b = b.view(complex).reshape(k, 2**m, dim_u, dim_u)
+            probs = np.maximum(np.einsum("kjuu->kj", b).real, 0.0)
+            eigenvalues, vectors = np.linalg.eigh(b)
             spectrum = eigenvalues.reshape(k, -1)
-        table = tables if tables.ndim == 2 else tables[owner]
-        # A stack of one-row products, so each row's sums are its own.
-        marginals = (probs[:, None, :] @ table)[:, 0]
+        # A stack of one-row products, so each row's sums are its own. With
+        # several patterns each one's rows take its own table, and a
+        # narrower pattern's marginals are padded with zeros after its own.
+        if len(tables) == 1:
+            marginals = (probs[:, None, :] @ tables[0])[:, 0]
+        else:
+            patterned = [(np.flatnonzero(kind[owner] == u), table) for u, table in enumerate(tables)]
+            marginals = np.zeros((k, width))
+            for rows, table in patterned:
+                marginals[rows, : table.shape[1]] = (probs[rows, None, :] @ table)[:, 0]
         # The entropy is a plain sum over entries, so the marginals' part of
-        # the concatenation sums to the sum of their entropies.
+        # the concatenation sums to the sum of their entropies. That part is
+        # summed in order, so a padded zero adds an exact +0.0 at the end.
         q = qs[owner][:, None]
         p, x, s = _terms(np.concatenate([spectrum, marginals], axis=1), q)
         px = p * x
         h_spectrum = -px[:, :dim].sum(axis=-1) / s[:, 0]
-        h_marginals = -px[:, dim:].sum(axis=-1) / s[:, 0]
+        h_marginals = -np.cumsum(px[:, dim:], axis=-1)[:, -1] / s[:, 0]
         values = consts[owner] + h_spectrum - h_marginals
         if not gradient:
             return values
 
-        outcomes, flipped, signs = _gradient_tables(m)
         slopes = -q * x / s
         # sum_g h'(marginal_g)[j] for each outcome j
-        shift = (slopes[:, None, dim:] @ table.swapaxes(-1, -2))[:, 0]
+        if len(tables) == 1:
+            shift = (slopes[:, None, dim:] @ tables[0].T)[:, 0]
+        else:
+            shift = np.empty((k, 2**m))
+            for rows, table in patterned:
+                shift[rows] = (slopes[rows, None, dim : dim + table.shape[1]] @ table.T)[:, 0]
         if dim_u == 1:
-            # traces[k, i, j] = E_j C_{j, j^i}, C = W^dagger rho W
-            c = w.conj().swapaxes(-1, -2) @ rho_w
-            traces = (slopes[:, :dim] - shift)[:, None, :] * c[:, outcomes, flipped]
+            e = (slopes[:, :dim] - shift)[:, :, None]
         else:
             h = slopes[:, :dim].reshape(eigenvalues.shape)
             e = (vectors * h[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
             e -= shift[:, :, None, None] * np.eye(dim_u)
-            # traces[k, i, j] = tr(E_j C_{j, j^i}) for measured qubit i
-            traces = np.einsum("kaj,kjvu,kauvij->kij", w.conj(), e, rho_w[..., flipped])
-        grad = np.empty((k, 2 * m))
-        grad[:, 0::2] = (signs * traces.real).sum(axis=-1)
-        grad[:, 1::2] = -np.sin(np.asarray(angles)[:, 0::2]) * traces.imag.sum(axis=-1)
-        return values, grad
+            e = e.view(float).reshape(k, 2**m, -1)
+        # df/dv_mu = sum_j X[mu, j] Re tr(E_j R_mu), R_mu Hermitian
+        return values, pullback(((signs @ e) * pauli_rows).sum(axis=-1))
 
     return objective
 

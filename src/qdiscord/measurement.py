@@ -1,24 +1,35 @@
 """Local projective measurements and the channels they induce.
 
-A single-qubit measurement is a unit Bloch axis a; its projectors are
-(I +/- a.sigma)/2. A product measurement applies one such pair per qubit.
-Its 2^n outcome projectors are the columns of one unitary, the rotated
-product basis W (the Kronecker product of the per-qubit eigenbases), so
-the outcome probabilities are diag(W^dagger rho W) and the non-selective
-channel sum_j P_j rho P_j is W diag(p) W^dagger. A ProductMeasurement
-enters through _angles, which checks its arity against the state and
-turns each axis into (theta, phi); apply_full, outcome_probabilities,
-discord.induced_discord and the monogamy ledger all call it. Every
-caller, the discord objective included, gets W through product_basis,
-and the outcome probabilities of a full measurement from _diagonal.
-apply_full is the only code that builds a measured DensityMatrix.
+A single-qubit measurement is a unit Bloch axis n; its projectors are
+(I +/- n.sigma)/2. A product measurement applies one such pair to each of
+m qubits, and its outcome j (qubit 0 the high bit, bit 0 for the +
+outcome, s_k(j) the sign +/-1 of qubit k) has the projector
 
-The outcome probabilities are diag(W^dagger (rho W)): the caller computes
-rho W, one batched BLAS matmul, and _diagonal takes the column-wise
-product with the conjugate of W summed down each column. That is O(d^2)
-per basis after the matmul, where a 3-operand einsum over W^dagger, rho
-and W costs O(d^3) complex products per basis in a C loop. The caller
-keeps rho W: the discord objective reuses it for its gradient.
+    P_j = (x)_k (I + s_k n_k.sigma)/2 = 2^-m sum_mu v_mu prod_{k: mu_k != 0} s_k sigma_mu,
+
+where sigma_mu = sigma_mu_0 (x) sigma_mu_1 (x) ... runs over the 4^m Pauli
+strings and v = (1, n_0) (x) (1, n_1) (x) ... is the lift of the axes, a
+real 4^m-vector multilinear in them (Dakic, Vedral & Brukner, PRL 105,
+190502 (2010)). So with the Pauli blocks R_mu = tr_M[(sigma_mu (x) I_U)
+rho] of linalg._pauli_blocks, the block of outcome j is
+
+    B_j = tr_M[(P_j (x) I_U) rho] = sum_mu X[mu, j] v_mu R_mu,
+
+X[mu, j] = 2^-m prod_{k: mu_k != 0} s_k(j) the read-only sign table of
+_signs. With every qubit measured, R_mu is the real number t_mu =
+tr(rho sigma_mu) and B_j is the outcome probability p_j: p = (t o v) X.
+_lift builds v, with its derivatives in the angles when asked, and
+_outcome_blocks contracts it with X and the blocks; outcome_probabilities,
+apply_full and the discord objective all take their probabilities from
+them, one implementation in real arithmetic.
+
+A ProductMeasurement enters through _angles, which checks its arity
+against the state and turns each axis into (theta, phi); apply_full,
+outcome_probabilities, discord.induced_discord and the monogamy ledger
+all call it. apply_full is the only code that builds a measured
+DensityMatrix: the non-selective channel sum_j P_j rho P_j is W diag(p)
+W^dagger, W the rotated product basis of product_basis, whose column j is
+the common eigenvector of outcome j.
 
 product_basis builds W one qubit at a time: the d x d basis so far and the
 next qubit's 2 x 2 eigenbasis u are combined by a broadcast outer product,
@@ -29,6 +40,7 @@ multiplication per entry, without the per-call overhead of numpy's kron.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable
 
@@ -41,6 +53,7 @@ from .linalg import (
     SIGMA_Y,
     SIGMA_Z,
     _index,
+    _pauli_blocks,
 )
 
 __all__ = [
@@ -172,23 +185,94 @@ def _angles(phi: ProductMeasurement, n: int) -> list[float]:
     return angles
 
 
-def _diagonal(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """diag(W^dagger X) for bases w and products x = rho W, both of shape (..., d, d).
+@functools.cache
+def _signs(m: int) -> np.ndarray:
+    """The read-only sign table X of m measured qubits, shape (4^m, 2^m).
 
-    The result has shape (..., d) and is complex; its real part is the
-    outcome probabilities. Every basis of a batch gets the same floats as
-    it would alone.
+    X[mu, j] = 2^-m prod_{k: mu_k != 0} s_k(j): the Kronecker product of m
+    copies of the one-qubit table [[1, 1], [1, -1], [1, -1], [1, -1]] / 2,
+    so every entry is an exact +/-2^-m. Built once per m.
     """
-    return (w.conj() * x).sum(axis=-2)
+    x = np.ones((1, 1))
+    for _ in range(m):
+        x = np.kron(x, [[0.5, 0.5], [0.5, -0.5], [0.5, -0.5], [0.5, -0.5]])
+    x.setflags(write=False)
+    return x
+
+
+def _lift(angles, gradient: bool = False):
+    """The lifts v = (1, n_0) (x) (1, n_1) (x) ... of angles (K, 2m), shape (K, 4^m).
+
+    Row k's axes are n_i = (sin t cos p, sin t sin p, cos t) for its
+    (t, p) = angles[k, 2i : 2i + 2]. The lift grows one qubit at a time,
+    an outer product of the lift so far (its prefix) with the next factor
+    (1, n_i), on arrays with the rows last so that numpy's inner loops run
+    over the rows. With gradient it returns (v, pullback) instead, where
+    pullback(g) takes g = df/dv (K, 4^m) to df/dangles (K, 2m) by the
+    chain rule back through the outer products: at qubit i, df/d(1, n_i)
+    is g contracted with the prefix, and g contracted with (1, n_i) is the
+    prefix's own df, each a matmul per row. df/d(1, n_i) then meets (0,
+    dn_i/dt) and (0, dn_i/dp). Every step treats each row on its own, so
+    a row's floats do not depend on the others.
+    """
+    a = np.asarray(angles, dtype=float)
+    k, m = len(a), a.shape[1] // 2
+    c, s = np.cos(a), np.sin(a)
+    ct, cp, st, sp = c[:, 0::2], c[:, 1::2], s[:, 0::2], s[:, 1::2]
+    factors = np.empty((m, 4, k))
+    factors[:, 0] = 1.0
+    factors[:, 1] = (st * cp).T
+    factors[:, 2] = (st * sp).T
+    factors[:, 3] = ct.T
+    prefixes = [factors[0]]
+    for i in range(1, m):
+        prefixes.append((prefixes[-1][:, None, :] * factors[i, None]).reshape(-1, k))
+    v = prefixes[-1].T
+    if not gradient:
+        return v
+
+    def pullback(g: np.ndarray) -> np.ndarray:
+        rows = np.ascontiguousarray(factors.transpose(2, 0, 1))  # the rows first, for their products
+        df = np.empty((k, m, 4))  # df/d(1, n_i)
+        for i in range(m - 1, 0, -1):
+            g = g.reshape(k, -1, 4)
+            prefix = rows[:, 0] if i == 1 else np.ascontiguousarray(prefixes[i - 1].T)
+            df[:, i] = (prefix[:, None, :] @ g)[:, 0]
+            g = (g @ rows[:, i, :, None])[:, :, 0]
+        df[:, 0] = g
+        grad = np.empty((k, 2 * m))
+        grad[:, 0::2] = ct * (cp * df[..., 1] + sp * df[..., 2]) - st * df[..., 3]
+        grad[:, 1::2] = st * (cp * df[..., 2] - sp * df[..., 1])
+        return grad
+
+    return v, pullback
+
+
+def _outcome_blocks(pauli: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """B_j = sum_mu X[mu, j] v_mu R_mu for each row: shape (K, 2^m, F).
+
+    pauli holds each row's Pauli blocks flattened to F reals, (K, 4^m, F),
+    and v its lift (K, 4^m). One matmul with the shared table per row, so
+    each row's sums are its own.
+    """
+    m = v.shape[1].bit_length() // 2  # 4^m has 2m + 1 bits
+    return _signs(m).T @ (v[:, :, None] * pauli)
+
+
+def _probabilities(rho: DensityMatrix, angles) -> np.ndarray:
+    """The outcome probabilities (t o v) X of rho measured at angles (theta_0, phi_0, ...)."""
+    n = rho.num_qubits
+    t = _pauli_blocks(rho.matrix[None], n, range(n)).real.reshape(1, 4**n, 1)
+    return _outcome_blocks(t, _lift([angles]))[0, :, 0]
 
 
 def apply_full(phi: ProductMeasurement, rho: DensityMatrix) -> DensityMatrix:
     """Non-selective product measurement sum_j P_j rho P_j = W diag(p) W^dagger."""
-    w = product_basis(_angles(phi, rho.num_qubits))
-    return DensityMatrix((w * _diagonal(w, rho.matrix @ w).real) @ w.conj().T)
+    angles = _angles(phi, rho.num_qubits)
+    w = product_basis(angles)
+    return DensityMatrix((w * _probabilities(rho, angles)) @ w.conj().T)
 
 
 def outcome_probabilities(phi: ProductMeasurement, rho: DensityMatrix) -> np.ndarray:
     """Probabilities of the 2^n outcomes, indexed with qubit 0 as the high bit."""
-    w = product_basis(_angles(phi, rho.num_qubits))
-    return _diagonal(w, rho.matrix @ w).real
+    return _probabilities(rho, _angles(phi, rho.num_qubits))

@@ -147,10 +147,11 @@ def decompose_induced_gqd(
     measured by phi's first k+1 axes. The whole state and the nested cuts
     are one value-only pass, discord._evaluate, each job at its slice of
     phi's angles: one objective and one call per qubit count, 3 at n = 4,
-    where the whole state and the cut (012)|(3) share one.
-    The prefix states are partial traces, the only states a ledger builds
-    (two at n = 4); the problem constants take each party's marginal as a
-    plain array (linalg._marginal).
+    where the whole state and the cut (012)|(3) share one, and, being one
+    state, one Pauli transform and one marginal per party. The prefix
+    states are partial traces, the only states a ledger builds (two at
+    n = 4); the problem constants take each party's marginal as a plain
+    array (linalg._marginal).
     """
     n = rho.num_qubits
     angles = _angles(phi, n)

@@ -180,20 +180,30 @@ def test_criterion_07_correlation_product_bound():
 
 
 def test_criterion_08_default_sweep_difference_changes_sign(capsys):
+    # Every cell is also checked against the alpha-state closed form,
+    # pauli_diagonal_gqd(2, a, -a, 2a - 1, q), at the oracle bound.
     code = main(["sweep"])
     out = capsys.readouterr().out
     assert code == 0
     rows = out.strip().split("\n")
     assert rows[0] == "q,alpha:0.58,alpha:0.3,difference"
-    differences = [float(row.split(",")[-1]) for row in rows[1:]]
-    assert len(differences) == 19
+    alphas = [float(name.split(":")[1]) for name in rows[0].split(",")[1:-1]]
+    cells = [[float(field) for field in row.split(",")] for row in rows[1:]]
+    assert len(cells) == 19
+    differences = [row[-1] for row in cells]
+    gap = max(
+        abs(value - pauli_diagonal_gqd(2, a, -a, 2.0 * a - 1.0, row[0]).value)
+        for row in cells
+        for a, value in zip(alphas, row[1:-1])
+    )
     has_positive = any(d > 0.0 for d in differences)
     has_negative = any(d < 0.0 for d in differences)
     _criterion(
         8,
-        has_positive and has_negative,
+        has_positive and has_negative and gap <= 1e-5,
         f"default sweep difference column spans both signs "
-        f"(min {min(differences):.3e}, max {max(differences):.3e})",
+        f"(min {min(differences):.3e}, max {max(differences):.3e}); "
+        f"worst cell against the closed form {gap:.3e} (limit 1e-05)",
     )
 
 

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from qdiscord.analytic import (
     ClosedFormResult,
     _pauli_lambdas,
+    one_sided_q2_qd,
     optimal_measured_entropy,
     pauli_diagonal_gqd,
     pauli_diagonal_measured_spectrum,
@@ -13,17 +14,19 @@ from qdiscord.analytic import (
     werner_ghz_measured_spectrum,
     werner_ghz_optimal_measured_spectrum,
 )
-from qdiscord.discord import OptimizerConfig, induced_discord, q_gqd, q_qd_one_sided
+from qdiscord.discord import OptimizerConfig, _evaluate, induced_discord, q_gqd, q_qd_one_sided, q_qd_one_sided_many
 from qdiscord.entropy import majorizes, tsallis_entropy, tsallis_entropy_probs
 from qdiscord.linalg import DensityMatrix, Spectrum, state_spectrum
 from qdiscord.measurement import (
     BlochMeasurement,
     ProductMeasurement,
+    _angles,
     apply_full,
     outcome_probabilities,
 )
 from qdiscord.states import (
     pauli_diagonal_state,
+    random_density_matrix,
     random_pauli_diagonal_coefficients,
     werner_ghz,
 )
@@ -236,6 +239,51 @@ class TestPureTwoQubit:
             pure_two_qubit_gqd([1.0, 0.0, 0.0, 1.0], 0.5)
         with pytest.raises(ValueError):
             pure_two_qubit_gqd([1.0, 0.0, 0.0, 0.0], 0.0)
+
+
+class TestOneSidedQ2:
+    def test_matches_default_search(self):
+        # The first oracle of the one-sided search on arbitrary states:
+        # random states at n = 2, 3 and 4, every qubit measured in turn, the
+        # default search, within the oracle bound. The search only ever sits
+        # above the minimum.
+        for n in (2, 3, 4):
+            rhos = [random_density_matrix(n, seed=600 + 10 * n + i) for i in range(3)]
+            for k in range(n):
+                for rho, report in zip(rhos, q_qd_one_sided_many([(rho, 2.0) for rho in rhos], (k,))):
+                    value, _ = one_sided_q2_qd(rho, k)
+                    assert abs(report.value - value) <= 1e-5
+                    assert report.raw_value >= value - 1e-12
+
+    def test_axis_attains_the_value(self):
+        # The returned axis, evaluated by the objective at that fixed
+        # measurement, gives the closed-form value.
+        for n in (2, 3, 4):
+            rho = random_density_matrix(n, seed=650 + n)
+            for k in range(n):
+                value, axis = one_sided_q2_qd(rho, k)
+                (at,) = _evaluate([(rho, 2.0, (k,), None)], [_angles(ProductMeasurement([axis]), 1)])
+                assert_allclose(at, value, rtol=0, atol=1e-12)
+
+    def test_pauli_family_at_two_qubits(self):
+        # At n = 2 the Pauli-diagonal closed form is the one-sided value
+        # with either qubit measured.
+        for i in range(6):
+            c1, c2, c3 = random_pauli_diagonal_coefficients(2, seed=700 + i)
+            rho = pauli_diagonal_state(2, c1, c2, c3)
+            closed = pauli_diagonal_gqd(2, c1, c2, c3, 2.0).value
+            for k in (0, 1):
+                assert_allclose(one_sided_q2_qd(rho, k)[0], closed, rtol=0, atol=1e-12)
+
+    def test_domain_errors(self):
+        rho = random_density_matrix(3, seed=660)
+        for qubit in (-1, 3):
+            with pytest.raises(ValueError, match="one of at least two qubits"):
+                one_sided_q2_qd(rho, qubit)
+        with pytest.raises(ValueError, match="qubit index must be an integer"):
+            one_sided_q2_qd(rho, 1.0)
+        with pytest.raises(ValueError, match="one of at least two qubits"):
+            one_sided_q2_qd(DensityMatrix(np.eye(2) / 2), 0)
 
 
 class TestOptimalMeasuredEntropy:

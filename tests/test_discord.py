@@ -25,8 +25,6 @@ from qdiscord.measurement import (
     BlochMeasurement,
     ProductMeasurement,
     _angles,
-    _basis_columns,
-    _diagonal,
     apply_full,
     product_basis,
     projectors,
@@ -59,6 +57,14 @@ def single(rho, q, measured, groups):
         return objective(angles, owner, gradient)
 
     return call
+
+
+def ginibre_state(n, seed):
+    """A random full-rank n-qubit state G G^dagger / tr, for sizes beyond random_density_matrix's."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    m = g @ g.conj().T
+    return DensityMatrix(m / m.trace().real)
 
 
 def random_angles(rng, m):
@@ -207,10 +213,16 @@ class TestMutualInformation:
                 for cut in splits:
                     groups = discord._parties(n, cut)
                     expected = reference_mutual_information(rho, groups, q).hex()
-                    assert _mutual_information(rho, groups, q).hex() == expected
+                    assert _mutual_information([rho], [groups], [q])[0].hex() == expected
                 assert mutual_information_q(rho, q).hex() == reference_mutual_information(
                     rho, discord._parties(n, None), q
                 ).hex()
+                # Every split of the state and a second q in one call, each
+                # marginal computed once: each value is still the solo one.
+                groups = [discord._parties(n, cut) for cut in splits] * 2
+                together = _mutual_information([rho] * len(groups), groups, [q] * len(splits) + [0.7] * len(splits))
+                for value, parties, q_j in zip(together, groups, [q] * len(splits) + [0.7] * len(splits)):
+                    assert value.hex() == reference_mutual_information(rho, parties, q_j).hex()
 
     def test_product_state_pseudo_additivity(self):
         # Only q = 1 gives zero on products; elsewhere the entropy is
@@ -297,8 +309,8 @@ class TestFastObjective:
                 for a in angles:
                     phi = ProductMeasurement.from_angles(a.reshape(-1, 2))
                     direct.append(
-                        _mutual_information(rho, groups, q)
-                        - _mutual_information(apply_full(phi, rho), groups, q)
+                        _mutual_information([rho], [groups], [q])[0]
+                        - _mutual_information([apply_full(phi, rho)], [groups], [q])[0]
                     )
                     induced.append(induced_discord(rho, phi, q, cut=cut))
                 assert_allclose(objective(angles), direct, atol=1e-11)
@@ -324,30 +336,9 @@ class TestFastObjective:
                 )
             )
             drops.append(
-                _mutual_information(rho, cut, q) - _mutual_information(measured_state, cut, q)
+                _mutual_information([rho], [cut], [q])[0] - _mutual_information([measured_state], [cut], [q])[0]
             )
         assert_allclose(objective(angles), drops, atol=1e-11)
-
-    def test_search_unchanged_by_product_basis_kernel(self, monkeypatch):
-        # The broadcast product basis equals the np.kron chain bit for bit,
-        # so the search must retrace the same path with either one.
-        def kron_chain(angles):
-            bases = []
-            for row in np.asarray(angles):
-                w = _basis_columns(row[0], row[1])
-                for j in range(2, len(row), 2):
-                    w = np.kron(w, _basis_columns(row[j], row[j + 1]))
-                bases.append(w)
-            return np.array(bases)
-
-        rho = random_density_matrix(3, seed=31)
-        fast = q_gqd(rho, 0.7, LIGHT)
-        monkeypatch.setattr(discord, "product_basis", kron_chain)
-        reference = q_gqd(rho, 0.7, LIGHT)
-        assert fast.raw_value == reference.raw_value
-        assert fast.objective_evals == reference.objective_evals
-        for a, b in zip(fast.optimal_measurement, reference.optimal_measurement):
-            assert np.array_equal(a.axis, b.axis)
 
     @pytest.mark.parametrize(
         "n, measured, groups",
@@ -400,21 +391,28 @@ class TestFastObjective:
                 [None, ((0, 1), (2, 3)), ((0,), (1, 2, 3)), ((0, 1, 2), (3,)), ((0, 2), (1, 3)), ((1,), (0, 2, 3))],
                 10,
             ),
+            # Singles have 10 marginal entries and (0123)|(4) has 18, past
+            # the 8 entries numpy's pairwise sum takes in one pass.
+            (5, [None, ((0, 1, 2, 3), (4,))], 18),
         ],
     )
     def test_rows_of_mixed_cuts_are_their_own_problems(self, n, cuts, width):
         # Whole states and cuts in one batch, each problem with its own
         # parties (q = 1 takes the Shannon branch beside q != 1 rows): every
         # row gives the value and gradient floats of a one-problem objective
-        # built with that row's cut, though at n = 4 its table is padded to
-        # the widest one's 10 columns.
+        # built with that row's cut, though the problems' marginals differ
+        # in length, the widest having width entries. At n = 5 the whole
+        # state and the cut are one state, as in a telescoping ledger.
         rng = np.random.default_rng(40 + n)
         measured = tuple(range(n))
-        rhos = [random_density_matrix(n, seed=60 + 10 * n + k) for k in range(len(cuts))]
+        if n == 5:
+            rhos = [ginibre_state(5, seed=150)] * len(cuts)
+        else:
+            rhos = [random_density_matrix(n, seed=60 + 10 * n + k) for k in range(len(cuts))]
         qs = [0.25, 0.5, 1.0, 2.0, 1.5, 0.7][: len(cuts)]
         groups = [discord._parties(n, cut) for cut in cuts]
-        assert discord._marginal_tables(measured, groups).shape == (len(cuts), 2**n, width)
-        angles = np.array([random_angles(rng, n) for _ in range(3 * len(cuts))])
+        assert max(discord._marginal_table(measured, parties).shape[1] for parties in groups) == width
+        angles = np.array([random_angles(rng, n) for _ in range(max(3 * len(cuts), 12))])
         owner = np.arange(len(angles)) % len(cuts)
         objective = _make_objective(rhos, qs, measured, groups)
         values, grads = objective(angles, owner, gradient=True)
@@ -545,7 +543,7 @@ def axis_sum_objective(rho, q, measured, groups):
     rho_t = rho.matrix.reshape((2,) * (2 * n)).transpose(axes).reshape(dim * dim_u, dim_m)
     parties = [g for g in groups if all(i in measured for i in g)]
     summed = [tuple(1 + ax for ax, i in enumerate(measured) if i not in g) for g in parties]
-    const = _mutual_information(rho, parties, q)
+    (const,) = _mutual_information([rho], [parties], [q])
     outcomes = np.arange(dim_m)
     bits = (1 << np.arange(m - 1, -1, -1))[:, None]
     flipped = outcomes ^ bits
@@ -556,7 +554,7 @@ def axis_sum_objective(rho, q, measured, groups):
         k = len(w)
         rho_w = rho_t @ w
         if dim_u == 1:
-            probs = np.maximum(_diagonal(w, rho_w).real, 0.0)
+            probs = np.maximum((w.conj() * rho_w).sum(axis=-2).real, 0.0)
             spectrum = probs
         else:
             rho_w = rho_w.reshape(k, dim_m, dim_u, dim_u, dim_m)
@@ -1281,3 +1279,11 @@ class TestValuePass:
         assert abs(ledger.residual) <= 1e-9
         with pytest.raises(ValueError, match="desk-scale limit"):
             q_gqd(rho, 0.5)
+        # The ledger's whole state shares its objective with the cut
+        # (0123)|(4), whose marginals are longer, and its total is still
+        # the solo float on every state and q.
+        for seed in range(8):
+            rho = ginibre_state(5, seed=170 + seed)
+            phi = ProductMeasurement.from_angles(random_angles(rng, 5).reshape(-1, 2))
+            for q in (0.5, 1.0, 2.0):
+                assert decompose_induced_gqd(rho, phi, q).total == induced_discord(rho, phi, q)

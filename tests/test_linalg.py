@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +12,7 @@ from qdiscord.linalg import (
     DensityMatrix,
     Spectrum,
     _marginal,
+    _pauli_blocks,
     kron_all,
     partial_trace,
     permute_qubits,
@@ -191,6 +194,36 @@ class TestPartialTrace:
             partial_trace(rho, (0, 2))
         with pytest.raises(ValueError, match="keep must be a collection of qubit indices"):
             partial_trace(rho, 0)
+
+
+class TestPauliBlocks:
+    def test_matches_the_definition(self):
+        # R_mu = tr_M[(sigma_mu (x) I_U) rho], built term by term with kron
+        # and traced with _marginal, for every measured subset at n = 1-4.
+        paulis = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
+        for n in (1, 2, 3, 4):
+            rho = random_density_matrix(n, seed=250 + n).matrix
+            for m in range(1, n + 1):
+                for measured in itertools.combinations(range(n), m):
+                    blocks = _pauli_blocks(rho[None], n, measured)[0]
+                    unmeasured = tuple(i for i in range(n) if i not in measured)
+                    assert blocks.shape == (4**m, 2 ** (n - m), 2 ** (n - m))
+                    for j, mu in enumerate(itertools.product(range(4), repeat=m)):
+                        ops = [paulis[mu[measured.index(i)]] if i in measured else IDENTITY_2 for i in range(n)]
+                        product = kron_all(*ops) @ rho
+                        if unmeasured:
+                            expected = _marginal(product, n, unmeasured)
+                        else:
+                            expected = product.trace().reshape(1, 1)
+                        assert_allclose(blocks[j], expected, rtol=0, atol=1e-15)
+
+    def test_each_matrix_is_its_own(self):
+        # A matrix's blocks are the same bits whatever else the stack holds.
+        for n, measured in ((2, (0, 1)), (3, (0, 1, 2)), (4, (0, 1, 2, 3)), (3, (1,)), (4, (0, 2))):
+            stack = np.array([random_density_matrix(n, seed=260 + k).matrix for k in range(5)])
+            together = _pauli_blocks(stack, n, measured)
+            for k in range(5):
+                assert np.array_equal(together[k], _pauli_blocks(stack[k : k + 1], n, measured)[0])
 
 
 class TestPermuteQubits:

@@ -7,7 +7,8 @@ from qdiscord.measurement import (
     BlochMeasurement,
     ProductMeasurement,
     _basis_columns,
-    _diagonal,
+    _lift,
+    _signs,
     apply_full,
     outcome_probabilities,
     product_basis,
@@ -135,6 +136,59 @@ class TestProductBasis:
                     assert np.array_equal(bases[i, k], product_basis(angles[i, k]))
 
 
+class TestLift:
+    def test_lift_is_the_kronecker_product_of_the_factors(self):
+        rng = np.random.default_rng(14)
+        for m in (1, 2, 3, 4):
+            angles = rng.uniform(-8.0, 8.0, size=(3, 2 * m))
+            for row, v in zip(angles, _lift(angles)):
+                expected = np.ones(1)
+                for theta, phi in row.reshape(-1, 2):
+                    axis = BlochMeasurement.from_angles(theta, phi).axis
+                    expected = np.kron(expected, np.concatenate([[1.0], axis]))
+                assert_allclose(v, expected, rtol=0, atol=1e-15)
+
+    def test_sign_table(self):
+        # X[mu, j] = 2^-m prod over the non-identity digits of mu of qubit
+        # k's sign in outcome j (qubit 0 the high bit, bit 0 for +).
+        for m in (1, 2, 3):
+            x = _signs(m)
+            assert x.shape == (4**m, 2**m) and not x.flags.writeable
+            for mu_index in range(4**m):
+                mu = [(mu_index >> (2 * (m - 1 - k))) & 3 for k in range(m)]
+                for j in range(2**m):
+                    sign = np.prod([-1.0 if (j >> (m - 1 - k)) & 1 and mu[k] else 1.0 for k in range(m)])
+                    assert x[mu_index, j] == sign / 2**m
+
+    def test_pullback_matches_central_differences(self):
+        rng = np.random.default_rng(15)
+        step = 1e-6
+        for m in (1, 2, 3, 4):
+            angles = rng.uniform(-8.0, 8.0, size=(5, 2 * m))
+            angles[0, 0::2] = 0.0
+            v, pullback = _lift(angles, gradient=True)
+            assert np.array_equal(v, _lift(angles))
+            g = rng.normal(size=v.shape)
+            central = np.empty(angles.shape)
+            for i in range(2 * m):
+                shift = np.zeros(2 * m)
+                shift[i] = step
+                central[:, i] = ((_lift(angles + shift) - _lift(angles - shift)) * g).sum(axis=1) / (2 * step)
+            assert_allclose(pullback(g), central, rtol=0, atol=1e-7)
+
+    def test_rows_are_independent(self):
+        rng = np.random.default_rng(16)
+        for m in (1, 2, 3, 4):
+            angles = rng.uniform(-8.0, 8.0, size=(9, 2 * m))
+            v, pullback = _lift(angles, gradient=True)
+            g = rng.normal(size=v.shape)
+            grads = pullback(g)
+            for k in range(len(angles)):
+                v_k, pullback_k = _lift(angles[k : k + 1], gradient=True)
+                assert np.array_equal(v_k[0], v[k])
+                assert np.array_equal(pullback_k(g[k : k + 1])[0], grads[k])
+
+
 class TestChannels:
     def test_z_measurement_dephases_bell(self):
         pm = ProductMeasurement.uniform_axis(2, (0.0, 0.0, 1.0))
@@ -180,17 +234,15 @@ class TestChannels:
                 assert_allclose(outcome_probabilities(pm, rho), probs, atol=1e-13)
 
     def test_matches_three_operand_einsum(self):
-        # Reference: the 3-operand einsum over W^dagger, rho and W. The
-        # matmul kernel sums in another order, so agreement is to rounding.
+        # Reference: diag(W^dagger rho W) by the 3-operand einsum over the
+        # rotated product basis. The lift sums the Pauli expansion instead,
+        # so agreement is to rounding.
         rng = np.random.default_rng(9)
         for n in (1, 2, 3, 4):
             rho = random_density_matrix(n, seed=60 + n)
             angles = rng.uniform(-8.0, 8.0, size=(7, 2 * n))
             angles[0, 0::2] = 0.0
-            bases = product_basis(angles)
-            expected = np.einsum("kaj,ab,kbj->kj", bases.conj(), rho.matrix, bases).real
-            assert_allclose(_diagonal(bases, rho.matrix @ bases).real, expected, rtol=0, atol=1e-13)
-            for row, w in zip(angles, bases):
+            for row, w in zip(angles, product_basis(angles)):
                 pm = ProductMeasurement.from_angles(row.reshape(-1, 2))
                 probs = np.einsum("aj,ab,bj->j", w.conj(), rho.matrix, w).real
                 assert_allclose(outcome_probabilities(pm, rho), probs, rtol=0, atol=1e-13)
