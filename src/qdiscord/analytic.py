@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import _check_q
-from .linalg import TRACE_TOL, DensityMatrix, _index, _pauli_blocks
+from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, TRACE_TOL, DensityMatrix, _index, _marginal
 from .measurement import BlochMeasurement, ProductMeasurement
 from .states import _check_mu, _check_n, pauli_diagonal_state
 
@@ -171,7 +171,8 @@ def one_sided_q2_qd(rho: DensityMatrix, qubit: int) -> tuple[float, BlochMeasure
 
     No optimizer is used. Write rho = (1/2) sum_mu sigma_mu (x) R_mu over
     the measured qubit's Pauli matrices, R_mu = tr_k[(sigma_mu (x) I) rho]
-    its Pauli blocks (linalg._pauli_blocks), so R_0 = rho_rest, and let
+    its Pauli blocks, each the partial trace (linalg._marginal) of rho with
+    sigma_mu applied to qubit k's row index, so R_0 = rho_rest, and let
     G_ij = tr(R_i R_j) and r_i = tr R_i for i = 1..3 (r is the measured
     qubit's Bloch vector). Measuring along the unit axis n leaves the
     blocks B_+/- = (R_0 +/- n.R)/2 beside the projectors, with
@@ -188,13 +189,17 @@ def one_sided_q2_qd(rho: DensityMatrix, qubit: int) -> tuple[float, BlochMeasure
     least at the eigenvector of r r^T - G's smallest eigenvalue lambda_min,
     where it is I_2(rho) + 1/2 - tr(R_0^2)/2 - S_2(rho_rest) + lambda_min/2.
     The purities are sums of squared moduli and lambda_min comes from
-    numpy's eigh, none of them from the entropy or objective code.
+    numpy's eigh, none of them from the entropy, Pauli-transform
+    (linalg._pauli_blocks) or objective code.
     """
     n = rho.num_qubits
     k = _index(qubit, "qubit index")
     if n < 2 or not 0 <= k < n:
         raise ValueError("the measured qubit must be one of at least two qubits")
-    blocks = _pauli_blocks(rho.matrix[None], n, (k,))[0]
+    rest = [i for i in range(n) if i != k]
+    rows = rho.matrix.reshape(2**k, 2, -1)  # qubit k's row bit in the middle
+    paulis = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
+    blocks = np.array([_marginal((sigma @ rows).reshape(2**n, 2**n), n, rest) for sigma in paulis])
     gram = np.einsum("iab,jba->ij", blocks[1:], blocks[1:]).real
     r = np.einsum("iaa->i", blocks[1:]).real
     purity_rest = float(np.vdot(blocks[0], blocks[0]).real)

@@ -74,7 +74,7 @@ import numpy as np
 
 from .entropy import _check_q, _terms
 from .linalg import DESK_SCALE_LIMIT, DensityMatrix, _index, _indices, _marginal, _pauli_blocks
-from .measurement import ProductMeasurement, _angles, _lift, _outcome_blocks, _signs
+from .measurement import ProductMeasurement, _angles, _lift, _outcome_blocks, _sign_product
 
 CLAMP_SLACK = 1e-8
 # Starts whose minimum lies within this of the best one share its basin.
@@ -215,37 +215,33 @@ def _mutual_information(states, groups, qs) -> list[float]:
     error of every entry a traced-out qubit sums, so an admitted state
     could fail at its own marginals. A state's marginal on a party is
     computed once however many problems share it (a whole state and its
-    cuts, a q grid). The entropies come from one _terms call over the
-    concatenated spectra, each entry with its problem's q, each summed on
-    its own slice, so each is the float tsallis_entropy gives alone and
-    each problem's value the one it gets alone.
+    cuts, a q grid). The entropies come from one _terms call per distinct q
+    over the concatenated spectra of its problems, each summed on its own
+    slice, so each is the float tsallis_entropy gives alone and each
+    problem's value the one it gets alone.
     """
-    spectra, seen, ends = [], {}, []
+    spectra, seen = [], {}
     for rho, parties in zip(states, groups):
-        spectra.append(rho.eigenvalues)
+        spectra.append([rho.eigenvalues])
         for g in parties:
             spectrum = seen.get((id(rho), g))
             if spectrum is None:
                 spectrum = seen[id(rho), g] = np.linalg.eigvalsh(_marginal(rho.matrix, rho.num_qubits, g))[::-1]
-            spectra.append(spectrum)
-        ends.append(len(spectra))
-    bounds = list(itertools.accumulate((spectrum.size for spectrum in spectra), initial=0))
-    firsts = [0] + ends[:-1]
-    if len(set(qs)) == 1:  # a float q is cheaper for _terms than a column of equal ones
-        p, x, s = _terms(np.concatenate(spectra), qs[0])
-        scales = [s] * len(qs)
-    else:
-        counts = [bounds[end] - bounds[first] for first, end in zip(firsts, ends)]
-        p, x, s = _terms(np.concatenate(spectra), np.repeat(qs, counts))
-        scales = s[[bounds[first] for first in firsts]].tolist()
-    px = p * x
-    values = []
-    for first, end, scale in zip(firsts, ends, scales):
-        entropies = [-px[start:stop].sum() / scale for start, stop in zip(bounds[first:end], bounds[first + 1 : end + 1])]
-        total = -entropies[0]
-        for entropy in entropies[1:]:
-            total += entropy
-        values.append(float(total))
+            spectra[-1].append(spectrum)
+    values = [0.0] * len(qs)
+    for q in dict.fromkeys(qs):
+        members = [i for i, other in enumerate(qs) if other == q]
+        parts = [spectrum for i in members for spectrum in spectra[i]]
+        p, x, scale = _terms(np.concatenate(parts), q)
+        px = p * x
+        bounds = list(itertools.accumulate((part.size for part in parts), initial=0))
+        slices = iter(zip(bounds, bounds[1:]))
+        for i in members:
+            entropies = [-px[start:stop].sum() / scale for start, stop in itertools.islice(slices, len(spectra[i]))]
+            total = -entropies[0]
+            for entropy in entropies[1:]:
+                total += entropy
+            values[i] = float(total)
     return values
 
 
@@ -364,9 +360,10 @@ def _make_objective(states, qs, measured: tuple[int, ...], groups):
     the Pauli blocks of its state, so no measured state and no rotated
     basis is built. Each distinct state of the problems is transformed
     once (linalg._pauli_blocks): the whole state and its cuts are one
-    object. A row's blocks are one product with the shared sign table X
-    (measurement._outcome_blocks). With every qubit measured R_mu is the
-    real t_mu = tr(rho sigma_mu) and the blocks are the outcome
+    object. A row's blocks are its product with the sign table X
+    (measurement._outcome_blocks), one matmul per group of at most four
+    measured qubits, so one in every search. With every qubit measured
+    R_mu is the real t_mu = tr(rho sigma_mu) and the blocks are the outcome
     probabilities (t o v) X, in real arithmetic and with no eigh;
     otherwise R_mu is the Hermitian part of its 2^(n-m)-square block,
     carried as real and imaginary parts, and eigh gives each B_j's
@@ -392,7 +389,7 @@ def _make_objective(states, qs, measured: tuple[int, ...], groups):
     job. With E_j = h'(B_j) - sum_g h'(marginal_g)[j] I (h' the slopes of
     _terms; h'(B_j) = V h'(Lambda) V^dagger from the block's eigh, or a
     number when the blocks are), the value's derivative in the lift is
-    df/dv_mu = sum_j X[mu, j] Re tr(E_j R_mu): one product X E per row,
+    df/dv_mu = sum_j X[mu, j] Re tr(E_j R_mu): the product X E per row,
     then each R_mu's real inner product with it (R_mu is Hermitian). The
     lift's pullback (measurement._lift) carries that to the angles. The
     shift sum_g h'(marginal_g)[j] is the slopes' product with M.T, the
@@ -427,7 +424,6 @@ def _make_objective(states, qs, measured: tuple[int, ...], groups):
         kind = np.array([kinds.index(pattern) for pattern in patterns])
     consts = np.array(_mutual_information(states, patterns, qs))
     qs = np.array(qs, dtype=float)
-    signs = _signs(m)
 
     def objective(angles: np.ndarray, owner: np.ndarray, gradient: bool = False):
         lifted = _lift(angles, gradient)
@@ -480,7 +476,7 @@ def _make_objective(states, qs, measured: tuple[int, ...], groups):
             e -= shift[:, :, None, None] * np.eye(dim_u)
             e = e.view(float).reshape(k, 2**m, -1)
         # df/dv_mu = sum_j X[mu, j] Re tr(E_j R_mu), R_mu Hermitian
-        return values, pullback(((signs @ e) * pauli_rows).sum(axis=-1))
+        return values, pullback((_sign_product(e, m, transpose=False) * pauli_rows).sum(axis=-1))
 
     return objective
 

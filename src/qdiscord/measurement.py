@@ -15,13 +15,17 @@ rho] of linalg._pauli_blocks, the block of outcome j is
 
     B_j = tr_M[(P_j (x) I_U) rho] = sum_mu X[mu, j] v_mu R_mu,
 
-X[mu, j] = 2^-m prod_{k: mu_k != 0} s_k(j) the read-only sign table of
-_signs. With every qubit measured, R_mu is the real number t_mu =
-tr(rho sigma_mu) and B_j is the outcome probability p_j: p = (t o v) X.
-_lift builds v, with its derivatives in the angles when asked, and
-_outcome_blocks contracts it with X and the blocks; outcome_probabilities,
-apply_full and the discord objective all take their probabilities from
-them, one implementation in real arithmetic.
+X[mu, j] = 2^-m prod_{k: mu_k != 0} s_k(j) the sign table. With every
+qubit measured, R_mu is the real number t_mu = tr(rho sigma_mu) and B_j
+is the outcome probability p_j: p = (t o v) X. X is the Kronecker power
+of one qubit's table, so _sign_product applies it in groups of at most
+_SIGN_QUBITS qubits, each group's read-only table from _signs: the
+search's m <= 4 takes one product, and a value pass at larger n never
+holds the 8^m entries of the whole table. _lift builds v, with its
+derivatives in the angles when asked, and _outcome_blocks contracts it
+with X and the blocks; outcome_probabilities, apply_full and the discord
+objective all take their probabilities from them, one implementation in
+real arithmetic.
 
 A ProductMeasurement enters through _angles, which checks its arity
 against the state and turns each axis into (theta, phi); apply_full,
@@ -185,9 +189,12 @@ def _angles(phi: ProductMeasurement, n: int) -> list[float]:
     return angles
 
 
+_SIGN_QUBITS = 4  # most qubits of one sign table (8^4 entries): one product for every search, m <= 4
+
+
 @functools.cache
 def _signs(m: int) -> np.ndarray:
-    """The read-only sign table X of m measured qubits, shape (4^m, 2^m).
+    """The read-only sign table X of m <= _SIGN_QUBITS measured qubits, shape (4^m, 2^m).
 
     X[mu, j] = 2^-m prod_{k: mu_k != 0} s_k(j): the Kronecker product of m
     copies of the one-qubit table [[1, 1], [1, -1], [1, -1], [1, -1]] / 2,
@@ -198,6 +205,32 @@ def _signs(m: int) -> np.ndarray:
         x = np.kron(x, [[0.5, 0.5], [0.5, -0.5], [0.5, -0.5], [0.5, -0.5]])
     x.setflags(write=False)
     return x
+
+
+def _sign_product(y: np.ndarray, m: int, transpose: bool) -> np.ndarray:
+    """X^T y (4^m -> 2^m rows, transpose) or X y (2^m -> 4^m) for each y[k] of y (K, D, F).
+
+    Up to _SIGN_QUBITS qubits, which covers every search, this is one
+    matmul per row with X itself. Above, X is the Kronecker product of the
+    tables of its qubit groups, ceil(m / _SIGN_QUBITS) of near-equal size,
+    applied the last first: each is one matmul per row with the group's
+    table on its own index, in place, so no table exceeds _SIGN_QUBITS
+    qubits and memory stays linear in 4^m. The loop's reshapes would cost
+    the one-group case 2.3 us a value-and-gradient call, about 3 % of a
+    4-row call at n = 3, hence the direct product there. Each row's sums
+    are its own.
+    """
+    if m <= _SIGN_QUBITS:
+        x = _signs(m)
+        return (x.T if transpose else x) @ y
+    k, f = len(y), y.shape[2]
+    steps, done = -(-m // _SIGN_QUBITS), f
+    for i in reversed(range(steps)):
+        x = _signs(m // steps + (i < m % steps))
+        table = x.T if transpose else x
+        y = table @ y.reshape(-1, table.shape[1], done)
+        done *= len(table)
+    return y.reshape(k, -1, f)
 
 
 def _lift(angles, gradient: bool = False):
@@ -252,11 +285,10 @@ def _outcome_blocks(pauli: np.ndarray, v: np.ndarray) -> np.ndarray:
     """B_j = sum_mu X[mu, j] v_mu R_mu for each row: shape (K, 2^m, F).
 
     pauli holds each row's Pauli blocks flattened to F reals, (K, 4^m, F),
-    and v its lift (K, 4^m). One matmul with the shared table per row, so
-    each row's sums are its own.
+    and v its lift (K, 4^m); _sign_product applies X^T, each row on its own.
     """
     m = v.shape[1].bit_length() // 2  # 4^m has 2m + 1 bits
-    return _signs(m).T @ (v[:, :, None] * pauli)
+    return _sign_product(v[:, :, None] * pauli, m, transpose=True)
 
 
 def _probabilities(rho: DensityMatrix, angles) -> np.ndarray:

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qdiscord import measurement
 from qdiscord.linalg import DensityMatrix
 from qdiscord.measurement import (
     BlochMeasurement,
     ProductMeasurement,
     _basis_columns,
     _lift,
+    _sign_product,
     _signs,
     apply_full,
     outcome_probabilities,
@@ -159,6 +161,44 @@ class TestLift:
                 for j in range(2**m):
                     sign = np.prod([-1.0 if (j >> (m - 1 - k)) & 1 and mu[k] else 1.0 for k in range(m)])
                     assert x[mu_index, j] == sign / 2**m
+
+    def test_sign_product_applies_the_table_in_groups(self):
+        # Up to four qubits the product is the table's own, bit for bit; above,
+        # it is the Kronecker product of the groups' tables.
+        rng = np.random.default_rng(16)
+        for m in (1, 2, 3, 4, 5, 6):
+            x = np.ones((1, 1))
+            for _ in range(m):
+                x = np.kron(x, _signs(1))
+            y, e = rng.normal(size=(3, 4**m, 2)), rng.normal(size=(3, 2**m, 2))
+            forward, backward = _sign_product(y, m, transpose=True), _sign_product(e, m, transpose=False)
+            assert forward.flags.c_contiguous and backward.flags.c_contiguous
+            if m <= 4:
+                assert np.array_equal(forward, _signs(m).T @ y) and np.array_equal(backward, _signs(m) @ e)
+            assert_allclose(forward, x.T @ y, rtol=0, atol=1e-14)
+            assert_allclose(backward, x @ e, rtol=0, atol=1e-14)
+            for k in range(3):
+                assert np.array_equal(forward[k], _sign_product(y[k : k + 1], m, transpose=True)[0])
+
+    def test_no_table_above_four_qubits(self, monkeypatch):
+        # A dense table of n = 8 qubits would hold 8^8 entries, 134 MB.
+        built = []
+
+        def spy(m):
+            built.append(m)
+            return _signs(m)
+
+        monkeypatch.setattr(measurement, "_signs", spy)
+        n = 8
+        rng = np.random.default_rng(17)
+        g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        rho = DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+        angles = rng.uniform(-8.0, 8.0, size=2 * n)
+        w = product_basis(angles)
+        probs = np.einsum("aj,ab,bj->j", w.conj(), rho.matrix, w).real
+        pm = ProductMeasurement.from_angles(angles.reshape(-1, 2))
+        assert_allclose(outcome_probabilities(pm, rho), probs, rtol=0, atol=1e-13)
+        assert built and max(built) <= 4
 
     def test_pullback_matches_central_differences(self):
         rng = np.random.default_rng(15)
