@@ -74,7 +74,7 @@ import numpy as np
 
 from .entropy import _check_q, _terms
 from .linalg import DESK_SCALE_LIMIT, DensityMatrix, _index, _indices, _marginal, _pauli_blocks
-from .measurement import ProductMeasurement, _angles, _lift, _outcome_blocks, _sign_product
+from .measurement import BlochMeasurement, ProductMeasurement, _angles, _lift, _outcome_blocks, _sign_product
 
 CLAMP_SLACK = 1e-8
 # Starts whose minimum lies within this of the best one share its basin.
@@ -136,9 +136,12 @@ class DiscordReport:
     value is clamped to 0 when the raw minimum lands in [-1e-8, 0) and the
     regime guarantees nonnegativity (0 < q <= 1); raw_value keeps the
     unclamped number. optimal_measurement lists one Bloch measurement per
-    entry of measured_qubits. start_minima holds each start's final
-    minimum in start order, and basin_hits counts the starts within
-    BASIN_TOL of raw_value (at least 1: the best start itself).
+    entry of measured_qubits, each axis signed so that its largest-magnitude
+    component is positive: n and -n are one measurement, so starts that
+    reach one basin from either side report one axis. start_minima holds
+    each start's final minimum in start order, and basin_hits counts the
+    starts within BASIN_TOL of raw_value (at least 1: the best start
+    itself).
     start_evals and start_converged hold each start's value-and-gradient
     evaluations and whether it stopped by its own test (a small gradient,
     a step that no longer lowers the value, or a line search that finds no
@@ -357,10 +360,10 @@ def _make_objective(states, qs, measured: tuple[int, ...], groups):
     Phi(rho) is block diagonal over the outcomes j: its spectrum is the
     union of the spectra of the blocks B_j = sum_mu X[mu, j] v_mu R_mu
     (measurement module docstring), v the lift of the row's angles and R_mu
-    the Pauli blocks of its state, so no measured state and no rotated
-    basis is built. Each distinct state of the problems is transformed
-    once (linalg._pauli_blocks): the whole state and its cuts are one
-    object. A row's blocks are its product with the sign table X
+    the Pauli blocks of its state, so no measured state is built. Each
+    distinct state of the problems is transformed once
+    (linalg._pauli_blocks): the whole state and its cuts are one object.
+    A row's blocks are its product with the sign table X
     (measurement._outcome_blocks), one matmul per group of at most four
     measured qubits, so one in every search. With every qubit measured
     R_mu is the real t_mu = tr(rho sigma_mu) and the blocks are the outcome
@@ -829,10 +832,13 @@ def _report(q: float, measured: tuple[int, ...], xs, fun, nfev, success) -> Disc
     value = raw
     if nonneg_guaranteed and -CLAMP_SLACK <= raw < 0.0:
         value = 0.0
+    axes = ProductMeasurement.from_angles(xs[best].reshape(-1, 2))
     return DiscordReport(
         value=value,
         q=q,
-        optimal_measurement=ProductMeasurement.from_angles(xs[best].reshape(-1, 2)),
+        optimal_measurement=ProductMeasurement(
+            m if m.axis[np.abs(m.axis).argmax()] > 0.0 else BlochMeasurement(-m.axis) for m in axes
+        ),
         measured_qubits=measured,
         starts_used=len(minima),
         converged=bool(success[best]),

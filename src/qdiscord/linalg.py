@@ -211,6 +211,23 @@ def _pauli_blocks(matrices: np.ndarray, n: int, measured) -> np.ndarray:
     return t.reshape(s, dim_u, dim_u, 4**m).transpose(0, 3, 1, 2)
 
 
+def _pauli_matrix(c: np.ndarray, n: int) -> np.ndarray:
+    """The 2^n-square matrix sum_mu c_mu sigma_mu of a 4^n-vector c, mu's digits as in _pauli_blocks.
+
+    The inverse of _pauli_blocks with every qubit measured: _pauli_blocks
+    of the result over 2^n gives back c. Each of n steps is one matmul
+    with _PAULI_PAIR that moves the leading base-4 digit to the back as
+    2r + c, holding sigma_mu[c, r]; the (c..., r...) bits are then
+    transposed into (row, column). No Kronecker power of _PAULI_PAIR is
+    built, so no 4^n-square table is cached.
+    """
+    t = np.asarray(c)
+    for _ in range(n):
+        t = t.reshape(4, -1).T @ _PAULI_PAIR
+    d = 2**n
+    return t.reshape((2,) * (2 * n)).transpose([*range(1, 2 * n, 2), *range(0, 2 * n, 2)]).reshape(d, d)
+
+
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Trace out every qubit not listed in keep.
 

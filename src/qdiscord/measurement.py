@@ -31,15 +31,10 @@ A ProductMeasurement enters through _angles, which checks its arity
 against the state and turns each axis into (theta, phi); apply_full,
 outcome_probabilities, discord.induced_discord and the monogamy ledger
 all call it. apply_full is the only code that builds a measured
-DensityMatrix: the non-selective channel sum_j P_j rho P_j is W diag(p)
-W^dagger, W the rotated product basis of product_basis, whose column j is
-the common eigenvector of outcome j.
-
-product_basis builds W one qubit at a time: the d x d basis so far and the
-next qubit's 2 x 2 eigenbasis u are combined by a broadcast outer product,
-(w[:, None, :, None] * u[None, :, None, :]).reshape(2d, 2d). That is the
-Kronecker product w (x) u entry for entry, with the same single complex
-multiplication per entry, without the per-call overhead of numpy's kron.
+DensityMatrix. Each P_j is rank 1, so the non-selective channel
+sum_j P_j rho P_j is sum_j p_j P_j = sum_mu v_mu (X p)_mu sigma_mu: one
+product with X, and linalg._pauli_matrix turns the Pauli vector into a
+matrix. The lift is the one representation of a product measurement.
 """
 
 from __future__ import annotations
@@ -58,13 +53,13 @@ from .linalg import (
     SIGMA_Z,
     _index,
     _pauli_blocks,
+    _pauli_matrix,
 )
 
 __all__ = [
     "BlochMeasurement",
     "ProductMeasurement",
     "projectors",
-    "product_basis",
     "apply_full",
     "outcome_probabilities",
 ]
@@ -136,46 +131,6 @@ def projectors(m: BlochMeasurement) -> tuple[np.ndarray, np.ndarray]:
     a1, a2, a3 = m.axis
     dotted = a1 * SIGMA_X + a2 * SIGMA_Y + a3 * SIGMA_Z
     return (IDENTITY_2 + dotted) / 2.0, (IDENTITY_2 - dotted) / 2.0
-
-
-def _basis_columns(theta, phi) -> np.ndarray:
-    """2x2 unitaries whose columns are the +/- axis eigenvectors for (theta, phi).
-
-    theta and phi have one shape; the result has that shape followed by
-    (2, 2). With ct, st = cos, sin(theta/2) and cp, sp = cos, sin(phi) the
-    unitary is [[ct, -st], [(cp + i sp) st, (cp + i sp) ct]].
-    """
-    half = np.divide(theta, 2.0)
-    ct, st = np.cos(half), np.sin(half)
-    cp, sp = np.cos(phi), np.sin(phi)
-    u = np.zeros(ct.shape + (2, 2, 2))  # real and imaginary parts
-    u[..., 0, 0, 0] = ct
-    u[..., 0, 1, 0] = -st
-    u[..., 1, 0, 0] = cp * st
-    u[..., 1, 0, 1] = sp * st
-    u[..., 1, 1, 0] = cp * ct
-    u[..., 1, 1, 1] = sp * ct
-    return u.view(complex)[..., 0]
-
-
-def product_basis(angles) -> np.ndarray:
-    """Rotated product bases W for angles (..., theta_0, phi_0, theta_1, phi_1, ...).
-
-    Takes angles of shape (..., 2m) and returns W of shape (..., 2^m, 2^m),
-    one basis per leading index. Column j of W is the common eigenvector of
-    outcome j, with qubit 0 as the high bit of j and bit value 0 for the +
-    outcome, so the outcome projectors are the rank-1
-    P_j = W[:, j] W[:, j]^dagger.
-    """
-    a = np.asarray(angles, dtype=float)
-    u = _basis_columns(a[..., 0::2], a[..., 1::2])
-    w = u[..., 0, :, :]
-    for j in range(1, u.shape[-3]):
-        d = w.shape[-1]
-        w = (w[..., :, None, :, None] * u[..., j, None, :, None, :]).reshape(
-            a.shape[:-1] + (2 * d, 2 * d)
-        )
-    return w
 
 
 def _angles(phi: ProductMeasurement, n: int) -> list[float]:
@@ -291,20 +246,21 @@ def _outcome_blocks(pauli: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _sign_product(v[:, :, None] * pauli, m, transpose=True)
 
 
-def _probabilities(rho: DensityMatrix, angles) -> np.ndarray:
-    """The outcome probabilities (t o v) X of rho measured at angles (theta_0, phi_0, ...)."""
+def _probabilities(rho: DensityMatrix, v: np.ndarray) -> np.ndarray:
+    """The outcome probabilities (t o v) X of rho measured with the lift v, shape (1, 4^n)."""
     n = rho.num_qubits
     t = _pauli_blocks(rho.matrix[None], n, range(n)).real.reshape(1, 4**n, 1)
-    return _outcome_blocks(t, _lift([angles]))[0, :, 0]
+    return _outcome_blocks(t, v)[0, :, 0]
 
 
 def apply_full(phi: ProductMeasurement, rho: DensityMatrix) -> DensityMatrix:
-    """Non-selective product measurement sum_j P_j rho P_j = W diag(p) W^dagger."""
-    angles = _angles(phi, rho.num_qubits)
-    w = product_basis(angles)
-    return DensityMatrix((w * _probabilities(rho, angles)) @ w.conj().T)
+    """Non-selective product measurement sum_j P_j rho P_j = sum_mu v_mu (X p)_mu sigma_mu."""
+    n = rho.num_qubits
+    v = _lift([_angles(phi, n)])
+    xp = _sign_product(_probabilities(rho, v)[None, :, None], n, transpose=False)
+    return DensityMatrix(_pauli_matrix(v[0] * xp[0, :, 0], n))
 
 
 def outcome_probabilities(phi: ProductMeasurement, rho: DensityMatrix) -> np.ndarray:
     """Probabilities of the 2^n outcomes, indexed with qubit 0 as the high bit."""
-    return _probabilities(rho, _angles(phi, rho.num_qubits))
+    return _probabilities(rho, _lift([_angles(phi, rho.num_qubits)]))

@@ -26,11 +26,11 @@ from qdiscord.measurement import (
     ProductMeasurement,
     _angles,
     apply_full,
-    product_basis,
     projectors,
 )
 from qdiscord.monogamy import decompose_induced_gqd
 from qdiscord.states import random_density_matrix, werner_ghz
+from rotated_basis import rotated_basis
 
 LIGHT = OptimizerConfig(starts=4, max_evals=400)
 
@@ -471,7 +471,7 @@ def einsum_objective(rho, q, measured, groups):
     )
 
     def objective(angles):
-        w = product_basis(angles)
+        w = rotated_basis(angles)
         k = len(w)
         blocks = np.einsum("kaj,aubv,kbj->kjuv", w.conj(), tensor, w)
         probs = np.maximum(np.einsum("kjuu->kj", blocks).real, 0.0)
@@ -550,7 +550,7 @@ def axis_sum_objective(rho, q, measured, groups):
     signs = np.where(outcomes & bits, -1.0, 1.0)
 
     def objective(angles):
-        w = product_basis(angles)
+        w = rotated_basis(angles)
         k = len(w)
         rho_w = rho_t @ w
         if dim_u == 1:
@@ -1151,6 +1151,31 @@ class TestOneSided:
             q_qd_one_sided(BELL, (0, 1), 0.5)
         with pytest.raises(ValueError, match="out of range"):
             q_qd_one_sided(BELL, (-1,), 0.5)
+
+
+class TestReportedAxes:
+    def test_dominant_component_is_positive(self):
+        # n and -n are one measurement, so starts of one basin can tie with
+        # opposite axes. Each reported axis carries one sign, its
+        # largest-magnitude component positive, and the reported measurement
+        # still replays the raw minimum.
+        for n in (2, 3, 4):
+            states = [random_density_matrix(n, seed=s) for s in range(4)]
+            jobs = [(rho, 0.5) for rho in states]
+            for measured in (None, (n - 1,)):
+                if measured is None:
+                    reports = q_gqd_many(jobs, LIGHT)
+                else:
+                    reports = q_qd_one_sided_many(jobs, measured, LIGHT)
+                for rho, report in zip(states, reports):
+                    for m in report.optimal_measurement:
+                        assert m.axis[np.abs(m.axis).argmax()] > 0.0
+                    phi = report.optimal_measurement
+                    if measured is None:
+                        replay = induced_discord(rho, phi, 0.5)
+                    else:
+                        (replay,) = _evaluate([(rho, 0.5, measured, None)], [_angles(phi, len(measured))])
+                    assert_allclose(replay, report.raw_value, rtol=0, atol=1e-9)
 
 
 class TestInducedDiscordBipartite:

@@ -1,4 +1,4 @@
-"""The package imports with numpy alone, every name it exports exists, and no import is unused."""
+"""The package imports with numpy alone, every name it exports exists, and no import or private helper is unused."""
 
 import ast
 import importlib
@@ -88,3 +88,27 @@ def test_no_unused_top_level_import():
                 continue
             unused += [f"{path.name}: {name}" for name in names if name not in read | exported]
     assert unused == []
+
+
+def test_every_private_helper_is_read():
+    # A top-level private function or class must be read by some other
+    # top-level statement of the package, so a helper whose last caller
+    # is gone fails here; a read inside its own definition does not count.
+    paths = sorted((ROOT / "src" / "qdiscord").glob("*.py"))
+    assert len(paths) > 8
+    defined, reads = [], []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for statement in tree.body:
+            names = {node.id for node in ast.walk(statement) if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(statement) if isinstance(node, ast.Attribute)}
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)) and statement.name.startswith("_"):
+                defined.append((f"{path.name}: {statement.name}", statement.name, len(reads)))
+            reads.append(names)
+    assert len(defined) > 20
+    unread = [
+        label
+        for label, name, own in defined
+        if not any(name in names for i, names in enumerate(reads) if i != own)
+    ]
+    assert unread == []

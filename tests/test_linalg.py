@@ -13,6 +13,7 @@ from qdiscord.linalg import (
     Spectrum,
     _marginal,
     _pauli_blocks,
+    _pauli_matrix,
     kron_all,
     partial_trace,
     permute_qubits,
@@ -224,6 +225,24 @@ class TestPauliBlocks:
             together = _pauli_blocks(stack, n, measured)
             for k in range(5):
                 assert np.array_equal(together[k], _pauli_blocks(stack[k : k + 1], n, measured)[0])
+
+    def test_pauli_matrix_inverts_the_blocks(self):
+        # _pauli_matrix(t, n) is sum_mu t_mu sigma_mu, term by term with kron
+        # at n = 1-3, and _pauli_blocks of it over 2^n gives back t at n = 1-5.
+        paulis = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
+        rng = np.random.default_rng(270)
+        for n in (1, 2, 3, 4, 5):
+            t = rng.uniform(-1.0, 1.0, size=4**n)
+            matrix = _pauli_matrix(t, n)
+            assert matrix.shape == (2**n, 2**n)
+            if n <= 3:
+                expected = sum(
+                    c * kron_all(*(paulis[k] for k in mu))
+                    for c, mu in zip(t, itertools.product(range(4), repeat=n))
+                )
+                assert_allclose(matrix, expected, rtol=0, atol=1e-14)
+            back = _pauli_blocks((matrix / 2**n)[None], n, range(n)).reshape(-1)
+            assert_allclose(back, t, rtol=0, atol=1e-14)
 
 
 class TestPermuteQubits:

@@ -7,16 +7,15 @@ from qdiscord.linalg import DensityMatrix
 from qdiscord.measurement import (
     BlochMeasurement,
     ProductMeasurement,
-    _basis_columns,
     _lift,
     _sign_product,
     _signs,
     apply_full,
     outcome_probabilities,
-    product_basis,
     projectors,
 )
 from qdiscord.states import random_density_matrix
+from rotated_basis import rotated_basis
 
 BELL = DensityMatrix(
     np.array(
@@ -29,6 +28,12 @@ BELL = DensityMatrix(
         dtype=complex,
     )
 )
+
+
+def ginibre_state(n, rng):
+    """A random n-qubit state g g^dagger / tr(g g^dagger), at any n."""
+    g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    return DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real)
 
 
 class TestBlochMeasurement:
@@ -94,49 +99,6 @@ class TestProjectors:
         assert_allclose(p_plus, np.diag([1.0, 0.0]), atol=1e-15)
         assert_allclose(p_minus, np.diag([0.0, 1.0]), atol=1e-15)
 
-    def test_basis_columns_are_projector_eigenvectors(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            theta = rng.uniform(0.0, np.pi)
-            phi = rng.uniform(0.0, 2.0 * np.pi)
-            u = _basis_columns(theta, phi)
-            assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-14)
-            m = BlochMeasurement.from_angles(theta, phi)
-            p_plus, p_minus = projectors(m)
-            assert_allclose(np.outer(u[:, 0], u[:, 0].conj()), p_plus, atol=1e-13)
-            assert_allclose(np.outer(u[:, 1], u[:, 1].conj()), p_minus, atol=1e-13)
-
-
-class TestProductBasis:
-    def test_equals_kronecker_chain(self):
-        # Reference: the np.kron chain of per-qubit eigenbases. The broadcast
-        # outer product does the same multiplications, so equality is exact.
-        rng = np.random.default_rng(12)
-        for n in (1, 2, 3, 4):
-            for trial in range(6):
-                angles = rng.uniform(-10.0, 10.0, size=2 * n)
-                if trial == 0:
-                    angles[0::2] = 0.0
-                elif trial == 1:
-                    angles[0::2] = np.pi
-                elif trial == 2:
-                    angles[0::2] = rng.choice([0.0, np.pi, -3.0 * np.pi, 7.5], size=n)
-                expected = _basis_columns(angles[0], angles[1])
-                for j in range(2, 2 * n, 2):
-                    expected = np.kron(expected, _basis_columns(angles[j], angles[j + 1]))
-                assert np.array_equal(product_basis(angles), expected)
-
-    def test_batch_rows_equal_single_bases(self):
-        rng = np.random.default_rng(13)
-        for n in (1, 2, 3, 4):
-            angles = rng.uniform(-10.0, 10.0, size=(3, 5, 2 * n))
-            angles[0, 0, 0::2] = 0.0
-            bases = product_basis(angles)
-            assert bases.shape == (3, 5, 2**n, 2**n)
-            for i in range(3):
-                for k in range(5):
-                    assert np.array_equal(bases[i, k], product_basis(angles[i, k]))
-
 
 class TestLift:
     def test_lift_is_the_kronecker_product_of_the_factors(self):
@@ -191,10 +153,9 @@ class TestLift:
         monkeypatch.setattr(measurement, "_signs", spy)
         n = 8
         rng = np.random.default_rng(17)
-        g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
-        rho = DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+        rho = ginibre_state(n, rng)
         angles = rng.uniform(-8.0, 8.0, size=2 * n)
-        w = product_basis(angles)
+        w = rotated_basis(angles)
         probs = np.einsum("aj,ab,bj->j", w.conj(), rho.matrix, w).real
         pm = ProductMeasurement.from_angles(angles.reshape(-1, 2))
         assert_allclose(outcome_probabilities(pm, rho), probs, rtol=0, atol=1e-13)
@@ -251,14 +212,16 @@ class TestChannels:
     def test_matches_projector_sum(self):
         # Reference: the literal non-selective channel sum_j P_j rho P_j over
         # all 2^n Kronecker products of the per-qubit projector pairs. The
-        # first measurement of each size uses poles and equator points.
+        # first measurement of each size uses poles and equator points. Five
+        # qubits, above the desk-scale limit of a random state, apply the sign
+        # table in two groups.
         special = np.array(
-            [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]
+            [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]]
         )
         rng = np.random.default_rng(8)
-        for n in (2, 3, 4):
+        for n in (1, 2, 3, 4, 5):
             for i in range(3):
-                rho = random_density_matrix(n, seed=40 + 10 * n + i)
+                rho = random_density_matrix(n, seed=40 + 10 * n + i) if n <= 4 else ginibre_state(n, rng)
                 v = special[:n] if i == 0 else rng.normal(size=(n, 3))
                 pm = ProductMeasurement(
                     BlochMeasurement(row / np.linalg.norm(row)) for row in v
@@ -282,7 +245,7 @@ class TestChannels:
             rho = random_density_matrix(n, seed=60 + n)
             angles = rng.uniform(-8.0, 8.0, size=(7, 2 * n))
             angles[0, 0::2] = 0.0
-            for row, w in zip(angles, product_basis(angles)):
+            for row, w in zip(angles, rotated_basis(angles)):
                 pm = ProductMeasurement.from_angles(row.reshape(-1, 2))
                 probs = np.einsum("aj,ab,bj->j", w.conj(), rho.matrix, w).real
                 assert_allclose(outcome_probabilities(pm, rho), probs, rtol=0, atol=1e-13)
