@@ -41,9 +41,9 @@ every row searching (random states at q = 0.5 with every qubit measured,
 25 in each of three runs, the least of the three):
 
     rows    1       2       4       8       16      20      32      64
-    n = 2   83/209  106/229 139/238 172/235 290/249 374/271 550/273 977/334
-    n = 3   88/218  125/236 148/247 217/260 348/284 424/293 583/319 1092/417
-    n = 4   111/231 134/262 178/269 253/300 381/328 479/358 674/425 1317/630
+    n = 2   68/185  80/187  99/201  140/198 205/214 264/230 380/248 683/294
+    n = 3   77/191  93/205  118/210 165/230 266/248 326/259 457/270 765/357
+    n = 4   89/205  98/212  137/229 186/240 309/284 374/321 546/376 1050/519
 
 One threshold, _ARRAY_ROWS = 20, asks at both ends of a lockstep whose
 round is cheaper. A lockstep of fewer rows runs as generators alone; a
@@ -51,12 +51,12 @@ larger one starts as arrays, and at the top of each round, once fewer
 than _ARRAY_ROWS rows are still searching, _bfgs_rows resumes each of
 them as a _bfgs generator in the middle of its line search. Most rounds
 of a large lockstep wait on a few slow starts, so its tail runs at the
-generators' cost. The crossover lies between 8 and 16 rows; 20 keeps a
-16-row lockstep on the generators alone, and the rows of a tail keep
-leaving, so handing one over a few rows early costs little. In-process,
-verify --suite monogamy --trials 32 took 200, 201 and 216 ms, then 202,
-193 and 201 ms, with the hand-off below 16, 20 and 32 rows (best of 9,
-two runs).
+generators' cost. The crossover lies near 16 rows, where arrays win by
+up to 8 % at n = 3 and 4; 20 keeps a 16-row lockstep on the generators
+alone, and the rows of a tail keep leaving, so handing one over a few
+rows early costs little. In-process, verify --suite monogamy --trials
+32 took 179, 186 and 183 ms, then 184, 176 and 182 ms, with the
+hand-off below 16, 20 and 32 rows (best of 9, two runs).
 
 The objective, _make_objective, is the only code that evaluates
 I_q(Phi(rho)), so no measured state is built; its docstring describes
@@ -313,7 +313,7 @@ def _start_points(m: int, opt: OptimizerConfig) -> list[np.ndarray]:
         else:
             combos = [_GRID_COMBOS[(k + i) % 4] for i in range(m)]
         points.append(np.asarray(combos, dtype=float).ravel())
-    rng = np.random.default_rng(opt.seed)
+    rng = np.random.default_rng(opt.seed) if len(points) < opt.starts else None
     while len(points) < opt.starts:
         theta = np.arccos(rng.uniform(-1.0, 1.0, size=m))
         phi = rng.uniform(0.0, 2.0 * math.pi, size=m)
@@ -476,8 +476,9 @@ def _make_objective(states, qs, measured: tuple[int, ...], groups):
         else:
             h = slopes[:, :dim].reshape(eigenvalues.shape)
             e = (vectors * h[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
-            e -= shift[:, :, None, None] * np.eye(dim_u)
-            e = e.view(float).reshape(k, 2**m, -1)
+            e = e.reshape(k, 2**m, -1)
+            e[:, :, :: dim_u + 1] -= shift[:, :, None]  # each block's diagonal
+            e = e.view(float)
         # df/dv_mu = sum_j X[mu, j] Re tr(E_j R_mu), R_mu Hermitian
         return values, pullback((_sign_product(e, m, transpose=False) * pauli_rows).sum(axis=-1))
 
@@ -492,28 +493,27 @@ _CURVATURE_TOL = 1e-10  # update only when s.y exceeds this times |s| |y|
 _STEP_TOL = 1e-12  # the line search gives up when its bracket is this short
 
 
-def _line_search(x, f0, g0, p, alpha, budget: int, bracket=None):
+def _line_search(x, f0, g0, p, d0, alpha, budget: int, bracket=None):
     """Strong-Wolfe step along p from x (N&W Alg. 3.5 and 3.6), as a generator.
 
-    Yields each trial point and receives its (value, gradient). The
-    bracketing phase extrapolates by 4x; once a bracket exists, the zoom
-    phase tries the minimizer of the quadratic through f(lo), f'(lo) and
-    f(hi), bisecting when that leaves the middle 80 % of the bracket. lo is
-    always the lowest trial that meets sufficient decrease. Returns
+    Yields each trial point and receives its (value, gradient); d0 = g0.p
+    is the caller's. The bracketing phase extrapolates by 4x; once a
+    bracket exists, the zoom phase tries the minimizer of the quadratic
+    through f(lo), f'(lo) and f(hi), bisecting when that leaves the middle
+    80 % of the bracket. lo is always the lowest trial that meets sufficient decrease. Returns
     (alpha, f, g, evaluations) at a strong-Wolfe point, or at lo when the
     budget runs out or the bracket collapses; alpha is 0 when no trial
     lowered f. bracket resumes a search in progress at its next trial
     alpha: its (lo, f_lo, g_lo, d_lo, hi, f_hi), with hi and f_hi None
     while nothing brackets the step; the default starts at lo = 0.
     """
-    d0 = g0 @ p
-    p_norm = math.sqrt(p @ p)
+    p_norm = math.sqrt(p.dot(p))
     lo, f_lo, g_lo, d_lo, hi, f_hi = (0.0, f0, g0, d0, None, None) if bracket is None else bracket
     used = 0
     while used < budget:
         f, g = yield x + alpha * p
         used += 1
-        d = g @ p
+        d = g.dot(p)
         if f > f0 + _C1 * alpha * d0 or f >= f_lo:
             hi, f_hi = alpha, f
         elif abs(d) <= -_C2 * d0:
@@ -546,27 +546,29 @@ def _bfgs(x0: np.ndarray, max_evals: int, resume=None):
     decrease, or after max_evals evaluations. Returns (x, f, evaluations,
     success), where success means the search stopped before max_evals.
 
-    resume = (f, g, nfev, h, p, alpha, bracket) goes on from x0 in the
+    resume = (f, g, nfev, h, p, d0, alpha, bracket) goes on from x0 in the
     middle of a line search, as _bfgs_rows hands a row over: x0's value,
     gradient and evaluations so far, h None before the first update, and
-    the line search's direction, next trial and _line_search bracket. The
-    row passed the loop test when that line search began, and nothing in
-    the test has changed since, so the search yields that trial first.
+    the line search's direction, slope, next trial and bracket. The row
+    passed the loop test when that line search began, and nothing in the
+    test has changed since, so the search yields that trial first.
     """
     x = x0
     if resume is None:
         f, g = yield x
         nfev, h, bracket = 1, None, None
     else:
-        f, g, nfev, h, p, alpha, bracket = resume
+        f, g, nfev, h, p, d0, alpha, bracket = resume
     while nfev < max_evals and np.abs(g).max() > _GTOL:
         if bracket is None:
-            p = -g if h is None else -(h @ g)
-            if g @ p >= 0.0:  # rounding cost h its positive definiteness
+            p = -g if h is None else -h.dot(g)
+            d0 = g.dot(p)
+            if d0 >= 0.0:  # rounding cost h its positive definiteness
                 h, p = None, -g
-            alpha = min(1.0, 1.0 / math.sqrt(p @ p)) if h is None else 1.0
+                d0 = g.dot(p)
+            alpha = min(1.0, 1.0 / math.sqrt(p.dot(p))) if h is None else 1.0
         alpha, f_new, g_new, used = yield from _line_search(
-            x, f, g, p, alpha, max_evals - nfev, bracket
+            x, f, g, p, d0, alpha, max_evals - nfev, bracket
         )
         bracket = None
         nfev += used
@@ -577,13 +579,13 @@ def _bfgs(x0: np.ndarray, max_evals: int, resume=None):
         x, f, g = x + s, f_new, g_new
         if progress <= _FTOL * max(1.0, abs(f)):
             break
-        sy, yy = s @ y, y @ y
-        if sy > _CURVATURE_TOL * math.sqrt((s @ s) * yy):
+        sy, yy = s.dot(y), y.dot(y)
+        if sy > _CURVATURE_TOL * math.sqrt(s.dot(s) * yy):
             if h is None:
                 h = (sy / yy) * np.eye(x.size)
             # (I - s y^T / sy) h (I - y s^T / sy) + s s^T / sy, multiplied out
-            hy = h @ y
-            h = h + (s[:, None] * ((1.0 + (y @ hy) / sy) * s - hy) - hy[:, None] * s) / sy
+            hy = h.dot(y)
+            h = h + (s[:, None] * ((1.0 + y.dot(hy) / sy) * s - hy) - hy[:, None] * s) / sy
     return x, f, nfev, nfev < max_evals
 
 
@@ -700,7 +702,7 @@ def _bfgs_rows(objective, x0: np.ndarray, owner: np.ndarray, max_evals: int):
             handed, searches = rows.tolist(), []
             for r in handed:
                 bracket = (lo[r], f_lo[r], g_lo[r], d_lo[r]) + ((hi[r], f_hi[r]) if bracketed[r] else (None, None))
-                state = (f[r], g[r], nfev[r], h[r] if has_h[r] else None, p[r], alpha[r], bracket)
+                state = (f[r], g[r], nfev[r], h[r] if has_h[r] else None, p[r], d0[r], alpha[r], bracket)
                 searches.append(_bfgs(x[r], max_evals, state))
             for r, (x_r, f_r, nfev_r, _) in zip(handed, _rounds(objective, searches, owner[rows])):
                 x[r], f[r], nfev[r] = x_r, f_r, nfev_r

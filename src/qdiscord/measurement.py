@@ -193,40 +193,38 @@ def _lift(angles, gradient: bool = False):
 
     Row k's axes are n_i = (sin t cos p, sin t sin p, cos t) for its
     (t, p) = angles[k, 2i : 2i + 2]. The lift grows one qubit at a time,
-    an outer product of the lift so far (its prefix) with the next factor
-    (1, n_i), on arrays with the rows last so that numpy's inner loops run
-    over the rows. With gradient it returns (v, pullback) instead, where
-    pullback(g) takes g = df/dv (K, 4^m) to df/dangles (K, 2m) by the
-    chain rule back through the outer products: at qubit i, df/d(1, n_i)
-    is g contracted with the prefix, and g contracted with (1, n_i) is the
-    prefix's own df, each a matmul per row. df/d(1, n_i) then meets (0,
-    dn_i/dt) and (0, dn_i/dp). Every step treats each row on its own, so
-    a row's floats do not depend on the others.
+    an outer product of the lift so far (its prefix, (K, 4^i)) with the
+    next factor (1, n_i) of the factors (K, m, 4), rows first. With
+    gradient it returns (v, pullback) instead, where pullback(g) takes g =
+    df/dv (K, 4^m) to df/dangles (K, 2m) by the chain rule back through
+    the outer products: at qubit i, df/d(1, n_i) is g contracted with the
+    prefix, and g contracted with (1, n_i) is the prefix's own df, each a
+    matmul per row that reads its operands in place. df/d(1, n_i) then
+    meets (0, dn_i/dt) and (0, dn_i/dp). Every step treats each row on its
+    own, so a row's floats do not depend on the others.
     """
     a = np.asarray(angles, dtype=float)
     k, m = len(a), a.shape[1] // 2
     c, s = np.cos(a), np.sin(a)
     ct, cp, st, sp = c[:, 0::2], c[:, 1::2], s[:, 0::2], s[:, 1::2]
-    factors = np.empty((m, 4, k))
-    factors[:, 0] = 1.0
-    factors[:, 1] = (st * cp).T
-    factors[:, 2] = (st * sp).T
-    factors[:, 3] = ct.T
-    prefixes = [factors[0]]
+    factors = np.empty((k, m, 4))
+    factors[..., 0] = 1.0
+    factors[..., 1] = st * cp
+    factors[..., 2] = st * sp
+    factors[..., 3] = ct
+    prefixes = [factors[:, 0]]
     for i in range(1, m):
-        prefixes.append((prefixes[-1][:, None, :] * factors[i, None]).reshape(-1, k))
-    v = prefixes[-1].T
+        prefixes.append((prefixes[-1][:, :, None] * factors[:, i, None]).reshape(k, -1))
+    v = prefixes[-1]
     if not gradient:
         return v
 
     def pullback(g: np.ndarray) -> np.ndarray:
-        rows = np.ascontiguousarray(factors.transpose(2, 0, 1))  # the rows first, for their products
         df = np.empty((k, m, 4))  # df/d(1, n_i)
         for i in range(m - 1, 0, -1):
             g = g.reshape(k, -1, 4)
-            prefix = rows[:, 0] if i == 1 else np.ascontiguousarray(prefixes[i - 1].T)
-            df[:, i] = (prefix[:, None, :] @ g)[:, 0]
-            g = (g @ rows[:, i, :, None])[:, :, 0]
+            df[:, i] = (prefixes[i - 1][:, None, :] @ g)[:, 0]
+            g = (g @ factors[:, i, :, None])[:, :, 0]
         df[:, 0] = g
         grad = np.empty((k, 2 * m))
         grad[:, 0::2] = ct * (cp * df[..., 1] + sp * df[..., 2]) - st * df[..., 3]

@@ -186,6 +186,19 @@ class TestStartPoints:
                 )
                 assert not same, (a, b)
 
+    def test_no_generator_without_random_starts(self, monkeypatch):
+        # Up to eight starts are all grid patterns, so a solve draws nothing
+        # and builds no seeded generator.
+        rho = random_density_matrix(3, seed=3)
+
+        def refuse(seed=None):
+            raise AssertionError("a generator was built for grid starts only")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        report = q_gqd(rho, 0.5, OptimizerConfig(starts=8, max_evals=50))
+        assert report.starts_used == 8
+        assert q_qd_one_sided(rho, (2,), 0.5, OptimizerConfig(starts=8, max_evals=50)).starts_used == 8
+
 
 def reference_mutual_information(rho, groups, q):
     """-S_q(rho) + sum_g S_q(rho_g), one tsallis_entropy call per state."""

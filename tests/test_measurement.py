@@ -16,6 +16,7 @@ from qdiscord.measurement import (
 )
 from qdiscord.states import random_density_matrix
 from rotated_basis import rotated_basis
+from rows_last_lift import rows_last_lift
 
 BELL = DensityMatrix(
     np.array(
@@ -176,6 +177,22 @@ class TestLift:
                 shift[i] = step
                 central[:, i] = ((_lift(angles + shift) - _lift(angles - shift)) * g).sum(axis=1) / (2 * step)
             assert_allclose(pullback(g), central, rtol=0, atol=1e-7)
+
+    def test_equals_the_rows_last_lift(self):
+        # Rows first or rows last, the lift and its pullback take the same
+        # products in the same order, so they agree bit for bit, signed
+        # zeros included (the zero angles of row 0 give exact zeros).
+        rng = np.random.default_rng(18)
+        for m in (1, 2, 3, 4, 5):
+            for k in (1, 4, 9):
+                angles = rng.uniform(-8.0, 8.0, size=(k, 2 * m))
+                angles[0, ::2] = 0.0
+                v, pullback = _lift(angles, gradient=True)
+                ref_v, ref_pullback = rows_last_lift(angles, gradient=True)
+                g = rng.normal(size=v.shape)
+                assert v.tobytes() == np.ascontiguousarray(ref_v).tobytes()
+                assert _lift(angles).tobytes() == v.tobytes()
+                assert pullback(g).tobytes() == ref_pullback(g).tobytes()
 
     def test_rows_are_independent(self):
         rng = np.random.default_rng(16)
