@@ -190,7 +190,7 @@ def one_sided_q2_qd(rho: DensityMatrix, qubit: int) -> tuple[float, BlochMeasure
     where it is I_2(rho) + 1/2 - tr(R_0^2)/2 - S_2(rho_rest) + lambda_min/2.
     The purities are sums of squared moduli and lambda_min comes from
     numpy's eigh, none of them from the entropy, Pauli-transform
-    (linalg._pauli_blocks) or objective code.
+    (measurement._pauli_blocks) or objective code.
     """
     n = rho.num_qubits
     k = _index(qubit, "qubit index")

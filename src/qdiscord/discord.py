@@ -73,8 +73,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import _check_q, _terms
-from .linalg import DESK_SCALE_LIMIT, DensityMatrix, _index, _indices, _marginal, _pauli_blocks
-from .measurement import BlochMeasurement, ProductMeasurement, _angles, _lift, _outcome_blocks, _sign_product
+from .linalg import DESK_SCALE_LIMIT, DensityMatrix, _index, _indices, _marginal
+from .measurement import (
+    BlochMeasurement,
+    ProductMeasurement,
+    _angles,
+    _lift,
+    _outcome_blocks,
+    _pauli_blocks,
+    _sign_product,
+)
 
 CLAMP_SLACK = 1e-8
 # Starts whose minimum lies within this of the best one share its basin.
@@ -362,8 +370,8 @@ def _make_objective(states, qs, measured: tuple[int, ...], groups):
     (measurement module docstring), v the lift of the row's angles and R_mu
     the Pauli blocks of its state, so no measured state is built. Each
     distinct state of the problems is transformed once
-    (linalg._pauli_blocks): the whole state and its cuts are one object.
-    A row's blocks are its product with the sign table X
+    (measurement._pauli_blocks): the whole state and its cuts are one
+    object. A row's blocks are its product with the sign table X
     (measurement._outcome_blocks), one matmul per group of at most four
     measured qubits, so one in every search. With every qubit measured
     R_mu is the real t_mu = tr(rho sigma_mu) and the blocks are the outcome

@@ -1,13 +1,13 @@
-"""Dense tensor-product linear algebra for small multi-qubit systems.
+"""Dense state algebra for small multi-qubit systems.
 
-Everything here works on explicit 2**n x 2**n complex arrays with qubit 0
-as the most significant tensor factor, so index bit i of a basis label is
-the computational-basis value of qubit i.
+Density matrices and spectra, Kronecker products, partial traces and
+qubit permutations, all on explicit 2**n x 2**n complex arrays with
+qubit 0 as the most significant tensor factor, so index bit i of a basis
+label is the computational-basis value of qubit i.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 from typing import Iterable
 
@@ -163,69 +163,6 @@ def _marginal(matrix: np.ndarray, n: int, kept) -> np.ndarray:
         m -= 1
     d = 2 ** len(kept)
     return t.reshape(d, d)
-
-
-# Row mu holds sigma_mu[c, r] at column 2r + c, so a row dotted with a
-# qubit's (row bit r, column bit c) entries is tr(sigma_mu x) on that qubit.
-_PAULI_PAIR = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
-_PAULI_PAIR.setflags(write=False)
-
-
-@functools.cache
-def _pauli_step(k: int) -> np.ndarray:
-    """The k-th Kronecker power of _PAULI_PAIR, read-only: k qubits' pairs in one matmul."""
-    step = np.ones((1, 1))
-    for _ in range(k):
-        step = np.kron(step, _PAULI_PAIR)
-    step.setflags(write=False)
-    return step
-
-
-def _pauli_blocks(matrices: np.ndarray, n: int, measured) -> np.ndarray:
-    """The Pauli blocks R_mu = tr_M[(sigma_mu (x) I_U) rho] of each n-qubit matrix of a stack.
-
-    matrices has shape (S, 2^n, 2^n) and measured lists the sorted qubits
-    M; U is the rest, in order. The result has shape (S, 4^m, 2^(n-m),
-    2^(n-m)), m = len(measured), with mu's digits in base 4 in measured
-    order (measured[0] the most significant, 0 for the identity and 1, 2,
-    3 for x, y, z), so with every qubit measured R_mu is the 1 x 1 number
-    tr(rho sigma_mu). Each step is one matmul per matrix of the stack that
-    contracts the (row, column) pairs of the next measured qubits with a
-    Kronecker power of _PAULI_PAIR and rotates the new index to the back,
-    so a matrix's blocks are the same floats whatever else the stack
-    holds. The qubits go in ceil(m / 3) steps of near-equal size: at
-    n = 3 one 64 x 64 step took 35 % less time than a 16 x 16 and a 4 x 4
-    one, and at n = 4 two 16 x 16 steps beat 64 x 64 and 4 x 4 by 13 %.
-    """
-    s = len(matrices)
-    m = len(measured)
-    unmeasured = [i for i in range(n) if i not in measured]
-    dim_u = 2 ** len(unmeasured)
-    pairs = [axis for i in measured for axis in (1 + i, 1 + n + i)]
-    t = np.asarray(matrices).reshape((s,) + (2,) * (2 * n))
-    t = t.transpose([0] + pairs + [1 + i for i in unmeasured] + [1 + n + i for i in unmeasured])
-    steps = -(-m // 3)
-    for k in range(steps):
-        step = _pauli_step(m // steps + (k < m % steps))
-        t = (step @ t.reshape(s, len(step), -1)).swapaxes(1, 2)  # the next pairs lead, mu goes last
-    return t.reshape(s, dim_u, dim_u, 4**m).transpose(0, 3, 1, 2)
-
-
-def _pauli_matrix(c: np.ndarray, n: int) -> np.ndarray:
-    """The 2^n-square matrix sum_mu c_mu sigma_mu of a 4^n-vector c, mu's digits as in _pauli_blocks.
-
-    The inverse of _pauli_blocks with every qubit measured: _pauli_blocks
-    of the result over 2^n gives back c. Each of n steps is one matmul
-    with _PAULI_PAIR that moves the leading base-4 digit to the back as
-    2r + c, holding sigma_mu[c, r]; the (c..., r...) bits are then
-    transposed into (row, column). No Kronecker power of _PAULI_PAIR is
-    built, so no 4^n-square table is cached.
-    """
-    t = np.asarray(c)
-    for _ in range(n):
-        t = t.reshape(4, -1).T @ _PAULI_PAIR
-    d = 2**n
-    return t.reshape((2,) * (2 * n)).transpose([*range(1, 2 * n, 2), *range(0, 2 * n, 2)]).reshape(d, d)
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:

@@ -11,21 +11,26 @@ where sigma_mu = sigma_mu_0 (x) sigma_mu_1 (x) ... runs over the 4^m Pauli
 strings and v = (1, n_0) (x) (1, n_1) (x) ... is the lift of the axes, a
 real 4^m-vector multilinear in them (Dakic, Vedral & Brukner, PRL 105,
 190502 (2010)). So with the Pauli blocks R_mu = tr_M[(sigma_mu (x) I_U)
-rho] of linalg._pauli_blocks, the block of outcome j is
+rho] of _pauli_blocks, the block of outcome j is
 
     B_j = tr_M[(P_j (x) I_U) rho] = sum_mu X[mu, j] v_mu R_mu,
 
 X[mu, j] = 2^-m prod_{k: mu_k != 0} s_k(j) the sign table. With every
 qubit measured, R_mu is the real number t_mu = tr(rho sigma_mu) and B_j
-is the outcome probability p_j: p = (t o v) X. X is the Kronecker power
-of one qubit's table, so _sign_product applies it in groups of at most
-_SIGN_QUBITS qubits, each group's read-only table from _signs: the
-search's m <= 4 takes one product, and a value pass at larger n never
-holds the 8^m entries of the whole table. _lift builds v, with its
-derivatives in the angles when asked, and _outcome_blocks contracts it
-with X and the blocks; outcome_probabilities, apply_full and the discord
-objective all take their probabilities from them, one implementation in
-real arithmetic.
+is the outcome probability p_j: p = (t o v) X. Every entry of X is an
+exact +/-2^-m. The Pauli transform (_pauli_blocks) and X are Kronecker
+powers of one-qubit tables, and one kernel, _kron_steps, applies both in
+groups of near-equal size, each group's power read-only from one cache,
+_kron_power: at most three qubits a group for the transform, since at
+n = 3 one 64 x 64 step took 35 % less time than a 16 x 16 and a 4 x 4
+one, and at most _SIGN_QUBITS = 4 for X, so every search (m <= 4) takes
+one product with X itself, sparing the kernel's reshapes (2.3 us, about
+3 % of a 4-row value-and-gradient call at n = 3), and a value pass at
+larger n never holds the 8^m entries of the whole table. _lift builds v,
+with its derivatives in the angles when asked, and _outcome_blocks
+contracts it with X and the blocks; outcome_probabilities, apply_full and
+the discord objective all take their probabilities from them, one
+implementation in real arithmetic.
 
 A ProductMeasurement enters through _angles, which checks its arity
 against the state and turns each axis into (theta, phi); apply_full,
@@ -33,8 +38,9 @@ outcome_probabilities, discord.induced_discord and the monogamy ledger
 all call it. apply_full is the only code that builds a measured
 DensityMatrix. Each P_j is rank 1, so the non-selective channel
 sum_j P_j rho P_j is sum_j p_j P_j = sum_mu v_mu (X p)_mu sigma_mu: one
-product with X, and linalg._pauli_matrix turns the Pauli vector into a
-matrix. The lift is the one representation of a product measurement.
+product with X, and _pauli_matrix, the inverse Pauli transform, turns
+the Pauli vector into a matrix. The lift is the one representation of a
+product measurement.
 """
 
 from __future__ import annotations
@@ -45,16 +51,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import (
-    DensityMatrix,
-    IDENTITY_2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    _index,
-    _pauli_blocks,
-    _pauli_matrix,
-)
+from .linalg import DensityMatrix, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _index, kron_all
 
 __all__ = [
     "BlochMeasurement",
@@ -144,48 +141,102 @@ def _angles(phi: ProductMeasurement, n: int) -> list[float]:
     return angles
 
 
+# Row mu holds sigma_mu[c, r] at column 2r + c, so a row dotted with a
+# qubit's (row bit r, column bit c) entries is tr(sigma_mu x) on that qubit.
+_PAULI_PAIR = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
+_PAULI_PAIR.setflags(write=False)
+# The one-qubit tables of the Pauli transform and of the sign table X.
+_ONE_QUBIT = {"pauli": _PAULI_PAIR, "signs": np.array([[0.5, 0.5], [0.5, -0.5], [0.5, -0.5], [0.5, -0.5]])}
 _SIGN_QUBITS = 4  # most qubits of one sign table (8^4 entries): one product for every search, m <= 4
 
 
 @functools.cache
-def _signs(m: int) -> np.ndarray:
-    """The read-only sign table X of m <= _SIGN_QUBITS measured qubits, shape (4^m, 2^m).
+def _kron_power(name: str, k: int) -> np.ndarray:
+    """The k-th Kronecker power of _ONE_QUBIT[name], read-only, built once.
 
-    X[mu, j] = 2^-m prod_{k: mu_k != 0} s_k(j): the Kronecker product of m
-    copies of the one-qubit table [[1, 1], [1, -1], [1, -1], [1, -1]] / 2,
-    so every entry is an exact +/-2^-m. Built once per m.
+    Of "signs" it is the sign table X of k measured qubits, shape (4^k, 2^k).
     """
-    x = np.ones((1, 1))
-    for _ in range(m):
-        x = np.kron(x, [[0.5, 0.5], [0.5, -0.5], [0.5, -0.5], [0.5, -0.5]])
+    x = kron_all(np.ones((1, 1)), *[_ONE_QUBIT[name]] * k)
     x.setflags(write=False)
     return x
+
+
+def _kron_steps(t: np.ndarray, name: str, m: int, most: int, transpose: bool = False) -> np.ndarray:
+    """Each row of t times the m-th Kronecker power of _ONE_QUBIT[name], or its transpose.
+
+    Row t[k]'s leading index holds one digit per qubit, the first the most
+    significant. The qubits go in ceil(m / most) groups of near-equal size,
+    the first group first, each one matmul per row with its _kron_power (a
+    transposed power stays a view: a C-contiguous copy takes another BLAS
+    path and moves the last bits), and the new index goes to the back.
+    Flattened, a result row is the row's other entries, then the new index.
+    """
+    s = len(t)
+    steps = -(-m // most)
+    for k in range(steps):
+        x = _kron_power(name, m // steps + (k < m % steps))
+        x = x.T if transpose else x
+        t = (x @ t.reshape(s, x.shape[1], -1)).swapaxes(1, 2)  # the next digits lead, the new index goes last
+    return t
+
+
+def _pauli_blocks(matrices: np.ndarray, n: int, measured) -> np.ndarray:
+    """The Pauli blocks R_mu = tr_M[(sigma_mu (x) I_U) rho] of each n-qubit matrix of a stack.
+
+    matrices has shape (S, 2^n, 2^n) and measured lists the sorted qubits
+    M; U is the rest, in order. The result has shape (S, 4^m, 2^(n-m),
+    2^(n-m)), m = len(measured), with mu's digits in base 4 in measured
+    order (measured[0] the most significant, 0 for the identity and 1, 2,
+    3 for x, y, z), so with every qubit measured R_mu is the 1 x 1 number
+    tr(rho sigma_mu). The (row, column) pairs of the measured qubits lead
+    each matrix, and _kron_steps contracts them with powers of _PAULI_PAIR,
+    at most three qubits a step, so a matrix's blocks are the same floats
+    whatever else the stack holds.
+    """
+    s = len(matrices)
+    m = len(measured)
+    unmeasured = [i for i in range(n) if i not in measured]
+    dim_u = 2 ** len(unmeasured)
+    pairs = [axis for i in measured for axis in (1 + i, 1 + n + i)]
+    t = np.asarray(matrices).reshape((s,) + (2,) * (2 * n))
+    t = t.transpose([0] + pairs + [1 + i for i in unmeasured] + [1 + n + i for i in unmeasured])
+    t = _kron_steps(t, "pauli", m, 3)
+    return t.reshape(s, dim_u, dim_u, 4**m).transpose(0, 3, 1, 2)
+
+
+def _pauli_matrix(c: np.ndarray, n: int) -> np.ndarray:
+    """The 2^n-square matrix sum_mu c_mu sigma_mu of a 4^n-vector c, mu's digits as in _pauli_blocks.
+
+    The inverse of _pauli_blocks with every qubit measured: _pauli_blocks
+    of the result over 2^n gives back c. Each of n steps is one matmul
+    with _PAULI_PAIR that moves the leading base-4 digit to the back as
+    2r + c, holding sigma_mu[c, r]; the (c..., r...) bits are then
+    transposed into (row, column). No Kronecker power of _PAULI_PAIR is
+    built, so no 4^n-square table is cached.
+    """
+    t = np.asarray(c)
+    for _ in range(n):
+        t = t.reshape(4, -1).T @ _PAULI_PAIR
+    d = 2**n
+    return t.reshape((2,) * (2 * n)).transpose([*range(1, 2 * n, 2), *range(0, 2 * n, 2)]).reshape(d, d)
 
 
 def _sign_product(y: np.ndarray, m: int, transpose: bool) -> np.ndarray:
     """X^T y (4^m -> 2^m rows, transpose) or X y (2^m -> 4^m) for each y[k] of y (K, D, F).
 
     Up to _SIGN_QUBITS qubits, which covers every search, this is one
-    matmul per row with X itself. Above, X is the Kronecker product of the
-    tables of its qubit groups, ceil(m / _SIGN_QUBITS) of near-equal size,
-    applied the last first: each is one matmul per row with the group's
-    table on its own index, in place, so no table exceeds _SIGN_QUBITS
-    qubits and memory stays linear in 4^m. The loop's reshapes would cost
-    the one-group case 2.3 us a value-and-gradient call, about 3 % of a
-    4-row call at n = 3, hence the direct product there. Each row's sums
-    are its own.
+    matmul per row with X itself: _kron_steps's reshapes would cost the
+    one-group case 2.3 us a value-and-gradient call, about 3 % of a 4-row
+    call at n = 3. Above, _kron_steps applies X at most _SIGN_QUBITS
+    qubits a group, so memory stays linear in 4^m, and the rows come back
+    (K, 2^m or 4^m, F), C-contiguous. Each row's sums are its own.
     """
     if m <= _SIGN_QUBITS:
-        x = _signs(m)
+        x = _kron_power("signs", m)
         return (x.T if transpose else x) @ y
     k, f = len(y), y.shape[2]
-    steps, done = -(-m // _SIGN_QUBITS), f
-    for i in reversed(range(steps)):
-        x = _signs(m // steps + (i < m % steps))
-        table = x.T if transpose else x
-        y = table @ y.reshape(-1, table.shape[1], done)
-        done *= len(table)
-    return y.reshape(k, -1, f)
+    y = _kron_steps(y, "signs", m, _SIGN_QUBITS, transpose)
+    return np.ascontiguousarray(y.reshape(k, f, -1).swapaxes(1, 2))
 
 
 def _lift(angles, gradient: bool = False):

@@ -1,15 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import kron_reference
 from qdiscord import measurement
-from qdiscord.linalg import DensityMatrix
+from qdiscord.linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, _marginal, kron_all
 from qdiscord.measurement import (
     BlochMeasurement,
     ProductMeasurement,
+    _kron_power,
     _lift,
+    _pauli_blocks,
+    _pauli_matrix,
     _sign_product,
-    _signs,
     apply_full,
     outcome_probabilities,
     projectors,
@@ -117,7 +122,7 @@ class TestLift:
         # X[mu, j] = 2^-m prod over the non-identity digits of mu of qubit
         # k's sign in outcome j (qubit 0 the high bit, bit 0 for +).
         for m in (1, 2, 3):
-            x = _signs(m)
+            x = _kron_power("signs", m)
             assert x.shape == (4**m, 2**m) and not x.flags.writeable
             for mu_index in range(4**m):
                 mu = [(mu_index >> (2 * (m - 1 - k))) & 3 for k in range(m)]
@@ -132,26 +137,45 @@ class TestLift:
         for m in (1, 2, 3, 4, 5, 6):
             x = np.ones((1, 1))
             for _ in range(m):
-                x = np.kron(x, _signs(1))
+                x = np.kron(x, _kron_power("signs", 1))
             y, e = rng.normal(size=(3, 4**m, 2)), rng.normal(size=(3, 2**m, 2))
             forward, backward = _sign_product(y, m, transpose=True), _sign_product(e, m, transpose=False)
             assert forward.flags.c_contiguous and backward.flags.c_contiguous
             if m <= 4:
-                assert np.array_equal(forward, _signs(m).T @ y) and np.array_equal(backward, _signs(m) @ e)
+                table = _kron_power("signs", m)
+                assert np.array_equal(forward, table.T @ y) and np.array_equal(backward, table @ e)
             assert_allclose(forward, x.T @ y, rtol=0, atol=1e-14)
             assert_allclose(backward, x @ e, rtol=0, atol=1e-14)
             for k in range(3):
                 assert np.array_equal(forward[k], _sign_product(y[k : k + 1], m, transpose=True)[0])
 
+    def test_sign_product_equals_the_two_loop_reference(self):
+        # Up to four qubits both are one matmul with X or its transposed
+        # view, bit for bit; at m = 5 and 6 the reference applies the groups
+        # in the other order, so the sums may round differently.
+        rng = np.random.default_rng(19)
+        for m in range(1, 7):
+            for k in (1, 4, 9):
+                for transpose in (True, False):
+                    for f in (1, 8):
+                        y = rng.normal(size=(k, 4**m if transpose else 2**m, f))
+                        got = _sign_product(y, m, transpose)
+                        reference = kron_reference._sign_product(y, m, transpose)
+                        assert got.shape == reference.shape
+                        if m <= 4:
+                            assert got.tobytes() == reference.tobytes()
+                        else:
+                            assert_allclose(got, reference, rtol=0, atol=1e-14)
+
     def test_no_table_above_four_qubits(self, monkeypatch):
         # A dense table of n = 8 qubits would hold 8^8 entries, 134 MB.
         built = []
 
-        def spy(m):
-            built.append(m)
-            return _signs(m)
+        def spy(name, k):
+            built.append(k)
+            return _kron_power(name, k)
 
-        monkeypatch.setattr(measurement, "_signs", spy)
+        monkeypatch.setattr(measurement, "_kron_power", spy)
         n = 8
         rng = np.random.default_rng(17)
         rho = ginibre_state(n, rng)
@@ -205,6 +229,68 @@ class TestLift:
                 v_k, pullback_k = _lift(angles[k : k + 1], gradient=True)
                 assert np.array_equal(v_k[0], v[k])
                 assert np.array_equal(pullback_k(g[k : k + 1])[0], grads[k])
+
+
+class TestPauliBlocks:
+    def test_matches_the_definition(self):
+        # R_mu = tr_M[(sigma_mu (x) I_U) rho], built term by term with kron
+        # and traced with _marginal, for every measured subset at n = 1-4.
+        paulis = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
+        for n in (1, 2, 3, 4):
+            rho = random_density_matrix(n, seed=250 + n).matrix
+            for m in range(1, n + 1):
+                for measured in itertools.combinations(range(n), m):
+                    blocks = _pauli_blocks(rho[None], n, measured)[0]
+                    unmeasured = tuple(i for i in range(n) if i not in measured)
+                    assert blocks.shape == (4**m, 2 ** (n - m), 2 ** (n - m))
+                    for j, mu in enumerate(itertools.product(range(4), repeat=m)):
+                        ops = [paulis[mu[measured.index(i)]] if i in measured else IDENTITY_2 for i in range(n)]
+                        product = kron_all(*ops) @ rho
+                        if unmeasured:
+                            expected = _marginal(product, n, unmeasured)
+                        else:
+                            expected = product.trace().reshape(1, 1)
+                        assert_allclose(blocks[j], expected, rtol=0, atol=1e-15)
+
+    def test_each_matrix_is_its_own(self):
+        # A matrix's blocks are the same bits whatever else the stack holds.
+        for n, measured in ((2, (0, 1)), (3, (0, 1, 2)), (4, (0, 1, 2, 3)), (3, (1,)), (4, (0, 2))):
+            stack = np.array([random_density_matrix(n, seed=260 + k).matrix for k in range(5)])
+            together = _pauli_blocks(stack, n, measured)
+            for k in range(5):
+                assert np.array_equal(together[k], _pauli_blocks(stack[k : k + 1], n, measured)[0])
+
+    def test_equals_the_two_loop_reference(self):
+        # The blocks are the reference's bits, signed zeros included, for
+        # stacks of 1, 3 and 9 at n = 1-6 with every qubit, the last qubit
+        # or every other qubit measured.
+        rng = np.random.default_rng(280)
+        for n in range(1, 7):
+            for s in (1, 3, 9):
+                stack = rng.normal(size=(s, 2**n, 2**n)) + 1j * rng.normal(size=(s, 2**n, 2**n))
+                for measured in (tuple(range(n)), (n - 1,), tuple(range(0, n, 2))):
+                    blocks = _pauli_blocks(stack, n, measured)
+                    reference = kron_reference._pauli_blocks(stack, n, measured)
+                    assert blocks.shape == reference.shape
+                    assert blocks.tobytes() == reference.tobytes()
+
+    def test_pauli_matrix_inverts_the_blocks(self):
+        # _pauli_matrix(t, n) is sum_mu t_mu sigma_mu, term by term with kron
+        # at n = 1-3, and _pauli_blocks of it over 2^n gives back t at n = 1-5.
+        paulis = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
+        rng = np.random.default_rng(270)
+        for n in (1, 2, 3, 4, 5):
+            t = rng.uniform(-1.0, 1.0, size=4**n)
+            matrix = _pauli_matrix(t, n)
+            assert matrix.shape == (2**n, 2**n)
+            if n <= 3:
+                expected = sum(
+                    c * kron_all(*(paulis[k] for k in mu))
+                    for c, mu in zip(t, itertools.product(range(4), repeat=n))
+                )
+                assert_allclose(matrix, expected, rtol=0, atol=1e-14)
+            back = _pauli_blocks((matrix / 2**n)[None], n, range(n)).reshape(-1)
+            assert_allclose(back, t, rtol=0, atol=1e-14)
 
 
 class TestChannels:
