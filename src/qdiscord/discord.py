@@ -3,7 +3,8 @@
 Every quantity uses I_q = -S_q(rho) + sum_g S_q(rho_g) over parties g: the
 single qubits, or the two sides of a cut=(left, right), a plain pair that
 _parties alone checks and orders, so either order gives the same floats.
-_parties and _mutual_information are the only code for each.
+_parties and _make_objective's entropy kernel, for both sides of a drop,
+are the only code for each; mutual_information_q sums its own entropies.
 
 The global quantity minimizes the q-mutual-information drop over product
 projective measurements of every qubit (at q = 1, the global discord of
@@ -66,13 +67,12 @@ the kernel.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _check_q, _terms
+from .entropy import _check_q, _hq, _terms
 from .linalg import DESK_SCALE_LIMIT, DensityMatrix, _index, _indices, _marginal
 from .measurement import (
     BlochMeasurement,
@@ -217,49 +217,13 @@ def _shape(n: int, measured, cut) -> tuple[tuple[int, ...], tuple[tuple[int, ...
     return measured, (tuple(i for i in range(n) if i not in measured), measured)
 
 
-def _mutual_information(states, groups, qs) -> list[float]:
-    """-S_q(rho) + sum_g S_q(rho_g) of each problem (rho, parties, q), q checked, in problem order.
-
-    Each sum runs in that order over the problem's parties. Each rho_g is
-    linalg._marginal's plain array, not a DensityMatrix: rho has passed
-    its checks, and checking rho_g again would add up the Hermiticity
-    error of every entry a traced-out qubit sums, so an admitted state
-    could fail at its own marginals. A state's marginal on a party is
-    computed once however many problems share it (a whole state and its
-    cuts, a q grid). The entropies come from one _terms call per distinct q
-    over the concatenated spectra of its problems, each summed on its own
-    slice, so each is the float tsallis_entropy gives alone and each
-    problem's value the one it gets alone.
-    """
-    spectra, seen = [], {}
-    for rho, parties in zip(states, groups):
-        spectra.append([rho.eigenvalues])
-        for g in parties:
-            spectrum = seen.get((id(rho), g))
-            if spectrum is None:
-                spectrum = seen[id(rho), g] = np.linalg.eigvalsh(_marginal(rho.matrix, rho.num_qubits, g))[::-1]
-            spectra[-1].append(spectrum)
-    values = [0.0] * len(qs)
-    for q in dict.fromkeys(qs):
-        members = [i for i, other in enumerate(qs) if other == q]
-        parts = [spectrum for i in members for spectrum in spectra[i]]
-        p, x, scale = _terms(np.concatenate(parts), q)
-        px = p * x
-        bounds = list(itertools.accumulate((part.size for part in parts), initial=0))
-        slices = iter(zip(bounds, bounds[1:]))
-        for i in members:
-            entropies = [-px[start:stop].sum() / scale for start, stop in itertools.islice(slices, len(spectra[i]))]
-            total = -entropies[0]
-            for entropy in entropies[1:]:
-                total += entropy
-            values[i] = float(total)
-    return values
-
-
 def mutual_information_q(rho: DensityMatrix, q: float) -> float:
-    """I_q(rho) = sum_i S_q(rho^{A_i}) - S_q(rho) over single-qubit marginals."""
-    (value,) = _mutual_information([rho], [_parties(rho.num_qubits, None)], [_check_q(q)])
-    return value
+    """I_q(rho) = sum_i S_q(rho^{A_i}) - S_q(rho) over single-qubit marginals (plain arrays), at any qubit count."""
+    q, n = _check_q(q), rho.num_qubits
+    total = -_hq(rho.eigenvalues, q)
+    for i in range(n):
+        total += _hq(np.linalg.eigvalsh(_marginal(rho.matrix, n, (i,)))[::-1], q)
+    return float(total)
 
 
 def induced_discord(
@@ -386,14 +350,22 @@ def _make_objective(states, qs, measured: tuple[int, ...], groups):
     kernel whose rows change with the batch size. When the problems'
     patterns differ (a whole state beside cuts), each pattern's rows take
     its own table and the narrower marginals are padded with zeros after
-    their own entries; the marginals' entropy terms are summed in order,
-    so a padded zero adds an exact +0.0 at the end, where numpy's pairwise
-    sum would regroup a longer row. The entropies of the spectrum and of
-    every measured marginal come from one entropy._terms call over their
-    concatenation, with q a column of one q per row. Every row is computed
-    on its own: a row's value does not depend on the other rows of the
-    batch or on their problems, and each row of _evaluate's value-only
-    pass is one row here.
+    their own entries.
+
+    One inner function, entropies, turns rows [spectrum (2^n) | measured
+    marginals, zero-padded to the block's width] into S_q of the spectrum
+    and S_q of the marginals by one entropy._terms call, q a column of one q
+    per row, the marginals' terms summed in order, so a padded zero adds an
+    exact +0.0 at the end where numpy's pairwise sum would regroup a longer
+    row. Both sides of the drop are its rows: a problem's constant I_q(rho)
+    over its measured parties (the others cancel) is the row of rho's
+    eigenvalues and the eigvalsh spectra of those parties' marginals, one
+    call a block. A state's marginal on a party is computed once a block, as
+    linalg._marginal's plain array, never checked as a DensityMatrix (see
+    linalg.partial_trace). Every row, a constant's too, is computed on its
+    own: a row's value does not depend on the other rows of the batch or on
+    their problems, and each row of _evaluate's value-only pass is one row
+    here.
 
     objective(angles, owner, gradient=True) returns (values (K,), gradients
     (K, 2m)) instead, the gradient exact, by one path for both kinds of
@@ -430,11 +402,31 @@ def _make_objective(states, qs, measured: tuple[int, ...], groups):
     patterns = [tuple(g for g in parties if g[0] in measured) for parties in groups]
     kinds = list(dict.fromkeys(patterns))
     tables = [_marginal_table(measured, pattern) for pattern in kinds]
+    width = max(table.shape[1] for table in tables)
     if len(tables) > 1:
-        width = max(table.shape[1] for table in tables)
         kind = np.array([kinds.index(pattern) for pattern in patterns])
-    consts = np.array(_mutual_information(states, patterns, qs))
     qs = np.array(qs, dtype=float)
+
+    def entropies(rows: np.ndarray, q: np.ndarray):
+        """S_q of each row's spectrum, S_q of its marginals summed in order, and the rows' x and s.
+
+        A row is [spectrum (dim) | marginals, zero-padded to width], q a
+        column of one q per row.
+        """
+        p, x, s = _terms(rows, q)
+        px = p * x
+        return -px[:, :dim].sum(axis=-1) / s[:, 0], -np.cumsum(px[:, dim:], axis=-1)[:, -1] / s[:, 0], x, s
+
+    # Each problem's constant I_q(rho) is a row of the same kernel.
+    spectra, seen = np.zeros((len(states), dim + width)), {}
+    for row, rho, pattern in zip(spectra, states, patterns):
+        for g in pattern:
+            if (id(rho), g) not in seen:
+                seen[id(rho), g] = np.linalg.eigvalsh(_marginal(rho.matrix, n, g))[::-1]
+        parts = np.concatenate([rho.eigenvalues] + [seen[id(rho), g] for g in pattern])
+        row[: parts.size] = parts
+    h_state, h_parties, _, _ = entropies(spectra, qs[:, None])
+    consts = h_parties - h_state
 
     def objective(angles: np.ndarray, owner: np.ndarray, gradient: bool = False):
         lifted = _lift(angles, gradient)
@@ -459,14 +451,8 @@ def _make_objective(states, qs, measured: tuple[int, ...], groups):
             marginals = np.zeros((k, width))
             for rows, table in patterned:
                 marginals[rows, : table.shape[1]] = (probs[rows, None, :] @ table)[:, 0]
-        # The entropy is a plain sum over entries, so the marginals' part of
-        # the concatenation sums to the sum of their entropies. That part is
-        # summed in order, so a padded zero adds an exact +0.0 at the end.
         q = qs[owner][:, None]
-        p, x, s = _terms(np.concatenate([spectrum, marginals], axis=1), q)
-        px = p * x
-        h_spectrum = -px[:, :dim].sum(axis=-1) / s[:, 0]
-        h_marginals = -np.cumsum(px[:, dim:], axis=-1)[:, -1] / s[:, 0]
+        h_spectrum, h_marginals, x, s = entropies(np.concatenate([spectrum, marginals], axis=1), q)
         values = consts[owner] + h_spectrum - h_marginals
         if not gradient:
             return values

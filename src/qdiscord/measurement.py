@@ -18,19 +18,20 @@ rho] of _pauli_blocks, the block of outcome j is
 X[mu, j] = 2^-m prod_{k: mu_k != 0} s_k(j) the sign table. With every
 qubit measured, R_mu is the real number t_mu = tr(rho sigma_mu) and B_j
 is the outcome probability p_j: p = (t o v) X. Every entry of X is an
-exact +/-2^-m. The Pauli transform (_pauli_blocks) and X are Kronecker
-powers of one-qubit tables, and one kernel, _kron_steps, applies both in
-groups of near-equal size, each group's power read-only from one cache,
-_kron_power: at most three qubits a group for the transform, since at
-n = 3 one 64 x 64 step took 35 % less time than a 16 x 16 and a 4 x 4
-one, and at most _SIGN_QUBITS = 4 for X, so every search (m <= 4) takes
-one product with X itself, sparing the kernel's reshapes (2.3 us, about
-3 % of a 4-row value-and-gradient call at n = 3), and a value pass at
-larger n never holds the 8^m entries of the whole table. _lift builds v,
-with its derivatives in the angles when asked, and _outcome_blocks
-contracts it with X and the blocks; outcome_probabilities, apply_full and
-the discord objective all take their probabilities from them, one
-implementation in real arithmetic.
+exact +/-2^-m. The Pauli transform (_pauli_blocks), its inverse
+(_pauli_matrix) and X are Kronecker powers of one-qubit tables, and one
+kernel, _kron_steps, applies all three in groups of near-equal size,
+each group's power read-only from one cache, _kron_power: at most three
+qubits a group for the transform, since at n = 3 one 64 x 64 step took
+35 % less time than a 16 x 16 and a 4 x 4 one; one for the inverse,
+which so reads only the 4 x 4 table; and at most _SIGN_QUBITS = 4 for X,
+so every search (m <= 4) takes one product with X itself, sparing the
+kernel's reshapes (2.3 us, about 3 % of a 4-row value-and-gradient call
+at n = 3), and a value pass at larger n never holds the 8^m entries of
+the whole table. _lift builds v, with its derivatives in the angles when
+asked, and _outcome_blocks contracts it with X and the blocks;
+outcome_probabilities, apply_full and the discord objective all take
+their probabilities from them, one implementation in real arithmetic.
 
 A ProductMeasurement enters through _angles, which checks its arity
 against the state and turns each axis into (theta, phi); apply_full,
@@ -208,15 +209,13 @@ def _pauli_matrix(c: np.ndarray, n: int) -> np.ndarray:
     """The 2^n-square matrix sum_mu c_mu sigma_mu of a 4^n-vector c, mu's digits as in _pauli_blocks.
 
     The inverse of _pauli_blocks with every qubit measured: _pauli_blocks
-    of the result over 2^n gives back c. Each of n steps is one matmul
-    with _PAULI_PAIR that moves the leading base-4 digit to the back as
-    2r + c, holding sigma_mu[c, r]; the (c..., r...) bits are then
-    transposed into (row, column). No Kronecker power of _PAULI_PAIR is
-    built, so no 4^n-square table is cached.
+    of the result over 2^n gives back c. _kron_steps applies _PAULI_PAIR's
+    transpose one qubit a step, each step turning the leading base-4 digit
+    into 2r + c at the back, holding sigma_mu[c, r]; the (c..., r...) bits
+    are then transposed into (row, column). Only the 4 x 4 power is read,
+    so no 4^n-square table is cached.
     """
-    t = np.asarray(c)
-    for _ in range(n):
-        t = t.reshape(4, -1).T @ _PAULI_PAIR
+    t = _kron_steps(np.asarray(c)[None], "pauli", n, 1, transpose=True)
     d = 2**n
     return t.reshape((2,) * (2 * n)).transpose([*range(1, 2 * n, 2), *range(0, 2 * n, 2)]).reshape(d, d)
 

@@ -153,28 +153,23 @@ def decompose_induced_gqd(
     n = 4); the problem constants take each party's marginal as a plain
     array (linalg._marginal).
     """
-    n = rho.num_qubits
-    angles = _angles(phi, n)
-    jobs = [(rho, q, None, None)] + [
-        (partial_trace(rho, range(k + 1)), q, None, _first_vs_last(k)) for k in range(1, n)
-    ]
+    angles = _angles(phi, rho.num_qubits)
+    jobs = [(rho, q, None, None)] + _nested_jobs(rho, q, 1)
     total, *terms = _evaluate(jobs, [angles[: 2 * state.num_qubits] for state, *_ in jobs])
     return DecompositionLedger(total, tuple(terms), total - sum(terms))
 
 
-def _first_vs_last(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The cut (first k)|(k+1 th) of the first k+1 qubits."""
-    return tuple(range(k)), (k,)
+def _nested_jobs(rho: DensityMatrix, q: float, first: int) -> list:
+    """The jobs of the first k+1 qubits across the cut (first k)|(k+1 th), for k from first to n - 1."""
+    return [
+        (partial_trace(rho, range(k + 1)), q, None, (tuple(range(k)), (k,))) for k in range(first, rho.num_qubits)
+    ]
 
 
 def _report_jobs(rho: DensityMatrix, q: float) -> list:
     """monogamy_report's jobs: the whole state, the pairs (0, k), then the nested cuts from k = 2."""
-    n = rho.num_qubits
-    return (
-        [(rho, q, None, None)]
-        + [(partial_trace(rho, (0, k)), q, None, None) for k in range(1, n)]
-        + [(partial_trace(rho, range(k + 1)), q, None, _first_vs_last(k)) for k in range(2, n)]
-    )
+    pairs = [(partial_trace(rho, (0, k)), q, None, None) for k in range(1, rho.num_qubits)]
+    return [(rho, q, None, None)] + pairs + _nested_jobs(rho, q, 2)
 
 
 def _report_from(n: int, values) -> MonogamyReport:

@@ -11,7 +11,6 @@ from qdiscord.discord import (
     OptimizerConfig,
     _evaluate,
     _make_objective,
-    _mutual_information,
     induced_discord,
     mutual_information_q,
     q_gqd,
@@ -211,31 +210,44 @@ def reference_mutual_information(rho, groups, q):
 class TestMutualInformation:
     @pytest.mark.parametrize("q", [0.1, 0.5, 0.99, 1.0, 1.01, 2.0])
     def test_one_kernel_call_equals_entropy_sum(self, q):
-        # One _terms call over the concatenated spectra, each summed on its
-        # own slice, gives each entropy's float; the sum is the same bits.
+        # mutual_information_q is the reference's entropy sum, bit for bit,
+        # past the solver's qubit limit too: a 5-qubit product of exactly
+        # Hermitian factors, whose marginals partial_trace takes as they are.
         # q = 1 takes the Shannon branch.
-        for n in (2, 3, 4):
+        rhos = [random_density_matrix(n, seed=400 + 10 * n + seed) for n in (2, 3, 4) for seed in range(8)]
+        a, b = (random_density_matrix(n, seed=450 + n).matrix for n in (4, 1))
+        rhos.append(DensityMatrix(np.kron((a + a.conj().T) / 2, (b + b.conj().T) / 2)))
+        for rho in rhos:
+            expected = reference_mutual_information(rho, discord._parties(rho.num_qubits, None), q)
+            assert mutual_information_q(rho, q).hex() == expected.hex()
+
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.99, 1.0, 1.01, 2.0])
+    def test_constants_do_not_depend_on_their_block(self, q):
+        # One objective over every split of a state (the whole state and
+        # each cut) at q and 0.7, each marginal computed once: at fixed
+        # angles each row is the float of its problem's one-problem
+        # objective, whose constant row is alone and narrower. At n = 5 the
+        # widest rows (1|4) have 18 marginal entries, past the 8 that
+        # numpy's pairwise sum takes in one pass.
+        for n in (2, 3, 4, 5):
             splits = [None] + [
                 (left, tuple(i for i in range(n) if i not in left))
                 for size in range(1, n)
                 for left in itertools.combinations(range(n), size)
                 if 0 in left
             ]
-            for seed in range(8):
-                rho = random_density_matrix(n, seed=400 + 10 * n + seed)
-                for cut in splits:
-                    groups = discord._parties(n, cut)
-                    expected = reference_mutual_information(rho, groups, q).hex()
-                    assert _mutual_information([rho], [groups], [q])[0].hex() == expected
-                assert mutual_information_q(rho, q).hex() == reference_mutual_information(
-                    rho, discord._parties(n, None), q
-                ).hex()
-                # Every split of the state and a second q in one call, each
-                # marginal computed once: each value is still the solo one.
-                groups = [discord._parties(n, cut) for cut in splits] * 2
-                together = _mutual_information([rho] * len(groups), groups, [q] * len(splits) + [0.7] * len(splits))
-                for value, parties, q_j in zip(together, groups, [q] * len(splits) + [0.7] * len(splits)):
-                    assert value.hex() == reference_mutual_information(rho, parties, q_j).hex()
+            measured = tuple(range(n))
+            groups = [discord._parties(n, cut) for cut in splits] * 2
+            qs = [q] * len(splits) + [0.7] * len(splits)
+            for seed in range(2):
+                rho = ginibre_state(n, seed=400 + 10 * n + seed)
+                rng = np.random.default_rng(seed)
+                angles = np.array([random_angles(rng, n) for _ in groups])
+                owner = np.arange(len(groups))
+                values = _make_objective([rho] * len(groups), qs, measured, groups)(angles, owner)
+                for k, (parties, q_k) in enumerate(zip(groups, qs)):
+                    alone = single(rho, q_k, measured, parties)(angles[k : k + 1])
+                    assert values[k].hex() == alone[0].hex()
 
     def test_product_state_pseudo_additivity(self):
         # Only q = 1 gives zero on products; elsewhere the entropy is
@@ -322,8 +334,8 @@ class TestFastObjective:
                 for a in angles:
                     phi = ProductMeasurement.from_angles(a.reshape(-1, 2))
                     direct.append(
-                        _mutual_information([rho], [groups], [q])[0]
-                        - _mutual_information([apply_full(phi, rho)], [groups], [q])[0]
+                        reference_mutual_information(rho, groups, q)
+                        - reference_mutual_information(apply_full(phi, rho), groups, q)
                     )
                     induced.append(induced_discord(rho, phi, q, cut=cut))
                 assert_allclose(objective(angles), direct, atol=1e-11)
@@ -349,7 +361,7 @@ class TestFastObjective:
                 )
             )
             drops.append(
-                _mutual_information([rho], [cut], [q])[0] - _mutual_information([measured_state], [cut], [q])[0]
+                reference_mutual_information(rho, cut, q) - reference_mutual_information(measured_state, cut, q)
             )
         assert_allclose(objective(angles), drops, atol=1e-11)
 
@@ -556,7 +568,7 @@ def axis_sum_objective(rho, q, measured, groups):
     rho_t = rho.matrix.reshape((2,) * (2 * n)).transpose(axes).reshape(dim * dim_u, dim_m)
     parties = [g for g in groups if all(i in measured for i in g)]
     summed = [tuple(1 + ax for ax, i in enumerate(measured) if i not in g) for g in parties]
-    (const,) = _mutual_information([rho], [parties], [q])
+    const = reference_mutual_information(rho, parties, q)
     outcomes = np.arange(dim_m)
     bits = (1 << np.arange(m - 1, -1, -1))[:, None]
     flipped = outcomes ^ bits
