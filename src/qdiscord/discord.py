@@ -31,32 +31,34 @@ one. A row of the batch is the same float as that row alone, so a
 start's result does not depend on which starts share its rounds, and
 each report of a _many call equals the solo call's.
 
-Two drivers run a lockstep's rows, the start points x0 (K, 2m) and the
-problem owner (K,) of each, and return (x, f, evaluations, success) per
-row, through the same floats bit for bit. _lockstep runs each row as a
-_bfgs generator that yields the point it needs and is sent its value and
-gradient; _bfgs_rows runs the same BFGS as one set of array operations
-per round. A round's cost in us, objective included, generators/arrays,
-every row searching (random states at q = 0.5 with every qubit measured,
-10 evaluations a start; 2-core x86-64 VM, one OpenBLAS thread, best of
-25 in each of three runs, the least of the three):
+One driver, _bfgs_rows, runs a lockstep's rows, the start points x0
+(K, 2m) and the problem owner (K,) of each, and returns (x, f,
+evaluations, success) per row. It has two forms of the same BFGS, through
+the same floats bit for bit: _bfgs generators, each yielding the point it
+needs and sent its value and gradient, which _rounds runs one batched
+call a round and stacks; and one set of array operations per round. A
+round's cost in us, objective included, generators/arrays, every row
+searching (random states at q = 0.5 with every qubit measured, 10
+evaluations a start; 2-core x86-64 VM, one OpenBLAS thread, best of 25 in
+each of three runs, the least of the three):
 
     rows    1       2       4       8       16      20      32      64
     n = 2   68/185  80/187  99/201  140/198 205/214 264/230 380/248 683/294
     n = 3   77/191  93/205  118/210 165/230 266/248 326/259 457/270 765/357
     n = 4   89/205  98/212  137/229 186/240 309/284 374/321 546/376 1050/519
 
-One threshold, _ARRAY_ROWS = 20, asks at both ends of a lockstep whose
-round is cheaper. A lockstep of fewer rows runs as generators alone; a
-larger one starts as arrays, and at the top of each round, once fewer
-than _ARRAY_ROWS rows are still searching, _bfgs_rows resumes each of
-them as a _bfgs generator in the middle of its line search. Most rounds
-of a large lockstep wait on a few slow starts, so its tail runs at the
-generators' cost. The crossover lies near 16 rows, where arrays win by
-up to 8 % at n = 3 and 4; 20 keeps a 16-row lockstep on the generators
-alone, and the rows of a tail keep leaving, so handing one over a few
-rows early costs little. In-process, verify --suite monogamy --trials
-32 took 179, 186 and 183 ms, then 184, 176 and 182 ms, with the
+One threshold, _ARRAY_ROWS = 20, picks the cheaper form by one test at
+the top of every round, round 0 included: once fewer than _ARRAY_ROWS
+rows are still searching, they run as generators to the end. So a
+lockstep of fewer rows runs as generators from the start and builds no
+array, and a larger one starts as arrays and resumes each row still
+searching as a _bfgs generator in the middle of its line search. Most
+rounds of a large lockstep wait on a few slow starts, so its tail runs at
+the generators' cost. The crossover lies near 16 rows, where arrays win
+by up to 8 % at n = 3 and 4; 20 keeps a 16-row lockstep on the
+generators alone, and the rows of a tail keep leaving, so handing one
+over a few rows early costs little. In-process, verify --suite monogamy
+--trials 32 took 179, 186 and 183 ms, then 184, 176 and 182 ms, with the
 hand-off below 16, 20 and 32 rows (best of 9, two runs).
 
 The objective, _make_objective, is the only code that evaluates
@@ -73,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import _check_q, _hq, _terms
-from .linalg import DESK_SCALE_LIMIT, DensityMatrix, _index, _indices, _marginal
+from .linalg import DESK_SCALE_LIMIT, DensityMatrix, _index, _indices, _marginal, kron_all
 from .measurement import (
     BlochMeasurement,
     ProductMeasurement,
@@ -93,9 +95,9 @@ BASIN_TOL = 1e-7
 # at n = 4, one-sided 8 x 8 blocks 4 kB) however many problems one call is
 # given.
 _MAX_ROWS = 1024
-# Fewest running rows a round of _bfgs_rows is given: a smaller lockstep
-# starts as _lockstep's generators, and a larger one hands its rows to them
-# once fewer are still searching (the module docstring has the table).
+# Fewest searching rows a round of _bfgs_rows runs as arrays: below it, at
+# the top of any round, the first included, the rows run as _bfgs
+# generators to the end (the module docstring has the table).
 _ARRAY_ROWS = 20
 
 __all__ = [
@@ -302,20 +304,12 @@ def _marginal_table(measured: tuple[int, ...], parties: tuple[tuple[int, ...], .
     entry of the concatenated marginals, in party order, each indexed by
     its qubits' bits in measured order: M[j, c] is 1 where outcome j adds
     to marginal entry c. So probs @ M is the marginals and slopes @ M.T
-    sums each outcome's marginal slopes. Built once per (measured,
-    parties) and read-only.
+    sums each outcome's marginal slopes. A party's columns are a Kronecker
+    product over the measured qubits, in order, of I_2 for its own qubits
+    (their bits index the entry) and a column of ones for the others
+    (summed over). Built once per (measured, parties) and read-only.
     """
-    m = len(measured)
-    outcomes = np.arange(2**m)
-    table = np.zeros((2**m, sum(2 ** len(g) for g in parties)))
-    start = 0
-    for g in parties:
-        entry = np.zeros_like(outcomes)
-        for pos, i in enumerate(measured):
-            if i in g:
-                entry = 2 * entry + ((outcomes >> (m - 1 - pos)) & 1)
-        table[outcomes, start + entry] = 1.0
-        start += 2 ** len(g)
+    table = np.hstack([kron_all(*(np.eye(2) if i in g else np.ones((2, 1)) for i in measured)) for g in parties])
     table.setflags(write=False)
     return table
 
@@ -385,16 +379,14 @@ def _make_objective(states, qs, measured: tuple[int, ...], groups):
 
     # Each distinct state once: the whole state and its cuts are one object.
     distinct = {id(rho): rho for rho in states}
+    slot = {key: i for i, key in enumerate(distinct)}
     blocks = _pauli_blocks(np.array([rho.matrix for rho in distinct.values()]), n, measured)
     if dim_u == 1:
         blocks = blocks.real
     else:
         blocks = (blocks + blocks.conj().swapaxes(-1, -2)) / 2
         blocks = np.ascontiguousarray(blocks).view(float)
-    pauli = blocks.reshape(len(distinct), 4**m, -1)
-    if len(distinct) < len(states):
-        slot = {key: i for i, key in enumerate(distinct)}
-        pauli = pauli[[slot[id(rho)] for rho in states]]
+    pauli = blocks.reshape(len(distinct), 4**m, -1)[[slot[id(rho)] for rho in states]]
 
     # The table sums the outcomes into each measured party's marginal. A
     # party is wholly measured or not (_shape), so its first qubit tells,
@@ -583,26 +575,16 @@ def _bfgs(x0: np.ndarray, max_evals: int, resume=None):
     return x, f, nfev, nfev < max_evals
 
 
-def _lockstep(objective, x0: np.ndarray, owner: np.ndarray, max_evals: int):
-    """Run the searches _bfgs(x0[k], max_evals) as generators, one objective call per round.
-
-    Row k searches problem owner[k] from x0[k], and _rounds runs the
-    searches. The result is each search's (x, f, evaluations, success)
-    stacked over the rows: (K, N), (K,), (K,) and (K,), as _bfgs_rows
-    returns them.
-    """
-    xs, fun, nfev, success = zip(*_rounds(objective, [_bfgs(x, max_evals) for x in x0], owner))
-    return np.array(xs), np.array(fun), np.array(nfev), np.array(success)
-
-
-def _rounds(objective, searches, owner: np.ndarray) -> list:
-    """The results of _bfgs generators searches, in order, each search k on problem owner[k].
+def _rounds(objective, searches, owner: np.ndarray):
+    """The results of _bfgs generators searches, each search k on problem owner[k].
 
     Each round stacks the point every running search yields, evaluates
     values and gradients in a single batched call, each row tagged with
     its owner, and sends each search its own (f, g). Rows are computed
     independently, so a search takes the same steps whichever searches
-    share its rounds.
+    share its rounds. The result is each search's (x, f, evaluations,
+    success) stacked in search order: (K, N), (K,), (K,) and (K,), as
+    _bfgs_rows returns them.
     """
     running = list(enumerate(searches))
     points = [search.send(None) for search in searches]
@@ -619,7 +601,7 @@ def _rounds(objective, searches, owner: np.ndarray) -> list:
         if len(kept) < len(running):
             running = [running[row] for row in kept]
             owner = owner[kept]
-    return results
+    return tuple(np.array(column) for column in zip(*results))
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -632,25 +614,27 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _bfgs_rows(objective, x0: np.ndarray, owner: np.ndarray, max_evals: int):
-    """_lockstep's searches _bfgs(x0[k], max_evals), run as array operations.
+    """The searches _bfgs(x0[k], max_evals), row k on problem owner[k], stacked as _rounds returns them.
 
-    Row k searches problem owner[k] from x0[k]. Every row keeps its BFGS
-    and line-search state in (K, ...) arrays, and each round evaluates the
-    trial points of the rows still searching in one objective call, so a
-    round costs one set of array operations, not one generator step per
-    start. Each scalar expression of _bfgs and _line_search is kept in
-    their order, and each product is one row's own (_dots, stacked
-    matmuls), so every row takes the same floats as its generator, and the
-    result equals _lockstep's bit for bit.
-
-    A round of arrays costs more than a round of generators below about
-    16 rows (module docstring), and most rounds of a large lockstep wait on
-    a few slow starts. So at the top of each round, once fewer than
-    _ARRAY_ROWS rows are still searching, each of them goes on as a _bfgs
-    generator resumed from its arrays in the middle of its line search,
-    _rounds runs them to the end, and their (x, f, evaluations) are
-    written back: the same floats, at the generators' cost.
+    The top of every round, the first included, makes one test: once
+    fewer than _ARRAY_ROWS rows are still searching, they go on as _bfgs
+    generators that _rounds runs to the end, since a round of arrays
+    costs more than a round of generators below about 16 rows (module
+    docstring) and most rounds of a large lockstep wait on a few slow
+    starts. A smaller lockstep is so _rounds over fresh generators, and
+    builds no array. Otherwise every row keeps its BFGS and line-search
+    state in (K, ...) arrays, and each round evaluates the trial points
+    of the rows still searching in one objective call, so a round costs
+    one set of array operations, not one generator step per start. At
+    the hand-off each row still searching resumes from its arrays in the
+    middle of its line search, and the rows' (x, f, evaluations) are
+    written back in one assignment. Each scalar expression of _bfgs and
+    _line_search is kept in their order, and each product is one row's
+    own (_dots, stacked matmuls), so every row takes the same floats as
+    its generator.
     """
+    if len(x0) < _ARRAY_ROWS:
+        return _rounds(objective, [_bfgs(x, max_evals) for x in x0], owner)
     x = np.array(x0, dtype=float)
     k, n = x.shape
     f, g = objective(x, owner, gradient=True)
@@ -693,13 +677,12 @@ def _bfgs_rows(objective, x0: np.ndarray, owner: np.ndarray, max_evals: int):
             # Each row left goes on as a _bfgs generator resumed from views
             # of its slices: a generator writes into none of its inputs,
             # and the arrays change only once every generator has ended.
-            handed, searches = rows.tolist(), []
-            for r in handed:
+            searches = []
+            for r in rows.tolist():
                 bracket = (lo[r], f_lo[r], g_lo[r], d_lo[r]) + ((hi[r], f_hi[r]) if bracketed[r] else (None, None))
                 state = (f[r], g[r], nfev[r], h[r] if has_h[r] else None, p[r], d0[r], alpha[r], bracket)
                 searches.append(_bfgs(x[r], max_evals, state))
-            for r, (x_r, f_r, nfev_r, _) in zip(handed, _rounds(objective, searches, owner[rows])):
-                x[r], f[r], nfev[r] = x_r, f_r, nfev_r
+            x[rows], f[rows], nfev[rows], _ = _rounds(objective, searches, owner[rows])
             break
         a, p_r = alpha[rows], p[rows]
         f_t, g_t = objective(x[rows] + a[:, None] * p_r, owner[rows], gradient=True)
@@ -793,10 +776,8 @@ def _minimize_many(jobs, opt: OptimizerConfig | None) -> tuple[DiscordReport, ..
 
     _blocks checks the jobs at opt.starts rows a job, then every state
     size is checked, all before the first solve. A block is one lockstep
-    whose rows are each job's starts in order, run by _bfgs_rows from
-    _ARRAY_ROWS rows on, which hands its last searching rows to _bfgs
-    generators, else by _lockstep's generators alone, and it writes each
-    job's report into that job's slot.
+    whose rows are each job's starts in order, run by _bfgs_rows, and it
+    writes each job's report into that job's slot.
     """
     opt = opt if opt is not None else OptimizerConfig()
     qs, blocks = _blocks(jobs, opt.starts)
@@ -806,8 +787,7 @@ def _minimize_many(jobs, opt: OptimizerConfig | None) -> tuple[DiscordReport, ..
     for block, measured, objective in blocks:
         x0 = np.tile(_start_points(len(measured), opt), (len(block), 1))
         owner = np.repeat(np.arange(len(block)), opt.starts)
-        drive = _bfgs_rows if len(x0) >= _ARRAY_ROWS else _lockstep
-        xs, fun, nfev, success = drive(objective, x0, owner, opt.max_evals)
+        xs, fun, nfev, success = _bfgs_rows(objective, x0, owner, opt.max_evals)
         for i, j in enumerate(block):
             rows = slice(i * opt.starts, (i + 1) * opt.starts)
             reports[j] = _report(qs[j], measured, xs[rows], fun[rows], nfev[rows], success[rows])

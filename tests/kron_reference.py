@@ -1,4 +1,4 @@
-"""The grouped Kronecker-power products as two separate loops, a test-side reference.
+"""Kronecker-structured tables as loops, a test-side reference.
 
 _pauli_step, _pauli_blocks, _signs and _sign_product are kept here as
 they stood before measurement._kron_steps became the one loop for both
@@ -6,6 +6,9 @@ tables: the Pauli transform applies its first group first and rotates
 the new index to the back, and the sign product applies its last group
 first, in place. The library must give the Pauli blocks bit for bit, and
 the sign product bit for bit at m <= 4, where it is one matmul with X.
+_marginal_table is kept as it stood before discord._marginal_table became
+a stack of Kronecker products: a loop over outcomes' bits, which the
+library must match byte for byte.
 """
 
 import functools
@@ -68,3 +71,20 @@ def _sign_product(y: np.ndarray, m: int, transpose: bool) -> np.ndarray:
         y = table @ y.reshape(-1, table.shape[1], done)
         done *= len(table)
     return y.reshape(k, -1, f)
+
+
+def _marginal_table(measured: tuple[int, ...], parties: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """0/1 table M taking outcome probabilities to the parties' marginals, built bit by bit."""
+    m = len(measured)
+    outcomes = np.arange(2**m)
+    table = np.zeros((2**m, sum(2 ** len(g) for g in parties)))
+    start = 0
+    for g in parties:
+        entry = np.zeros_like(outcomes)
+        for pos, i in enumerate(measured):
+            if i in g:
+                entry = 2 * entry + ((outcomes >> (m - 1 - pos)) & 1)
+        table[outcomes, start + entry] = 1.0
+        start += 2 ** len(g)
+    table.setflags(write=False)
+    return table

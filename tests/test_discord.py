@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import kron_reference
 from qdiscord import discord
 from qdiscord.discord import (
     OptimizerConfig,
@@ -614,6 +615,18 @@ def axis_sum_objective(rho, q, measured, groups):
     return objective
 
 
+def set_partitions(qubits):
+    """Every partition of the tuple qubits into parties, each sorted, the parties ordered by first qubit."""
+    if not qubits:
+        yield ()
+        return
+    first, rest = qubits[0], qubits[1:]
+    for r in range(len(rest) + 1):
+        for mates in itertools.combinations(rest, r):
+            for others in set_partitions(tuple(i for i in rest if i not in mates)):
+                yield ((first,) + mates,) + others
+
+
 # Every shape of KERNELS, a one-sided one measuring the last of three qubits,
 # and a four-qubit cut whose measured party is not a prefix.
 TABLE_SHAPES = sorted(KERNELS.values()) + [(3, (2,), ((0, 1), (2,))), (4, (1, 3), ((0, 2), (1, 3)))]
@@ -634,6 +647,24 @@ class TestMarginalTable:
         table = discord._marginal_table(measured, parties)
         assert set(np.unique(table)) == {0.0, 1.0}
         assert_allclose(probs @ table, np.concatenate(summed, axis=1), rtol=0, atol=1e-15)
+
+    def test_kronecker_products_match_the_bit_loop(self):
+        # Every nonempty measured subset of six qubits with every partition
+        # of it into parties: 876 shapes, among them every (measured,
+        # pattern) a job on at most 6 qubits makes. Each table is the
+        # reference loop's, byte for byte.
+        shapes = [
+            (measured, pattern)
+            for m in range(1, 7)
+            for measured in itertools.combinations(range(6), m)
+            for pattern in set_partitions(measured)
+        ]
+        assert len(shapes) == 876
+        for measured, pattern in shapes:
+            table = discord._marginal_table.__wrapped__(measured, pattern)
+            reference = kron_reference._marginal_table(measured, pattern)
+            assert table.dtype == reference.dtype and table.shape == reference.shape
+            assert table.tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("n, measured, groups", TABLE_SHAPES)
     def test_read_only_and_built_once_per_shape(self, n, measured, groups, monkeypatch):
@@ -664,18 +695,24 @@ class TestMarginalTable:
             assert_allclose(grads, ref_grads, rtol=0, atol=1e-13)
 
 
+def by_generators(objective, starts, max_evals, owner):
+    """The BFGS searches from starts as fresh _bfgs generators, run and stacked by _rounds."""
+    return discord._rounds(objective, [discord._bfgs(x, max_evals) for x in np.array(starts)], owner)
+
+
 def lockstep_bfgs(objective, starts, max_evals, owner=None):
-    """The BFGS searches from starts run by _lockstep, checked against _bfgs_rows.
+    """The BFGS searches from starts run as generators, checked against _bfgs_rows.
 
     _bfgs_rows runs as arrays to the end (_ARRAY_ROWS = 1), then once with
-    each threshold from 2 to K + 1, so that it hands its rows to _bfgs
-    generators at every row count a round can have. Every run must return
-    the same x, f, evaluations and success for every start, bit for bit.
-    owner defaults to problem 0 for every row.
+    each threshold from 2 to K, so that it hands its rows to _bfgs
+    generators at every row count a round can have, and at K + 1, where
+    it runs them as generators from the start. Every run must return the
+    same x, f, evaluations and success for every start, bit for bit, as
+    the generators alone. owner defaults to problem 0 for every row.
     """
     if owner is None:
         owner = np.zeros(len(starts), dtype=np.intp)
-    result = discord._lockstep(objective, np.array(starts), owner, max_evals)
+    result = by_generators(objective, starts, max_evals, owner)
     with pytest.MonkeyPatch.context() as patch:
         for threshold in range(1, len(starts) + 2):
             patch.setattr(discord, "_ARRAY_ROWS", threshold)
@@ -767,7 +804,10 @@ class TestLockstepBFGS:
     def test_hand_off_resumes_every_line_search_state(self, monkeypatch):
         # lockstep_bfgs's hand-offs resume a row that zooms in a bracket, a
         # row that extrapolates from a lowered lo, a row with no h yet, and
-        # a row whose budget runs out after the hand-off.
+        # a row whose budget runs out after the hand-off. 12 rows search
+        # beside 4 rows of the maximally mixed state, which stop after
+        # round 0, so at thresholds 13 to 16 the 12 are handed off before
+        # their first step, with no h yet.
         resumed, run = [], discord._bfgs
 
         def recording(x0, max_evals, resume=None):
@@ -778,10 +818,12 @@ class TestLockstepBFGS:
 
         monkeypatch.setattr(discord, "_bfgs", recording)
         n, measured, groups = KERNELS["global-n3"]
-        objective = single(random_density_matrix(n, seed=200 + n), 0.5, measured, groups)
+        rho = random_density_matrix(n, seed=200 + n)
+        mixed = DensityMatrix(np.eye(2**n) / 2**n)
+        objective = _make_objective([rho, mixed], [0.5, 0.5], measured, [groups] * 2)
         starts = np.array(discord._start_points(len(measured), OptimizerConfig(starts=16)))
         for budget in (12, 400):
-            lockstep_bfgs(objective, starts, budget)
+            lockstep_bfgs(objective, starts, budget, np.repeat([0, 1], [12, 4]))
         brackets = [bracket for (*_, bracket), _ in resumed]
         assert any(hi is not None for *_, hi, _ in brackets)
         assert any(hi is None and lo > 0.0 for lo, *_, hi, _ in brackets)
@@ -794,8 +836,9 @@ class TestLockstepBFGS:
         # step, at magnitudes from 1e-6 to 1e4. After the second update the
         # rounded h gives g.p >= 0, so the search drops h and steps along -g
         # with length min(1, 1 / |g|), as on its first step. The fourth
-        # reply only spends the budget. _lockstep and _bfgs_rows ask for the
-        # same points, _bfgs_rows as arrays and handing off at once.
+        # reply only spends the budget. The generator and _bfgs_rows ask for
+        # the same points, _bfgs_rows as arrays (threshold 1) and as its
+        # generators (threshold 2).
         script = [
             (0.0, [-8.002047953567316e-06, 8.487234883999388e-06]),
             (-6.803296371368349e-11, [-2.539258899126327e-06, 4.1465258424843474e-08]),
@@ -803,7 +846,7 @@ class TestLockstepBFGS:
             (0.0, [0.0, 0.0]),
         ]
         objective, points = scripted(script)
-        result = discord._lockstep(objective, np.zeros((1, 2)), np.zeros(1, dtype=np.intp), 4)
+        result = by_generators(objective, np.zeros((1, 2)), 4, np.zeros(1, dtype=np.intp))
         for threshold in (1, 2):
             monkeypatch.setattr(discord, "_ARRAY_ROWS", threshold)
             objective, rows_points = scripted(script)
@@ -1103,30 +1146,42 @@ class TestManyProblems:
         assert sum(calls) == sum(r.objective_evals for r in reports)
 
     def test_large_locksteps_run_as_arrays(self, monkeypatch):
-        # A lockstep of at least _ARRAY_ROWS rows runs _bfgs_rows, a smaller
-        # one _lockstep, both on the same rows. With the threshold at 16
-        # rows, the n = 2 block (3 jobs, 12 rows) sits one job below it and
-        # the n = 3 block (4 jobs, 16 rows) at it; every report is still the
-        # solo call's.
+        # A lockstep of at least _ARRAY_ROWS rows makes an array round, a
+        # smaller one runs as generators from the start and makes none,
+        # both on the same rows. With the threshold at 16 rows, the n = 2
+        # block (3 jobs, 12 rows) sits one job below it and the n = 3 block
+        # (4 jobs, 16 rows) at it; every report is still the solo call's.
         jobs = [(random_density_matrix(2, seed=180 + k), q) for k, q in enumerate((0.25, 1.0, 2.0))]
         jobs += [(rank_two(3, seed=190), 0.25)]
         jobs += [(random_density_matrix(3, seed=190 + k), q) for k, q in enumerate((0.5, 1.0, 2.0))]
-        drivers = []
-        for name in ("_lockstep", "_bfgs_rows"):
+        # _rounds is handed each objective uncounted, so only array rounds
+        # count.
+        arrays = []
+        make, rounds = discord._make_objective, discord._rounds
 
-            def counted(objective, x0, owner, max_evals, name=name, run=getattr(discord, name)):
-                drivers.append((name, len(x0)))
-                return run(objective, x0, owner, max_evals)
+        def making(*args):
+            objective = make(*args)
+            calls = []
+            arrays.append(calls)
 
-            monkeypatch.setattr(discord, name, counted)
+            def counted(angles, owner, gradient=False):
+                calls.append(len(angles))
+                return objective(angles, owner, gradient)
+
+            counted.uncounted = objective
+            return counted
+
+        monkeypatch.setattr(discord, "_make_objective", making)
+        monkeypatch.setattr(discord, "_rounds", lambda objective, *args: rounds(objective.uncounted, *args))
         monkeypatch.setattr(discord, "_ARRAY_ROWS", 16)
         reports = q_gqd_many(jobs, LIGHT)
         one_sided = q_qd_one_sided_many(jobs, (1,), LIGHT)
-        assert drivers == [("_lockstep", 12), ("_bfgs_rows", 16)] * 2
+        assert [calls[:1] for calls in arrays] == [[], [16]] * 2
         for (rho, q), report, one_sided_report in zip(jobs, reports, one_sided):
             assert report_fields(report) == report_fields(q_gqd(rho, q, LIGHT))
             assert report_fields(one_sided_report) == report_fields(q_qd_one_sided(rho, (1,), q, LIGHT))
-        assert drivers[4:] == [("_lockstep", 4)] * 2 * len(jobs)
+        assert len(arrays) == 4 + 2 * len(jobs)
+        assert not any(arrays[4:])
 
     def test_jobs_run_in_blocks_of_bounded_rows(self, monkeypatch):
         # A lockstep takes at most _MAX_ROWS // starts jobs, and at least
